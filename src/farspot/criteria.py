@@ -3,7 +3,6 @@
 Covered losses:
     * hard-label frame cross entropy
     * soft-label cross entropy against teacher posteriors (distillation)
-    * teacher-student adaptation on parallel source/target features
     * CTC over blank-augmented alignments, computed in log space
 
 Probabilities are clamped at EPS = 1e-12 before any log.
@@ -12,35 +11,17 @@ Probabilities are clamped at EPS = 1e-12 before any log.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import netcore
-from .featkit import FeatureSequence
-from .netcore import Network, Posteriorgram, log_softmax, softmax
+from .netcore import Posteriorgram, log_softmax, softmax
 
 EPS = 1e-12
 
 
 class CriterionError(ValueError):
     pass
-
-
-@dataclass
-class ParallelPair:
-    """Frame-synchronous (source, target) feature pair for T/S adaptation."""
-
-    source: FeatureSequence
-    target: FeatureSequence
-
-    def __post_init__(self):
-        if self.source.num_frames != self.target.num_frames:
-            raise CriterionError(
-                f"parallel pair frame counts differ: "
-                f"{self.source.num_frames} vs {self.target.num_frames}"
-            )
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
@@ -122,20 +103,6 @@ def interpolated_ce_loss(teacher, labels, student_logits, soft_weight: float = 1
         return ls, gs
     lh, gh = hard_ce_loss(labels, student_logits)
     return soft_weight * ls + (1 - soft_weight) * lh, soft_weight * gs + (1 - soft_weight) * gh
-
-
-def ts_adaptation_loss(teacher_net: Network, student_logits_on_target, pair: ParallelPair):
-    """Adaptation loss: teacher posteriors on source features become soft
-    targets for the student's logits on the paired target features."""
-    logits = np.asarray(student_logits_on_target, dtype=np.float64)
-    if teacher_net.spec.output_dim != logits.shape[1]:
-        raise CriterionError(
-            f"teacher output dim {teacher_net.spec.output_dim} != logits dim {logits.shape[1]}"
-        )
-    if logits.shape[0] != pair.target.num_frames:
-        raise CriterionError("student logits frame count does not match the pair")
-    teacher_post = netcore.forward(teacher_net, pair.source.frames)
-    return soft_ce_loss(teacher_post, logits)
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +222,24 @@ def write_posterior_cache(path: str | Path, utt_id: str, rows: np.ndarray) -> No
 
 
 def read_posterior_cache(path: str | Path) -> tuple[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _PC_MAGIC:
-            raise CriterionError(f"{path}: not a posterior cache file")
-        version, id_len = struct.unpack("<II", fh.read(8))
+    data = Path(path).read_bytes()
+    if data[:4] != _PC_MAGIC:
+        raise CriterionError(f"{path}: not a posterior cache file")
+    try:
+        version, id_len = struct.unpack_from("<II", data, 4)
         if version != _PC_VERSION:
             raise CriterionError(f"{path}: unsupported cache version {version}")
-        utt_id = fh.read(id_len).decode()
-        t, n = struct.unpack("<II", fh.read(8))
-        rows = np.frombuffer(fh.read(t * n * 4), dtype="<f4")
-    if rows.size != t * n:
+        utt_id = data[12 : 12 + id_len].decode()
+        t, n = struct.unpack_from("<II", data, 12 + id_len)
+    except (struct.error, UnicodeDecodeError) as e:
+        raise CriterionError(f"{path}: truncated cache header ({e})") from e
+    payload = data[20 + id_len : 20 + id_len + t * n * 4]
+    if len(payload) != t * n * 4:
         raise CriterionError(f"{path}: truncated cache payload")
-    rows = rows.reshape(t, n).astype(np.float64)
+    rows = np.frombuffer(payload, dtype="<f4").reshape(t, n).astype(np.float64)
+    sums = rows.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(sums) & (sums > 0)):
+        raise CriterionError(f"{path}: cache row without finite positive mass")
     # renormalize away float32 quantization so downstream row-sum checks hold
-    rows /= rows.sum(axis=1, keepdims=True)
+    rows /= sums
     return utt_id, rows

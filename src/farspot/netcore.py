@@ -398,22 +398,10 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
     return sink.grad
 
 
-def forward_cached(net: Network, frames: np.ndarray):
-    """Single-sequence forward; returns (logits (T, N), cache)."""
-    frames = np.asarray(frames)
-    logits, cache = forward_batch(net, frames[None, :, :])
-    return logits[0], cache
-
-
 def forward(net: Network, frames: np.ndarray) -> Posteriorgram:
     """Single-sequence forward returning row-stochastic posteriors."""
     logits, _ = forward_batch(net, np.asarray(frames)[None, :, :], want_cache=False)
     return Posteriorgram(softmax(logits[0].astype(np.float64)))
-
-
-def backward(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray:
-    """Single-sequence backward; dlogits is (T, N)."""
-    return backward_batch(net, cache, np.asarray(dlogits)[None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +502,23 @@ def save_checkpoint(net: Network, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Network:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise NetworkError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+    data = Path(path).read_bytes()
+    if data[:4] != _CKPT_MAGIC:
+        raise NetworkError(f"{path}: not a checkpoint file")
+    try:
+        version, spec_len = struct.unpack_from("<II", data, 4)
         if version != _CKPT_VERSION:
             raise NetworkError(f"{path}: unsupported checkpoint version {version}")
-        (spec_len,) = struct.unpack("<I", fh.read(4))
-        spec = ModelSpec.from_dict(json.loads(fh.read(spec_len).decode()))
-        code, count = struct.unpack("<BQ", fh.read(9))
-        params = np.frombuffer(fh.read(count * _DTYPES[code].itemsize), dtype=_DTYPES[code])
-    if params.size != count:
-        raise NetworkError(f"{path}: truncated parameter payload")
-    return Network(spec, params.copy())
+        spec = ModelSpec.from_dict(json.loads(data[12 : 12 + spec_len].decode()))
+        code, count = struct.unpack_from("<BQ", data, 12 + spec_len)
+        if code not in _DTYPES:
+            raise NetworkError(f"{path}: unknown dtype code {code}")
+        dtype = _DTYPES[code]
+        payload = data[21 + spec_len : 21 + spec_len + count * dtype.itemsize]
+        if len(payload) != count * dtype.itemsize:
+            raise NetworkError(f"{path}: truncated parameter payload")
+        return Network(spec, np.frombuffer(payload, dtype=dtype).copy())
+    except NetworkError:
+        raise
+    except (struct.error, ValueError, TypeError, AttributeError) as e:
+        raise NetworkError(f"{path}: malformed checkpoint ({e})") from e

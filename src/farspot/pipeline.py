@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -377,7 +378,7 @@ def _featurize_corpus_one(job) -> "ManifestRecord":
     f = featurize_waveform(w, spec)
     feat_path = Path(out_dir) / f"{r.utt_id}.fsfa"
     featkit.write_features(feat_path, f)
-    return replace_record(r, path=str(feat_path))
+    return replace(r, path=str(feat_path))
 
 
 def featurize_corpus(
@@ -392,12 +393,6 @@ def featurize_corpus(
     out = Manifest(records)
     write_manifest(out_dir / "manifest.tsv", out)
     return out
-
-
-def replace_record(r: ManifestRecord, **kw) -> ManifestRecord:
-    d = asdict(r)
-    d.update(kw)
-    return ManifestRecord(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +470,7 @@ def _simulate_corpus_one(job) -> ManifestRecord:
     far = farfield_waveform(w, far_cfg, i)
     far_path = Path(out_dir) / f"{r.utt_id}.wav"
     simkit.write_wav(far_path, far)
-    return replace_record(r, path=str(far_path), pair_path=r.path)
+    return replace(r, path=str(far_path), pair_path=r.path)
 
 
 def simulate_corpus(
@@ -512,7 +507,7 @@ class TrainConfig:
     blank: int = BLANK
 
     def __post_init__(self):
-        if self.criterion not in ("hard_ce", "soft_ce", "ts_adapt", "ctc"):
+        if self.criterion not in _CRITERIA:
             raise PipelineError(f"unknown criterion {self.criterion!r}")
         if self.learning_rate < 0:
             raise PipelineError("learning_rate must be non-negative")
@@ -528,17 +523,61 @@ def _delayed(labels: np.ndarray, delay: int) -> np.ndarray:
     return labels[idx]
 
 
+def _padded(seqs: list[np.ndarray], tmax: int, dim: int) -> np.ndarray:
+    x = np.zeros((len(seqs), tmax, dim))
+    for j, seq in enumerate(seqs):
+        x[j, : len(seq)] = seq
+    return x
+
+
+def _hard_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
+    return criteria.hard_ce_loss(_delayed(np.asarray(it.frame_labels), cfg.label_delay), logits)
+
+
+def _soft_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
+    if cfg.soft_weight < 1.0:
+        labels = _delayed(np.asarray(it.frame_labels), cfg.label_delay)
+        return criteria.interpolated_ce_loss(it.teacher_rows, labels, logits, cfg.soft_weight)
+    return criteria.soft_ce_loss(it.teacher_rows, logits)
+
+
+def _ts_adapt(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
+    return criteria.soft_ce_loss(teacher_rows, logits)
+
+
+def _ctc(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
+    return criteria.ctc_loss(logits, it.symbols, blank=cfg.blank)
+
+
+class _Criterion(NamedTuple):
+    # TrainItem fields (and what they hold) that every training item must carry
+    needs: Callable[[TrainConfig], dict[str, str]]
+    # (item, logits (T, N), cfg, teacher rows (T, N) or None) -> (loss, dloss/dlogits)
+    loss: Callable
+    # targets are the posteriors of a teacher network run on source_feats
+    uses_teacher: bool = False
+
+
+_CRITERIA = {
+    "hard_ce": _Criterion(lambda cfg: {"frame_labels": "frame labels"}, _hard_ce),
+    "soft_ce": _Criterion(
+        lambda cfg: {"teacher_rows": "teacher posteriors",
+                     **({"frame_labels": "frame labels"} if cfg.soft_weight < 1.0 else {})},
+        _soft_ce,
+    ),
+    "ts_adapt": _Criterion(lambda cfg: {"source_feats": "paired source features"},
+                           _ts_adapt, uses_teacher=True),
+    "ctc": _Criterion(lambda cfg: {"symbols": "a symbol transcript"}, _ctc),
+}
+
+
 def _check_items(items: list[TrainItem], cfg: TrainConfig) -> None:
+    needs = _CRITERIA[cfg.criterion].needs(cfg)
     for it in items:
-        if cfg.criterion == "hard_ce" and it.frame_labels is None:
-            raise PipelineError(f"{it.utt_id}: hard_ce needs frame labels")
-        if cfg.criterion == "ctc" and it.symbols is None:
-            raise PipelineError(f"{it.utt_id}: ctc needs a symbol transcript")
-        if cfg.criterion == "soft_ce" and it.teacher_rows is None:
-            raise PipelineError(f"{it.utt_id}: soft_ce needs teacher posteriors")
-        if cfg.criterion == "ts_adapt" and it.source_feats is None:
-            raise PipelineError(f"{it.utt_id}: ts_adapt needs paired source features")
-        if cfg.criterion == "ts_adapt" and it.source_feats.shape[0] != it.num_frames:
+        for name, what in needs.items():
+            if getattr(it, name) is None:
+                raise PipelineError(f"{it.utt_id}: {cfg.criterion} needs {what}")
+        if "source_feats" in needs and it.source_feats.shape[0] != it.num_frames:
             raise PipelineError(f"{it.utt_id}: paired frame counts differ")
 
 
@@ -550,45 +589,25 @@ def _batches(items: list[TrainItem], batch_size: int):
 
 def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig,
                          teacher: Network | None):
+    crit = _CRITERIA[cfg.criterion]
     tmax = max(it.num_frames for it in batch)
-    b = len(batch)
     d = net.spec.input_dim
-    n = net.spec.output_dim
-    x = np.zeros((b, tmax, d))
-    for j, it in enumerate(batch):
-        x[j, : it.num_frames] = it.feats
-    logits, cache = netcore.forward_batch(net, x)
+    logits, cache = netcore.forward_batch(net, _padded([it.feats for it in batch], tmax, d))
     logits64 = logits.astype(np.float64)
 
-    teacher_rows_batch = None
-    if cfg.criterion == "ts_adapt":
-        xs = np.zeros((b, tmax, d))
-        for j, it in enumerate(batch):
-            xs[j, : it.num_frames] = it.source_feats
+    teacher_rows = None
+    if crit.uses_teacher:
+        xs = _padded([it.source_feats for it in batch], tmax, d)
         t_logits, _ = netcore.forward_batch(teacher, xs, want_cache=False)
-        teacher_rows_batch = netcore.softmax(t_logits.astype(np.float64))
+        teacher_rows = netcore.softmax(t_logits.astype(np.float64))
 
-    dlogits = np.zeros((b, tmax, n))
+    dlogits = np.zeros_like(logits64)
     total_loss = 0.0
     total_frames = 0
     for j, it in enumerate(batch):
         t = it.num_frames
-        lg = logits64[j, :t]
-        if cfg.criterion == "hard_ce":
-            labels = _delayed(np.asarray(it.frame_labels), cfg.label_delay)
-            loss, g = criteria.hard_ce_loss(labels, lg)
-        elif cfg.criterion == "ctc":
-            loss, g = criteria.ctc_loss(lg, it.symbols, blank=cfg.blank)
-        elif cfg.criterion == "soft_ce":
-            if cfg.soft_weight < 1.0:
-                labels = _delayed(np.asarray(it.frame_labels), cfg.label_delay)
-                loss, g = criteria.interpolated_ce_loss(
-                    it.teacher_rows, labels, lg, cfg.soft_weight
-                )
-            else:
-                loss, g = criteria.soft_ce_loss(it.teacher_rows, lg)
-        else:  # ts_adapt
-            loss, g = criteria.soft_ce_loss(teacher_rows_batch[j, :t], lg)
+        rows = None if teacher_rows is None else teacher_rows[j, :t]
+        loss, g = crit.loss(it, logits64[j, :t], cfg, rows)
         dlogits[j, :t] = g
         total_loss += loss
         total_frames += t
@@ -609,8 +628,8 @@ def train(
     per-epoch mean per-frame loss."""
     if not items:
         raise PipelineError("empty training set")
-    if cfg.criterion == "ts_adapt" and teacher is None:
-        raise PipelineError("ts_adapt requires a teacher network")
+    if _CRITERIA[cfg.criterion].uses_teacher and teacher is None:
+        raise PipelineError(f"{cfg.criterion} requires a teacher network")
     _check_items(items, cfg)
 
     net = net.copy()
@@ -629,6 +648,11 @@ def train(
         for bi in order:
             loss, grad = _batch_loss_and_grad(net, batches[bi], cfg, teacher)
             norm = np.linalg.norm(grad)
+            if not (np.isfinite(loss) and np.isfinite(norm)):
+                raise PipelineError(
+                    f"non-finite loss ({loss}) or gradient norm ({norm}) in epoch {epoch}, "
+                    f"batch {bi}: utterances {[it.utt_id for it in batches[bi]]}"
+                )
             if norm > cfg.grad_clip:
                 grad = grad * (cfg.grad_clip / norm)
             velocity = cfg.momentum * velocity - lr * grad
@@ -662,23 +686,8 @@ def compute_teacher_posteriors(
                 p = cache_dir / f"{it.utt_id}.fspc"
                 criteria.write_posterior_cache(p, it.utt_id, cached)
                 _, cached = criteria.read_posterior_cache(p)
-        out.append(replace_item(it, teacher_rows=cached))
+        out.append(replace(it, teacher_rows=cached))
     return out
-
-
-def replace_item(it: TrainItem, **kw) -> TrainItem:
-    d = {
-        "utt_id": it.utt_id,
-        "feats": it.feats,
-        "frame_labels": it.frame_labels,
-        "symbols": it.symbols,
-        "is_positive": it.is_positive,
-        "teacher_rows": it.teacher_rows,
-        "source_feats": it.source_feats,
-        "duration_sec": it.duration_sec,
-    }
-    d.update(kw)
-    return TrainItem(**d)
 
 
 def distill(
@@ -712,9 +721,6 @@ def adapt(
     The student starts as a copy of the teacher and is trained so its
     posteriors on target features track the teacher's on source features.
     """
-    for it in paired_items:
-        if it.source_feats is None:
-            raise PipelineError(f"{it.utt_id}: unpaired record in adaptation set")
     cfg = replace(cfg, criterion="ts_adapt")
     student = teacher.copy()
     return train(student, paired_items, cfg, teacher=teacher, checkpoint_dir=checkpoint_dir)
@@ -852,8 +858,10 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # Ablation ladder: ordered single-factor-change experiment chain for the
-# adaptation task.  Sequence-discriminative stages are out of scope and the
-# report says so.
+# adaptation task, and the desk-scale adaptation experiment (close-talk
+# teacher vs T/S-adapted students on train_count and train_count +
+# extra_count pairs).  Sequence-discriminative stages are out of scope and
+# the report says so.
 
 @dataclass
 class LadderConfig:
@@ -882,6 +890,7 @@ class LadderRow:
 @dataclass
 class LadderReport:
     rows: list[LadderRow]
+    majority_fer: float  # far-FER of always predicting the commonest training label
     note: str
 
     def format_text(self) -> str:
@@ -892,23 +901,21 @@ class LadderReport:
                 f"{r.stage.ljust(width)}  {r.changed_factor.ljust(24)}  "
                 f"{r.far_fer:7.4f}  {r.seed}"
             )
+        lines.append(f"majority-class baseline far-FER: {self.majority_fer:.4f}")
         lines.append(f"note: {self.note}")
         return "\n".join(lines)
 
     def to_json(self) -> str:
         return json.dumps(
-            {"rows": [asdict(r) for r in self.rows], "note": self.note}, indent=2
+            {"rows": [asdict(r) for r in self.rows], "majority_fer": self.majority_fer,
+             "note": self.note},
+            indent=2,
         )
 
 
 def _am_task_spec(seed: int) -> SynthTaskSpec:
     # AM mode: per-frame classification without blank; unstacked features.
     return SynthTaskSpec(seed=seed, stack_context=1, stack_step=1, positive_ratio=0.5)
-
-
-def _remap_am_labels(items: list[TrainItem]) -> list[TrainItem]:
-    # classes {HEY, CORTANA, SILENCE, GARBAGE} already occupy 0..3
-    return items
 
 
 def ablation_ladder(cfg: LadderConfig) -> LadderReport:
@@ -944,7 +951,7 @@ def ablation_ladder(cfg: LadderConfig) -> LadderReport:
     )
 
     # close-talk teacher, trained on the clean side
-    clean_items = [replace_item(it, feats=it.source_feats, source_feats=None)
+    clean_items = [replace(it, feats=it.source_feats, source_feats=None)
                    for it in train_pairs]
     teacher = netcore.init_network(spec, np.random.default_rng(cfg.seed))
     teacher, _ = train(teacher, clean_items, replace(base_cfg, epochs=cfg.teacher_epochs))
@@ -987,8 +994,11 @@ def ablation_ladder(cfg: LadderConfig) -> LadderReport:
                           frame_error_rate(ts_rich, test_pairs), cfg.seed,
                           ckpt("ts-rich-sim", ts_rich)))
 
+    majority = np.argmax(np.bincount(np.concatenate([it.frame_labels for it in train_pairs])))
+    test_labels = np.concatenate([it.frame_labels for it in test_pairs])
     report = LadderReport(
         rows=rows,
+        majority_fer=float(np.mean(test_labels != majority)),
         note="sequence-discriminative training stages are out of scope; "
              "the ladder stops at the teacher-student stages",
     )
@@ -996,55 +1006,3 @@ def ablation_ladder(cfg: LadderConfig) -> LadderReport:
         (out_dir / "ladder.txt").write_text(report.format_text() + "\n")
         (out_dir / "ladder.json").write_text(report.to_json() + "\n")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Desk-scale adaptation experiment: close-talk teacher vs T/S-adapted student
-# on far-field test data, with a data-doubling arm.
-
-@dataclass
-class AdaptationConfig:
-    seed: int = 0
-    pair_count: int = 80   # the "full data" arm; the half arm uses pair_count // 2
-    test_count: int = 40
-    teacher_epochs: int = 6
-    adapt_epochs: int = 4
-    learning_rate: float = 0.08
-    hidden: int = 32
-    layers: int = 1
-    output_dim: int = 4
-
-
-def adaptation_experiment(cfg: AdaptationConfig) -> dict:
-    """Far-field FER of the unadapted teacher and of students adapted on
-    half vs all of the unlabeled parallel pairs."""
-    task = _am_task_spec(cfg.seed)
-    train_pairs = synth_pair_items(task, FarFieldConfig(seed=cfg.seed + 1), cfg.pair_count)
-    test_pairs = synth_pair_items(
-        task, FarFieldConfig(seed=cfg.seed + 3), cfg.test_count, start_index=10_000
-    )
-
-    spec = ModelSpec(
-        input_dim=train_pairs[0].feats.shape[1],
-        layers=cfg.layers, hidden=cfg.hidden, projection=0,
-        output_dim=cfg.output_dim, peepholes=False,
-    )
-    clean_items = [replace_item(it, feats=it.source_feats, source_feats=None)
-                   for it in train_pairs]
-    teacher = netcore.init_network(spec, np.random.default_rng(cfg.seed))
-    teacher, _ = train(
-        teacher, clean_items,
-        TrainConfig(criterion="hard_ce", learning_rate=cfg.learning_rate,
-                    epochs=cfg.teacher_epochs, seed=cfg.seed),
-    )
-
-    adapt_cfg = TrainConfig(criterion="ts_adapt", learning_rate=cfg.learning_rate,
-                            epochs=cfg.adapt_epochs, seed=cfg.seed)
-    half, _ = adapt(teacher, train_pairs[: cfg.pair_count // 2], adapt_cfg)
-    full, _ = adapt(teacher, train_pairs, adapt_cfg)
-    return {
-        "seed": cfg.seed,
-        "fer_teacher": frame_error_rate(teacher, test_pairs),
-        "fer_adapted_half": frame_error_rate(half, test_pairs),
-        "fer_adapted_full": frame_error_rate(full, test_pairs),
-    }

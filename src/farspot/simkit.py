@@ -56,10 +56,6 @@ class Waveform:
             return 0.0
         return float(np.sqrt(np.mean(self.samples**2)))
 
-    def clip_report(self) -> int:
-        """Number of samples outside [-1, 1] (clipping is reported, never applied)."""
-        return int(np.count_nonzero(np.abs(self.samples) > 1.0))
-
 
 @dataclass
 class ImpulseResponse:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -119,7 +120,7 @@ class TestSynth:
         ms = pipeline.read_manifest(serial / "manifest.tsv")
         mp_ = pipeline.read_manifest(parallel / "manifest.tsv")
         for a, b in zip(ms.records, mp_.records):
-            assert pipeline.replace_record(a, path="") == pipeline.replace_record(b, path="")
+            assert dataclasses.replace(a, path="") == dataclasses.replace(b, path="")
         for i in range(5):
             name = f"utt{i:06d}.wav"
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()

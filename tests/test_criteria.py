@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farspot import criteria, netcore
-from farspot.criteria import CriterionError, ParallelPair
-from farspot.featkit import FeatureSequence
+from farspot import criteria, netcore, pipeline
+from farspot.criteria import CriterionError
 from farspot.netcore import ModelSpec, init_network, softmax
+from farspot.pipeline import FarFieldConfig, PipelineError, SynthTaskSpec, TrainConfig
 from helpers import central_diff_grad, ctc_enum_loss, grad_rel_err
 
 
@@ -142,47 +144,61 @@ class TestHardCe:
 
 
 class TestTsAdaptation:
-    def _pair(self, rng, t, d):
-        return ParallelPair(
-            FeatureSequence(rng.standard_normal((t, d)), 10.0),
-            FeatureSequence(rng.standard_normal((t, d)), 10.0),
-        )
+    # T/S adaptation is the batched ts_adapt criterion of pipeline: soft CE
+    # against the teacher's posteriors on the paired source features
+    def _items(self, n):
+        task = SynthTaskSpec(seed=0, n_mels=12, stack_context=4, stack_step=2)
+        return pipeline.synth_pair_items(task, FarFieldConfig(seed=1), n)
+
+    def _net(self, input_dim, seed):
+        spec = ModelSpec(input_dim=input_dim, layers=1, hidden=8, projection=0,
+                         output_dim=5, peepholes=False)
+        return init_network(spec, np.random.default_rng(seed))
 
     def test_composition_oracle(self):
-        # the loss must equal soft CE against the teacher posteriors computed
-        # separately on the source features
-        rng = np.random.default_rng(5)
-        spec = ModelSpec(input_dim=3, layers=1, hidden=4, projection=0,
-                         output_dim=4, peepholes=False)
-        teacher = init_network(spec, rng)
-        pair = self._pair(rng, 6, 3)
-        logits = rng.standard_normal((6, 4))
-        loss, grad = criteria.ts_adaptation_loss(teacher, logits, pair)
-        t_post = netcore.forward(teacher, pair.source.frames)
-        loss2, grad2 = criteria.soft_ce_loss(t_post, logits)
-        assert loss == pytest.approx(loss2, abs=1e-12)
-        assert np.array_equal(grad, grad2)
+        # the batched loss and gradient equal soft CE against teacher
+        # posteriors computed separately, one utterance at a time, on the
+        # source features; the batched forward may differ in the last bits
+        items = self._items(3)
+        teacher = self._net(items[0].feats.shape[1], 8)
+        student = self._net(items[0].feats.shape[1], 9)
+        loss, grad = pipeline._batch_loss_and_grad(
+            student, items, TrainConfig(criterion="ts_adapt"), teacher)
+
+        tmax = max(it.num_frames for it in items)
+        x = np.zeros((len(items), tmax, student.spec.input_dim))
+        for j, it in enumerate(items):
+            x[j, : it.num_frames] = it.feats
+        logits, cache = netcore.forward_batch(student, x)
+        dlogits = np.zeros_like(logits)
+        want_loss, frames = 0.0, 0
+        for j, it in enumerate(items):
+            t = it.num_frames
+            t_post = netcore.forward(teacher, it.source_feats)
+            lj, gj = criteria.soft_ce_loss(t_post, logits[j, :t])
+            dlogits[j, :t] = gj
+            want_loss += lj
+            frames += t
+        want_grad = netcore.backward_batch(student, cache, dlogits / frames)
+        assert loss == pytest.approx(want_loss / frames, rel=0, abs=1e-12)
+        assert np.max(np.abs(grad - want_grad)) < 1e-12
 
     def test_matched_student_has_zero_gradient(self):
-        # identical source/target features and a student that reproduces the
-        # teacher's logits sit at the criterion's stationary point
-        rng = np.random.default_rng(6)
-        spec = ModelSpec(input_dim=3, layers=1, hidden=4, projection=0,
-                         output_dim=4, peepholes=False)
-        teacher = init_network(spec, rng)
-        frames = rng.standard_normal((5, 3))
-        pair = ParallelPair(FeatureSequence(frames, 10.0), FeatureSequence(frames, 10.0))
-        logits, _ = netcore.forward_batch(teacher, frames[None], want_cache=False)
-        _, grad = criteria.ts_adaptation_loss(teacher, logits[0], pair)
+        # identical source/target features and a student equal to the teacher
+        # sit at the criterion's stationary point
+        items = [replace(it, source_feats=it.feats) for it in self._items(3)]
+        teacher = self._net(items[0].feats.shape[1], 6)
+        _, grad = pipeline._batch_loss_and_grad(
+            teacher.copy(), items, TrainConfig(criterion="ts_adapt"), teacher)
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_frame_count_mismatch_rejected(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(CriterionError):
-            ParallelPair(
-                FeatureSequence(rng.standard_normal((4, 3)), 10.0),
-                FeatureSequence(rng.standard_normal((5, 3)), 10.0),
-            )
+        items = self._items(2)
+        items[1] = replace(items[1], source_feats=items[1].source_feats[:-1])
+        teacher = self._net(items[0].feats.shape[1], 7)
+        with pytest.raises(PipelineError, match="paired frame counts differ"):
+            pipeline.train(teacher.copy(), items, TrainConfig(criterion="ts_adapt"),
+                           teacher=teacher)
 
 
 class TestCtc:
@@ -283,3 +299,21 @@ class TestPosteriorCache:
         p.write_bytes(b"ZZZZ" + b"\x00" * 24)
         with pytest.raises(CriterionError):
             criteria.read_posterior_cache(p)
+
+    def test_truncation_and_massless_rows_rejected(self, tmp_path):
+        # every proper prefix of a valid cache, and a row with no probability
+        # mass, must fail with the module's own error type
+        rows = softmax(np.random.default_rng(13).standard_normal((4, 3)))
+        p = tmp_path / "u.fspc"
+        criteria.write_posterior_cache(p, "utt-4", rows)
+        data = p.read_bytes()
+        bad = tmp_path / "bad.fspc"
+        for cut in range(len(data)):
+            bad.write_bytes(data[:cut])
+            with pytest.raises(CriterionError):
+                criteria.read_posterior_cache(bad)
+        zero_row = rows.copy()
+        zero_row[2] = 0.0
+        criteria.write_posterior_cache(bad, "utt-4", zero_row)
+        with pytest.raises(CriterionError):
+            criteria.read_posterior_cache(bad)

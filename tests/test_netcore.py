@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,6 +338,24 @@ class TestCheckpoints:
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(NetworkError):
             netcore.load_checkpoint(p)
+
+    def test_every_truncation_and_bad_dtype_rejected(self, tmp_path):
+        # every proper prefix of a valid checkpoint, and an unknown dtype code,
+        # must fail with the module's own error type
+        net = init_network(_tiny_spec(peepholes=True), np.random.default_rng(17))
+        p = tmp_path / "m.ckpt"
+        netcore.save_checkpoint(net, p)
+        data = p.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(len(data)):
+            bad.write_bytes(data[:cut])
+            with pytest.raises(NetworkError):
+                netcore.load_checkpoint(bad)
+        (spec_len,) = struct.unpack_from("<I", data, 8)
+        code_at = 12 + spec_len
+        bad.write_bytes(data[:code_at] + b"\x07" + data[code_at + 1 :])
+        with pytest.raises(NetworkError, match="dtype"):
+            netcore.load_checkpoint(bad)
 
 
 class TestPosteriorgram:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,10 +202,21 @@ class TestTraining:
         assert np.array_equal(final.parameters, out.parameters)
 
     def test_ctc_needs_symbols(self):
-        it = pipeline.replace_item(self._one_item(), symbols=None)
+        it = replace(self._one_item(), symbols=None)
         net = netcore.init_network(_tiny_model(it.feats.shape[1]), np.random.default_rng(0))
         with pytest.raises(PipelineError):
             pipeline.train(net, [it], TrainConfig(criterion="ctc"))
+
+    def test_non_finite_gradient_stops_training_before_checkpoint(self, tmp_path):
+        items = pipeline.synth_items(_small_task(), 3)
+        feats = items[1].feats.copy()
+        feats[0, 0] = np.inf
+        items[1] = replace(items[1], feats=feats)
+        net = netcore.init_network(_tiny_model(feats.shape[1]), np.random.default_rng(0))
+        with pytest.raises(PipelineError, match=f"epoch 0, batch .*{items[1].utt_id}"):
+            pipeline.train(net, items, TrainConfig(epochs=2, batch_size=1),
+                           checkpoint_dir=tmp_path)
+        assert not list(tmp_path.glob("epoch*.ckpt"))
 
     def test_empty_training_set_rejected(self):
         net = netcore.init_network(_tiny_model(4), np.random.default_rng(0))
@@ -234,7 +247,7 @@ class TestDistillAndAdapt:
         assert np.array_equal(student.parameters, teacher.parameters)
 
     def test_distill_needs_no_transcripts(self):
-        items = [pipeline.replace_item(it, frame_labels=None, symbols=None)
+        items = [replace(it, frame_labels=None, symbols=None)
                  for it in pipeline.synth_items(_small_task(), 4)]
         spec = _tiny_model(items[0].feats.shape[1])
         teacher = netcore.init_network(spec, np.random.default_rng(2))
@@ -263,7 +276,7 @@ class TestDistillAndAdapt:
     def test_adapt_fixed_point_on_identical_domains(self):
         # source == target features: the adapted student equals the teacher
         items = pipeline.synth_items(_small_task(), 3)
-        items = [pipeline.replace_item(it, source_feats=it.feats) for it in items]
+        items = [replace(it, source_feats=it.feats) for it in items]
         spec = _tiny_model(items[0].feats.shape[1])
         teacher = netcore.init_network(spec, np.random.default_rng(4))
         student, _ = pipeline.adapt(teacher, items,
@@ -272,12 +285,20 @@ class TestDistillAndAdapt:
 
     def test_adapt_needs_no_transcripts(self):
         items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 3)
-        items = [pipeline.replace_item(it, frame_labels=None, symbols=None)
+        items = [replace(it, frame_labels=None, symbols=None)
                  for it in items]
         spec = _tiny_model(items[0].feats.shape[1])
         teacher = netcore.init_network(spec, np.random.default_rng(5))
         student, log = pipeline.adapt(teacher, items, TrainConfig(epochs=1))
         assert len(log) == 1
+
+    def test_interpolated_soft_ce_needs_frame_labels(self):
+        items = [replace(it, frame_labels=None, symbols=None)
+                 for it in pipeline.synth_items(_small_task(), 2)]
+        spec = _tiny_model(items[0].feats.shape[1])
+        teacher = netcore.init_network(spec, np.random.default_rng(2))
+        with pytest.raises(PipelineError, match="frame labels"):
+            pipeline.distill(teacher, spec, items, TrainConfig(soft_weight=0.5))
 
     def test_adapt_unpaired_items_rejected(self):
         items = pipeline.synth_items(_small_task(), 2)
