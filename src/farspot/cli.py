@@ -71,8 +71,9 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _build(cls, cfg: dict, section: str | None = None):
-    """Instantiate a config dataclass, rejecting unknown keys."""
+def _build(cls, cfg: dict, section: str | None = None, seed: int | None = None):
+    """Instantiate a config dataclass, rejecting unknown keys; a seed given
+    on the command line overrides the config's."""
     data = cfg.get(section, {}) if section else cfg
     if not isinstance(data, dict):
         raise ConfigError(f"config section {section!r} must be an object")
@@ -85,6 +86,8 @@ def _build(cls, cfg: dict, section: str | None = None):
         if f.name in data:
             v = data[f.name]
             coerced[f.name] = tuple(v) if isinstance(v, list) else v
+    if seed is not None:
+        coerced["seed"] = seed
     try:
         return cls(**coerced)
     except (TypeError, ValueError) as e:
@@ -111,20 +114,6 @@ def _write_provenance(out_dir: Path, args, cfg: dict) -> None:
     (out_dir / "provenance.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _task_spec(cfg: dict, seed: int | None) -> SynthTaskSpec:
-    spec = _build(SynthTaskSpec, cfg, "task")
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
-    return spec
-
-
-def _train_cfg(cfg: dict, seed: int | None) -> TrainConfig:
-    tc = _build(TrainConfig, cfg, "train")
-    if seed is not None:
-        tc = dataclasses.replace(tc, seed=seed)
-    return tc
-
-
 def _model_spec(cfg: dict, section: str = "model") -> netcore.ModelSpec:
     data = cfg.get(section)
     if data is None:
@@ -137,7 +126,7 @@ def _model_spec(cfg: dict, section: str = "model") -> netcore.ModelSpec:
 
 def cmd_synth(args, cfg):
     out = _prepare_out_dir(args.out, args.force)
-    spec = _task_spec(cfg, args.seed)
+    spec = _build(SynthTaskSpec, cfg, "task", args.seed)
     manifest = pipeline.synth_corpus(spec, args.count, out, workers=args.workers)
     _write_provenance(out, args, cfg)
     print(f"wrote {len(manifest)} utterances to {out}")
@@ -146,9 +135,7 @@ def cmd_synth(args, cfg):
 
 def cmd_simulate(args, cfg):
     out = _prepare_out_dir(args.out, args.force)
-    far = _build(FarFieldConfig, cfg, "farfield")
-    if args.seed is not None:
-        far = dataclasses.replace(far, seed=args.seed)
+    far = _build(FarFieldConfig, cfg, "farfield", args.seed)
     manifest = pipeline.read_manifest(args.manifest)
     result = pipeline.simulate_corpus(manifest, far, out, workers=args.workers)
     _write_provenance(out, args, cfg)
@@ -158,7 +145,7 @@ def cmd_simulate(args, cfg):
 
 def cmd_featurize(args, cfg):
     out = _prepare_out_dir(args.out, args.force)
-    spec = _task_spec(cfg, args.seed)
+    spec = _build(SynthTaskSpec, cfg, "task", args.seed)
     manifest = pipeline.read_manifest(args.manifest)
     result = pipeline.featurize_corpus(manifest, spec, out, workers=args.workers)
     _write_provenance(out, args, cfg)
@@ -166,55 +153,43 @@ def cmd_featurize(args, cfg):
     return EXIT_OK
 
 
-def cmd_train(args, cfg):
+def _fit(args, cfg, fit):
+    """Shared body of train/distill/adapt.  fit(items, train_config, out_dir)
+    returns the trained network and its per-epoch loss log."""
     out = _prepare_out_dir(args.out, args.force)
-    spec = _task_spec(cfg, None)
-    tc = _train_cfg(cfg, args.seed)
-    model_spec = _model_spec(cfg)
+    spec = _build(SynthTaskSpec, cfg, "task")
+    tc = _build(TrainConfig, cfg, "train", args.seed)
     items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
-    net = netcore.init_network(model_spec, np.random.default_rng(tc.seed))
-    net, log = pipeline.train(net, items, tc, checkpoint_dir=out / "checkpoints")
+    net, log = fit(items, tc, out)
     netcore.save_checkpoint(net, out / "final.ckpt")
     (out / "loss_log.json").write_text(json.dumps(log) + "\n")
     _write_provenance(out, args, cfg)
-    print(f"trained {tc.epochs} epochs; final loss {log[-1]:.6f}; model at {out / 'final.ckpt'}")
+    print(f"{args.command}: {len(log)} epochs; final loss {log[-1]:.6f}; "
+          f"model at {out / 'final.ckpt'}")
     return EXIT_OK
+
+
+def cmd_train(args, cfg):
+    model_spec = _model_spec(cfg)
+    return _fit(args, cfg, lambda items, tc, out: pipeline.train(
+        netcore.init_network(model_spec, np.random.default_rng(tc.seed)), items, tc,
+        checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_distill(args, cfg):
-    out = _prepare_out_dir(args.out, args.force)
-    spec = _task_spec(cfg, None)
-    tc = _train_cfg(cfg, args.seed)
     student_spec = _model_spec(cfg, "student")
-    teacher = netcore.load_checkpoint(args.teacher)
-    items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
-    student, log = pipeline.distill(
-        teacher, student_spec, items, tc,
-        cache_dir=out / "teacher_cache", checkpoint_dir=out / "checkpoints",
-    )
-    netcore.save_checkpoint(student, out / "final.ckpt")
-    (out / "loss_log.json").write_text(json.dumps(log) + "\n")
-    _write_provenance(out, args, cfg)
-    print(f"distilled student; final loss {log[-1]:.6f}; model at {out / 'final.ckpt'}")
-    return EXIT_OK
+    return _fit(args, cfg, lambda items, tc, out: pipeline.distill(
+        netcore.load_checkpoint(args.teacher), student_spec, items, tc,
+        cache_dir=out / "teacher_cache", checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_adapt(args, cfg):
-    out = _prepare_out_dir(args.out, args.force)
-    spec = _task_spec(cfg, None)
-    tc = _train_cfg(cfg, args.seed)
-    teacher = netcore.load_checkpoint(args.teacher)
-    items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
-    student, log = pipeline.adapt(teacher, items, tc, checkpoint_dir=out / "checkpoints")
-    netcore.save_checkpoint(student, out / "final.ckpt")
-    (out / "loss_log.json").write_text(json.dumps(log) + "\n")
-    _write_provenance(out, args, cfg)
-    print(f"adapted student; final loss {log[-1]:.6f}; model at {out / 'final.ckpt'}")
-    return EXIT_OK
+    return _fit(args, cfg, lambda items, tc, out: pipeline.adapt(
+        netcore.load_checkpoint(args.teacher), items, tc, checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_spot(args, cfg):
-    spec = _task_spec(cfg, None)
+    spec = _build(SynthTaskSpec, cfg, "task")
     net = netcore.load_checkpoint(args.model)
     w = simkit.read_wav(args.input)
     feats = pipeline.featurize_waveform(w, spec)
@@ -254,10 +229,7 @@ def cmd_eval(args, cfg):
 
 def cmd_ladder(args, cfg):
     out = _prepare_out_dir(args.out, args.force)
-    lc = _build(LadderConfig, cfg, "ladder")
-    lc = dataclasses.replace(lc, out_dir=str(out), **(
-        {"seed": args.seed} if args.seed is not None else {}
-    ))
+    lc = dataclasses.replace(_build(LadderConfig, cfg, "ladder", args.seed), out_dir=str(out))
     report = pipeline.ablation_ladder(lc)
     _write_provenance(out, args, cfg)
     print(report.format_text())

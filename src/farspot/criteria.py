@@ -233,9 +233,10 @@ def read_posterior_cache(path: str | Path) -> tuple[str, np.ndarray]:
         t, n = struct.unpack_from("<II", data, 12 + id_len)
     except (struct.error, UnicodeDecodeError) as e:
         raise CriterionError(f"{path}: truncated cache header ({e})") from e
-    payload = data[20 + id_len : 20 + id_len + t * n * 4]
+    payload = data[20 + id_len :]
     if len(payload) != t * n * 4:
-        raise CriterionError(f"{path}: truncated cache payload")
+        raise CriterionError(
+            f"{path}: cache payload has {len(payload)} bytes, expected {t * n * 4}")
     rows = np.frombuffer(payload, dtype="<f4").reshape(t, n).astype(np.float64)
     sums = rows.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(sums) & (sums > 0)):

@@ -156,14 +156,15 @@ def write_features(path: str | Path, f: FeatureSequence) -> None:
 
 
 def read_features(path: str | Path) -> FeatureSequence:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise FeatureError(f"{path}: not a feature archive")
-        version, t, d, shift = struct.unpack("<IIId", fh.read(20))
-        if version != _VERSION:
-            raise FeatureError(f"{path}: unsupported archive version {version}")
-        payload = np.frombuffer(fh.read(t * d * 4), dtype="<f4")
-    if payload.size != t * d:
-        raise FeatureError(f"{path}: truncated payload")
-    return FeatureSequence(payload.reshape(t, d).astype(np.float64), shift)
+    data = Path(path).read_bytes()
+    if data[:4] != _MAGIC:
+        raise FeatureError(f"{path}: not a feature archive")
+    if len(data) < 24:
+        raise FeatureError(f"{path}: truncated archive header")
+    version, t, d, shift = struct.unpack_from("<IIId", data, 4)
+    if version != _VERSION:
+        raise FeatureError(f"{path}: unsupported archive version {version}")
+    if len(data) - 24 != t * d * 4:
+        raise FeatureError(f"{path}: payload has {len(data) - 24} bytes, expected {t * d * 4}")
+    return FeatureSequence(np.frombuffer(data, dtype="<f4", offset=24).reshape(t, d)
+                           .astype(np.float64), shift)

@@ -309,6 +309,14 @@ def read_scores(path: str | Path) -> list[tuple[str, float, bool, float | None]]
             if len(parts) != 4:
                 raise KwsError(f"{path}:{ln}: expected 4 tab-separated fields")
             utt_id, score_s, pos_s, dur_s = parts
-            dur = None if dur_s == "-" else float(dur_s)
-            out.append((utt_id, float(score_s), bool(int(pos_s)), dur))
+            if pos_s not in ("0", "1"):
+                raise KwsError(f"{path}:{ln}: label must be 0 or 1, got {pos_s!r}")
+            try:
+                score = float(score_s)
+                dur = None if dur_s == "-" else float(dur_s)
+            except ValueError as e:
+                raise KwsError(f"{path}:{ln}: bad number ({e})") from e
+            if not (np.isfinite(score) and (dur is None or np.isfinite(dur))):
+                raise KwsError(f"{path}:{ln}: non-finite score or duration")
+            out.append((utt_id, score, pos_s == "1", dur))
     return out

@@ -514,9 +514,10 @@ def load_checkpoint(path: str | Path) -> Network:
         if code not in _DTYPES:
             raise NetworkError(f"{path}: unknown dtype code {code}")
         dtype = _DTYPES[code]
-        payload = data[21 + spec_len : 21 + spec_len + count * dtype.itemsize]
+        payload = data[21 + spec_len :]
         if len(payload) != count * dtype.itemsize:
-            raise NetworkError(f"{path}: truncated parameter payload")
+            raise NetworkError(f"{path}: parameter payload has {len(payload)} bytes, "
+                               f"expected {count * dtype.itemsize}")
         return Network(spec, np.frombuffer(payload, dtype=dtype).copy())
     except NetworkError:
         raise

@@ -13,6 +13,7 @@ the criteria in `farspot.criteria`; everything is deterministic under
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
@@ -70,12 +71,7 @@ class Manifest:
 
     def strip_transcripts(self) -> "Manifest":
         """Drop all label fields; distill/adapt must still work on this."""
-        return Manifest(
-            [
-                ManifestRecord(r.utt_id, r.path, None, None, r.is_positive, r.pair_path)
-                for r in self.records
-            ]
-        )
+        return Manifest([replace(r, frame_labels=None, symbols=None) for r in self.records])
 
 
 def _fmt_ints(xs) -> str:
@@ -84,6 +80,9 @@ def _fmt_ints(xs) -> str:
 
 def _parse_ints(s: str):
     return None if s == "-" else [int(x) for x in s.split(",")]
+
+
+_FLAGS = {"-": None, "0": False, "1": True}
 
 
 def write_manifest(path: str | Path, m: Manifest) -> None:
@@ -109,13 +108,19 @@ def read_manifest(path: str | Path) -> Manifest:
             if len(parts) != 6:
                 raise PipelineError(f"{path}:{ln}: expected 6 tab-separated fields")
             utt_id, p, labels, symbols, pos, pair = parts
+            if pos not in _FLAGS:
+                raise PipelineError(f"{path}:{ln}: is_positive must be 0, 1 or -, got {pos!r}")
+            try:
+                labels, symbols = _parse_ints(labels), _parse_ints(symbols)
+            except ValueError as e:
+                raise PipelineError(f"{path}:{ln}: bad integer list ({e})") from e
             records.append(
                 ManifestRecord(
                     utt_id=utt_id,
                     path=p,
-                    frame_labels=_parse_ints(labels),
-                    symbols=_parse_ints(symbols),
-                    is_positive=None if pos == "-" else bool(int(pos)),
+                    frame_labels=labels,
+                    symbols=symbols,
+                    is_positive=_FLAGS[pos],
                     pair_path=None if pair == "-" else pair,
                 )
             )
@@ -152,6 +157,10 @@ class SynthTaskSpec:
     hop_ms: float = 10.0
     stack_context: int = 8
     stack_step: int = 3
+
+    def __post_init__(self):
+        if self.stack_context < 1 or self.stack_step < 1:
+            raise PipelineError("stack_context and stack_step must be >= 1")
 
     def fbank_config(self) -> FbankConfig:
         return FbankConfig(n_mels=self.n_mels, window_ms=self.window_ms, hop_ms=self.hop_ms)
@@ -203,7 +212,8 @@ def _utterance_plan(spec: SynthTaskSpec, rng, is_positive: bool):
 
 
 def synth_utterance(spec: SynthTaskSpec, index: int):
-    """Deterministic single utterance: waveform, per-sample classes, symbols."""
+    """Deterministic single utterance: waveform, frame labels, symbols and
+    whether it holds the keyword."""
     rng = np.random.default_rng([spec.seed, index])
     # positives assigned by fractional accumulation so a count-C corpus has
     # exactly round(C * ratio) positives
@@ -237,66 +247,48 @@ def synth_utterance(spec: SynthTaskSpec, index: int):
     for cls, _ in plan:
         if not symbols or symbols[-1] != cls:
             symbols.append(cls)
-    return Waveform(x, spec.sample_rate), sample_classes, symbols, is_positive
+    return Waveform(x, spec.sample_rate), _frame_labels(sample_classes, spec), symbols, is_positive
 
 
-def frame_labels_from_samples(
-    sample_classes: np.ndarray, spec: SynthTaskSpec, num_raw_frames: int
-) -> np.ndarray:
-    """Label of each analysis frame = class at the frame's center sample."""
+def _frame_labels(sample_classes: np.ndarray, spec: SynthTaskSpec) -> np.ndarray:
+    """Label of each stacked feature frame: the class at the center sample of
+    the stacked frame's center analysis frame."""
     win = int(round(spec.window_ms * spec.sample_rate / 1000.0))
     hop = int(round(spec.hop_ms * spec.sample_rate / 1000.0))
-    centers = hop * np.arange(num_raw_frames) + win // 2
-    centers = np.minimum(centers, len(sample_classes) - 1)
-    return sample_classes[centers]
-
-
-def stack_labels(labels: np.ndarray, context: int, step: int) -> np.ndarray:
-    """Label of a stacked frame = label of its center input frame."""
-    t = len(labels)
-    n_out = -(-t // step)
-    centers = np.minimum(step * np.arange(n_out) + context // 2, t - 1)
-    return labels[centers]
+    t = (len(sample_classes) - win) // hop + 1
+    raw = np.minimum(hop * np.arange(t) + win // 2, len(sample_classes) - 1)
+    stacked = np.minimum(spec.stack_step * np.arange(-(-t // spec.stack_step))
+                         + spec.stack_context // 2, t - 1)
+    return sample_classes[raw[stacked]]
 
 
 def featurize_waveform(w: Waveform, spec: SynthTaskSpec) -> FeatureSequence:
-    f = featkit.log_mel(w, spec.fbank_config())
-    if spec.stack_context > 1 or spec.stack_step > 1:
-        f = featkit.stack_frames(f, spec.stack_context, spec.stack_step)
-    return f
+    return featkit.stack_frames(featkit.log_mel(w, spec.fbank_config()),
+                                spec.stack_context, spec.stack_step)
 
 
-def _labels_for(w_len_classes: np.ndarray, spec: SynthTaskSpec, raw_frames: int) -> np.ndarray:
-    labels = frame_labels_from_samples(w_len_classes, spec, raw_frames)
-    if spec.stack_context > 1 or spec.stack_step > 1:
-        labels = stack_labels(labels, spec.stack_context, spec.stack_step)
-    return labels
-
-
-def _raw_frame_count(n_samples: int, spec: SynthTaskSpec) -> int:
-    win = int(round(spec.window_ms * spec.sample_rate / 1000.0))
-    hop = int(round(spec.hop_ms * spec.sample_rate / 1000.0))
-    return (n_samples - win) // hop + 1
+def _synth_item(spec: SynthTaskSpec, i: int, far_cfg: FarFieldConfig | None = None) -> TrainItem:
+    """Utterance i with features and ground truth; with far_cfg, feats holds
+    the far-field features and source_feats the close-talk ones."""
+    w, labels, symbols, pos = synth_utterance(spec, i)
+    clean = featurize_waveform(w, spec).frames
+    far = None
+    if far_cfg is not None:
+        far = featurize_waveform(farfield_waveform(w, far_cfg, i), spec).frames
+    return TrainItem(
+        utt_id=f"utt{i:06d}",
+        feats=clean if far is None else far,
+        frame_labels=labels,
+        symbols=symbols,
+        is_positive=pos,
+        source_feats=None if far is None else clean,
+        duration_sec=len(w) / spec.sample_rate,
+    )
 
 
 def synth_items(spec: SynthTaskSpec, count: int, start_index: int = 0) -> list[TrainItem]:
     """In-memory corpus of clean utterances with features and ground truth."""
-    items = []
-    for i in range(start_index, start_index + count):
-        w, cls, symbols, pos = synth_utterance(spec, i)
-        feats = featurize_waveform(w, spec)
-        labels = _labels_for(cls, spec, _raw_frame_count(len(w), spec))
-        items.append(
-            TrainItem(
-                utt_id=f"utt{i:06d}",
-                feats=feats.frames,
-                frame_labels=labels,
-                symbols=symbols,
-                is_positive=pos,
-                duration_sec=len(w) / spec.sample_rate,
-            )
-        )
-    return items
+    return [_synth_item(spec, i) for i in range(start_index, start_index + count)]
 
 
 def _pmap(fn, jobs, workers: int):
@@ -313,13 +305,22 @@ def _pmap(fn, jobs, workers: int):
         return pool.map(fn, jobs)
 
 
+def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
+    """Run job_fn((*job, out_dir)) for every job; each writes one utterance's
+    file into out_dir and returns its record.  Writes out_dir/manifest.tsv."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    m = Manifest(_pmap(job_fn, [(*job, out_dir) for job in jobs], workers))
+    write_manifest(out_dir / "manifest.tsv", m)
+    return m
+
+
 def _synth_corpus_one(job) -> ManifestRecord:
     spec, i, out_dir = job
-    w, cls, symbols, pos = synth_utterance(spec, i)
+    w, labels, symbols, pos = synth_utterance(spec, i)
     utt_id = f"utt{i:06d}"
     wav_path = Path(out_dir) / f"{utt_id}.wav"
     simkit.write_wav(wav_path, w)
-    labels = _labels_for(cls, spec, _raw_frame_count(len(w), spec))
     return ManifestRecord(
         utt_id=utt_id,
         path=str(wav_path),
@@ -333,31 +334,22 @@ def synth_corpus(
     spec: SynthTaskSpec, count: int, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Write WAV files and a manifest; deterministic under spec.seed."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = _pmap(_synth_corpus_one, [(spec, i, out_dir) for i in range(count)], workers)
-    m = Manifest(records)
-    write_manifest(out_dir / "manifest.tsv", m)
-    return m
+    return _corpus(_synth_corpus_one, [(spec, i) for i in range(count)], out_dir, workers)
+
+
+def _load_features(path: str, spec: SynthTaskSpec) -> tuple[np.ndarray, float | None]:
+    """Features of a feature-archive or WAV path, and the WAV's duration."""
+    if path.endswith(".fsfa"):
+        return featkit.read_features(path).frames, None
+    w = simkit.read_wav(path)
+    return featurize_waveform(w, spec).frames, len(w) / spec.sample_rate
 
 
 def items_from_manifest(m: Manifest, spec: SynthTaskSpec) -> list[TrainItem]:
     """Load WAV or feature-archive paths from a manifest into train items."""
     items = []
     for r in m.records:
-        if r.path.endswith(".fsfa"):
-            feats = featkit.read_features(r.path).frames
-            dur = None
-        else:
-            w = simkit.read_wav(r.path)
-            feats = featurize_waveform(w, spec).frames
-            dur = len(w) / spec.sample_rate
-        src = None
-        if r.pair_path is not None:
-            if r.pair_path.endswith(".fsfa"):
-                src = featkit.read_features(r.pair_path).frames
-            else:
-                src = featurize_waveform(simkit.read_wav(r.pair_path), spec).frames
+        feats, dur = _load_features(r.path, spec)
         items.append(
             TrainItem(
                 utt_id=r.utt_id,
@@ -365,19 +357,17 @@ def items_from_manifest(m: Manifest, spec: SynthTaskSpec) -> list[TrainItem]:
                 frame_labels=None if r.frame_labels is None else np.asarray(r.frame_labels),
                 symbols=r.symbols,
                 is_positive=r.is_positive,
-                source_feats=src,
+                source_feats=None if r.pair_path is None else _load_features(r.pair_path, spec)[0],
                 duration_sec=dur,
             )
         )
     return items
 
 
-def _featurize_corpus_one(job) -> "ManifestRecord":
+def _featurize_corpus_one(job) -> ManifestRecord:
     r, spec, out_dir = job
-    w = simkit.read_wav(r.path)
-    f = featurize_waveform(w, spec)
     feat_path = Path(out_dir) / f"{r.utt_id}.fsfa"
-    featkit.write_features(feat_path, f)
+    featkit.write_features(feat_path, featurize_waveform(simkit.read_wav(r.path), spec))
     return replace(r, path=str(feat_path))
 
 
@@ -385,14 +375,7 @@ def featurize_corpus(
     m: Manifest, spec: SynthTaskSpec, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Convert a WAV manifest into a feature-archive manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = _pmap(
-        _featurize_corpus_one, [(r, spec, out_dir) for r in m.records], workers
-    )
-    out = Manifest(records)
-    write_manifest(out_dir / "manifest.tsv", out)
-    return out
+    return _corpus(_featurize_corpus_one, [(r, spec) for r in m.records], out_dir, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +426,13 @@ def synth_pair_items(
 
     feats holds the far-field features; source_feats the close-talk ones.
     """
-    items = []
-    for i in range(start_index, start_index + count):
-        w, cls, symbols, pos = synth_utterance(spec, i)
-        far = farfield_waveform(w, far_cfg, i)
-        clean_f = featurize_waveform(w, spec)
-        far_f = featurize_waveform(far, spec)
-        labels = _labels_for(cls, spec, _raw_frame_count(len(w), spec))
-        items.append(
-            TrainItem(
-                utt_id=f"utt{i:06d}",
-                feats=far_f.frames,
-                frame_labels=labels,
-                symbols=symbols,
-                is_positive=pos,
-                source_feats=clean_f.frames,
-                duration_sec=len(w) / spec.sample_rate,
-            )
-        )
-    return items
+    return [_synth_item(spec, i, far_cfg) for i in range(start_index, start_index + count)]
 
 
 def _simulate_corpus_one(job) -> ManifestRecord:
     r, i, far_cfg, out_dir = job
-    w = simkit.read_wav(r.path)
-    far = farfield_waveform(w, far_cfg, i)
     far_path = Path(out_dir) / f"{r.utt_id}.wav"
-    simkit.write_wav(far_path, far)
+    simkit.write_wav(far_path, farfield_waveform(simkit.read_wav(r.path), far_cfg, i))
     return replace(r, path=str(far_path), pair_path=r.path)
 
 
@@ -477,16 +440,8 @@ def simulate_corpus(
     m: Manifest, far_cfg: FarFieldConfig, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Far-field WAVs for every record; pair_path points at the clean input."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records = _pmap(
-        _simulate_corpus_one,
-        [(r, i, far_cfg, out_dir) for i, r in enumerate(m.records)],
-        workers,
-    )
-    out = Manifest(records)
-    write_manifest(out_dir / "manifest.tsv", out)
-    return out
+    return _corpus(_simulate_corpus_one, [(r, i, far_cfg) for i, r in enumerate(m.records)],
+                   out_dir, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -667,26 +622,32 @@ def train(
 def compute_teacher_posteriors(
     teacher: Network, items: list[TrainItem], cache_dir: str | Path | None = None
 ) -> list[TrainItem]:
-    """Attach (and optionally persist) teacher posteriors to every item."""
-    out = []
+    """Attach (and optionally persist) teacher posteriors to every item.
+
+    A cache file is named by the utterance id and a digest of the teacher
+    (spec and parameters) and of the utterance's features, so another teacher
+    or changed features miss the cache instead of reading stale rows.
+    """
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
+        teacher_key = hashlib.sha256(json.dumps(teacher.spec.to_dict(), sort_keys=True).encode())
+        teacher_key.update(teacher.parameters.dtype.str.encode() + teacher.parameters.tobytes())
+    out = []
     for it in items:
-        cached = None
-        if cache_dir is not None:
-            p = cache_dir / f"{it.utt_id}.fspc"
-            if p.exists():
-                _, cached = criteria.read_posterior_cache(p)
-        if cached is None:
-            cached = netcore.forward(teacher, it.feats).rows
-            if cache_dir is not None:
-                # read back what was written so runs with a warm cache are
-                # bit-identical to the run that filled it
-                p = cache_dir / f"{it.utt_id}.fspc"
-                criteria.write_posterior_cache(p, it.utt_id, cached)
-                _, cached = criteria.read_posterior_cache(p)
-        out.append(replace(it, teacher_rows=cached))
+        if cache_dir is None:
+            rows = netcore.forward(teacher, it.feats).rows
+        else:
+            key = teacher_key.copy()
+            key.update(f"{it.feats.dtype.str}{it.feats.shape}".encode() + it.feats.tobytes())
+            p = cache_dir / f"{it.utt_id}.{key.hexdigest()[:16]}.fspc"
+            if not p.exists():
+                rows = netcore.forward(teacher, it.feats).rows
+                criteria.write_posterior_cache(p, it.utt_id, rows)
+            # read back even what was just written, so runs with a warm cache
+            # are bit-identical to the run that filled it
+            _, rows = criteria.read_posterior_cache(p)
+        out.append(replace(it, teacher_rows=rows))
     return out
 
 

@@ -15,7 +15,7 @@ Conventions:
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -220,17 +220,7 @@ def late_field_rir(room: RoomSpec, fractional: bool = True) -> ImpulseResponse:
     """Diffuse-field approximation: the image-method IR with its direct path
     removed, normalized to unit energy."""
     full = generate_rir(room, fractional=fractional)
-    direct_only = RoomSpec(
-        dimensions=room.dimensions,
-        source_position=room.source_position,
-        mic_position=room.mic_position,
-        wall_reflection=0.0,
-        max_order=0,
-        speed_of_sound=room.speed_of_sound,
-        ir_length=room.ir_length,
-        sample_rate=room.sample_rate,
-    )
-    direct = generate_rir(direct_only, fractional=fractional)
+    direct = generate_rir(replace(room, wall_reflection=0.0, max_order=0), fractional=fractional)
     taps = full.taps - direct.taps
     e = np.sqrt(np.sum(taps**2))
     if e == 0.0:
@@ -285,40 +275,30 @@ def mix_at_snr(
     return Waveform(speech.samples + gain * n, speech.sample_rate)
 
 
+def _reverberate(s: Waveform, room: RoomSpec) -> Waveform:
+    """s through the room's image-method IR, trimmed back to len(s) with the
+    direct-path delay discarded, so close-talk / far-field pairs stay
+    frame-synchronous."""
+    if s.sample_rate != room.sample_rate:
+        raise SimulationError("speech sample rate differs from room sample rate")
+    delay = room.direct_delay_samples()
+    rev = convolve(s, generate_rir(room)).samples[delay : delay + len(s)]
+    return Waveform(np.pad(rev, (0, len(s) - len(rev))), s.sample_rate)
+
+
 def simulate_single_channel(
     s: Waveform,
-    room: RoomSpec | None,
+    room: RoomSpec,
     noise: Waveform | None,
     snr_db: float,
     rng: np.random.Generator | None = None,
-    fractional: bool = True,
-    rir: ImpulseResponse | None = None,
-    direct_delay: int | None = None,
 ) -> Waveform:
     """Reverberate speech through the room and add looped noise at snr_db.
 
     The output is trimmed back to len(s) with the direct-path delay discarded,
-    so close-talk / far-field pairs stay frame-synchronous.  Passing `rir`
-    (e.g. one loaded from a WAV file) bypasses the image method; the delay to
-    discard is then `direct_delay`, defaulting to the IR's largest-magnitude
-    tap.
+    so close-talk / far-field pairs stay frame-synchronous.
     """
-    if rir is None:
-        if room is None:
-            raise SimulationError("need either a room spec or an impulse response")
-        if s.sample_rate != room.sample_rate:
-            raise SimulationError("speech sample rate differs from room sample rate")
-        rir = generate_rir(room, fractional=fractional)
-        delay = room.direct_delay_samples() if direct_delay is None else direct_delay
-    else:
-        if s.sample_rate != rir.sample_rate:
-            raise SimulationError("speech sample rate differs from IR sample rate")
-        delay = int(np.argmax(np.abs(rir.taps))) if direct_delay is None else direct_delay
-    rev = convolve(s, rir)
-    trimmed = rev.samples[delay : delay + len(s)]
-    if len(trimmed) < len(s):
-        trimmed = np.pad(trimmed, (0, len(s) - len(trimmed)))
-    rev = Waveform(trimmed, s.sample_rate)
+    rev = _reverberate(s, room)
     if noise is None or (np.isinf(snr_db) and snr_db > 0):
         return rev
     if rev.rms() == 0.0:
@@ -335,7 +315,6 @@ def simulate_beamformed(
     directional: list[NoiseSource],
     snr_db: float,
     rng: np.random.Generator | None = None,
-    fractional: bool = True,
 ) -> Waveform:
     """Multi-source far-field mixing.
 
@@ -344,18 +323,7 @@ def simulate_beamformed(
     Diffuse sources without an explicit IR use the room's late-field IR.
     Output is trimmed to len(s) with direct-path delay compensation.
     """
-    if s.sample_rate != room.sample_rate:
-        raise SimulationError("speech sample rate differs from room sample rate")
-    rir = generate_rir(room, fractional=fractional)
-    delay = room.direct_delay_samples()
-
-    def _trim(w: Waveform) -> Waveform:
-        t = w.samples[delay : delay + len(s)]
-        if len(t) < len(s):
-            t = np.pad(t, (0, len(s) - len(t)))
-        return Waveform(t, s.sample_rate)
-
-    rev = _trim(convolve(s, rir))
+    rev = _reverberate(s, room)
 
     noise_total = np.zeros(len(s))
     diffuse_ir = None
@@ -366,7 +334,7 @@ def simulate_beamformed(
             ir = src.ir
         else:
             if diffuse_ir is None:
-                diffuse_ir = late_field_rir(room, fractional=fractional)
+                diffuse_ir = late_field_rir(room)
             ir = diffuse_ir
         looped = Waveform(
             _loop_to_length(src.waveform.samples, len(s), rng), s.sample_rate

@@ -90,6 +90,11 @@ class TestConfigHandling:
         assert prov["overrides"] == ["task.n_mels=10"]
         assert prov["config"]["task"]["n_mels"] == 10
 
+    def test_meaningless_stacking_is_config_error(self, tmp_path):
+        cfg = _write_cfg(tmp_path, {"task": {"stack_context": 0, "stack_step": 0}})
+        rc = cli.run(["synth", "--config", cfg, "--count", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
     def test_malformed_override_rejected(self, tmp_path):
         rc = cli.run(["synth", "--set", "noequalsign",
                       "--count", "1", "--out", str(tmp_path / "o")])

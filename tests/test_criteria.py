@@ -301,8 +301,8 @@ class TestPosteriorCache:
             criteria.read_posterior_cache(p)
 
     def test_truncation_and_massless_rows_rejected(self, tmp_path):
-        # every proper prefix of a valid cache, and a row with no probability
-        # mass, must fail with the module's own error type
+        # every proper prefix of a valid cache, trailing bytes and a row with
+        # no probability mass must fail with the module's own error type
         rows = softmax(np.random.default_rng(13).standard_normal((4, 3)))
         p = tmp_path / "u.fspc"
         criteria.write_posterior_cache(p, "utt-4", rows)
@@ -312,6 +312,9 @@ class TestPosteriorCache:
             bad.write_bytes(data[:cut])
             with pytest.raises(CriterionError):
                 criteria.read_posterior_cache(bad)
+        bad.write_bytes(data + b"\x00" * 8)
+        with pytest.raises(CriterionError, match="payload"):
+            criteria.read_posterior_cache(bad)
         zero_row = rows.copy()
         zero_row[2] = 0.0
         criteria.write_posterior_cache(bad, "utt-4", zero_row)

@@ -153,3 +153,21 @@ class TestFeatureArchive:
         p.write_bytes(data[:-8])
         with pytest.raises(FeatureError):
             featkit.read_features(p)
+
+    def test_every_truncation_bad_version_and_appended_bytes_rejected(self, tmp_path):
+        # every proper prefix of a valid archive, an unknown version and
+        # trailing bytes must fail with the module's own error type
+        p = tmp_path / "u.fsfa"
+        featkit.write_features(p, FeatureSequence(np.arange(15.0).reshape(5, 3), 10.0))
+        data = p.read_bytes()
+        bad = tmp_path / "bad.fsfa"
+        for cut in range(len(data)):
+            bad.write_bytes(data[:cut])
+            with pytest.raises(FeatureError):
+                featkit.read_features(bad)
+        bad.write_bytes(data[:4] + b"\x09" + data[5:])
+        with pytest.raises(FeatureError, match="version"):
+            featkit.read_features(bad)
+        bad.write_bytes(data + b"\x00" * 8)
+        with pytest.raises(FeatureError, match="payload"):
+            featkit.read_features(bad)

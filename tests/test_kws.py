@@ -259,3 +259,13 @@ class TestScoreFiles:
         p.write_text("utt0\t0.5\n")
         with pytest.raises(KwsError):
             kws.read_scores(p)
+
+    @pytest.mark.parametrize("fields", [
+        ("0.x", "1", "-"), ("nan", "1", "-"), ("inf", "0", "-"), ("0.5", "yes", "-"),
+        ("0.5", "2", "-"), ("0.5", "1", "1s"), ("0.5", "1", "nan"),
+    ], ids="/".join)
+    def test_bad_field_rejected_with_line_number(self, tmp_path, fields):
+        p = tmp_path / "bad.scores"
+        p.write_text("u0\t0.5\t1\t-\nu1\t" + "\t".join(fields) + "\n")
+        with pytest.raises(KwsError, match="bad.scores:2"):
+            kws.read_scores(p)

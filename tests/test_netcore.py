@@ -340,8 +340,8 @@ class TestCheckpoints:
             netcore.load_checkpoint(p)
 
     def test_every_truncation_and_bad_dtype_rejected(self, tmp_path):
-        # every proper prefix of a valid checkpoint, and an unknown dtype code,
-        # must fail with the module's own error type
+        # every proper prefix of a valid checkpoint, an unknown dtype code and
+        # trailing bytes must fail with the module's own error type
         net = init_network(_tiny_spec(peepholes=True), np.random.default_rng(17))
         p = tmp_path / "m.ckpt"
         netcore.save_checkpoint(net, p)
@@ -355,6 +355,9 @@ class TestCheckpoints:
         code_at = 12 + spec_len
         bad.write_bytes(data[:code_at] + b"\x07" + data[code_at + 1 :])
         with pytest.raises(NetworkError, match="dtype"):
+            netcore.load_checkpoint(bad)
+        bad.write_bytes(data + b"\x00" * 8)
+        with pytest.raises(NetworkError, match="payload"):
             netcore.load_checkpoint(bad)
 
 

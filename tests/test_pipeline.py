@@ -27,6 +27,10 @@ def _small_task(**kw):
     return SynthTaskSpec(**defaults)
 
 
+# a stacked spec and the unstacked acoustic-model spec of the ladder
+_STACKINGS = (_small_task(), pipeline._am_task_spec(0))
+
+
 def _tiny_model(input_dim, output_dim=5, hidden=8):
     return ModelSpec(input_dim=input_dim, layers=1, hidden=hidden, projection=0,
                      output_dim=output_dim, peepholes=False)
@@ -68,6 +72,16 @@ class TestManifests:
         with pytest.raises(PipelineError):
             pipeline.read_manifest(p)
 
+    @pytest.mark.parametrize("fields", [
+        ("1,z", "-", "-"), ("-", "1,,2", "-"), ("-", "-", "yes"), ("-", "-", "2"),
+    ], ids="/".join)
+    def test_bad_field_rejected_with_line_number(self, tmp_path, fields):
+        # frame_labels, symbols, is_positive
+        p = tmp_path / "bad.tsv"
+        p.write_text("# header\nb\tp\t" + "\t".join(fields) + "\t-\n")
+        with pytest.raises(PipelineError, match="bad.tsv:2"):
+            pipeline.read_manifest(p)
+
 
 class TestSynthesis:
     def test_deterministic_under_seed(self):
@@ -98,22 +112,28 @@ class TestSynthesis:
             else:
                 assert HEY not in syms and CORTANA not in syms
 
+    @pytest.mark.parametrize("context,step", [(0, 1), (1, 0), (-1, -1)])
+    def test_meaningless_stacking_rejected(self, context, step):
+        with pytest.raises(PipelineError, match="stack"):
+            _small_task(stack_context=context, stack_step=step)
+
     def test_labels_match_feature_frames(self):
-        for it in pipeline.synth_items(_small_task(), 10):
-            assert len(it.frame_labels) == it.num_frames
-            assert set(np.unique(it.frame_labels)) <= {HEY, CORTANA, SILENCE, GARBAGE}
+        for spec in _STACKINGS:
+            for it in pipeline.synth_items(spec, 10):
+                assert len(it.frame_labels) == it.num_frames
+                assert set(np.unique(it.frame_labels)) <= {HEY, CORTANA, SILENCE, GARBAGE}
 
     def test_corpus_files_round_trip(self, tmp_path):
-        spec = _small_task()
-        m = pipeline.synth_corpus(spec, 4, tmp_path)
-        assert len(m) == 4
-        items = pipeline.items_from_manifest(m, spec)
-        direct = pipeline.synth_items(spec, 4)
-        for got, want in zip(items, direct):
-            # WAV quantizes to 16 bits, so features are close but not equal
-            assert got.feats.shape == want.feats.shape
-            assert np.allclose(got.feats, want.feats, atol=0.1)
-            assert np.array_equal(got.frame_labels, want.frame_labels)
+        for k, spec in enumerate(_STACKINGS):
+            m = pipeline.synth_corpus(spec, 4, tmp_path / str(k))
+            assert len(m) == 4
+            items = pipeline.items_from_manifest(m, spec)
+            direct = pipeline.synth_items(spec, 4)
+            for got, want in zip(items, direct):
+                # WAV quantizes to 16 bits, so features are close but not equal
+                assert got.feats.shape == want.feats.shape
+                assert np.allclose(got.feats, want.feats, atol=0.1)
+                assert np.array_equal(got.frame_labels, want.frame_labels)
 
     def test_featurized_corpus_loads_from_archives(self, tmp_path):
         spec = _small_task()
@@ -272,6 +292,21 @@ class TestDistillAndAdapt:
             assert np.array_equal(ia.teacher_rows, ib.teacher_rows)
             assert np.allclose(ia.teacher_rows, netcore.forward(teacher, ia.feats).rows,
                                atol=1e-6)
+
+    def test_posterior_cache_misses_for_another_teacher_or_changed_features(self, tmp_path):
+        items = pipeline.synth_items(_small_task(), 2)
+        spec = _tiny_model(items[0].feats.shape[1])
+        first, second = (netcore.init_network(spec, np.random.default_rng(s)) for s in (3, 4))
+        pipeline.compute_teacher_posteriors(first, items, cache_dir=tmp_path / "shared")
+        shared = pipeline.compute_teacher_posteriors(second, items, cache_dir=tmp_path / "shared")
+        fresh = pipeline.compute_teacher_posteriors(second, items, cache_dir=tmp_path / "fresh")
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.teacher_rows, b.teacher_rows)
+            assert np.allclose(a.teacher_rows, netcore.forward(second, a.feats).rows, atol=1e-6)
+        moved = [replace(it, feats=it.feats + 1.0) for it in items]
+        got = pipeline.compute_teacher_posteriors(second, moved, cache_dir=tmp_path / "shared")
+        for it in got:
+            assert np.allclose(it.teacher_rows, netcore.forward(second, it.feats).rows, atol=1e-6)
 
     def test_adapt_fixed_point_on_identical_domains(self):
         # source == target features: the adapted student equals the teacher

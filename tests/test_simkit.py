@@ -227,14 +227,6 @@ class TestMixAtSnr:
 
 
 class TestSimulateSingleChannel:
-    def test_identity_ir_no_noise_passthrough(self):
-        s = Waveform(np.sin(np.arange(500) * 0.02), 16000)
-        y = simkit.simulate_single_channel(
-            s, None, None, np.inf, rir=unit_impulse(16000)
-        )
-        assert np.allclose(y.samples, s.samples, atol=1e-12)
-        assert len(y) == len(s)
-
     def test_matches_manual_composition(self):
         room = _basic_room(wall_reflection=0.7, max_order=2, ir_length=1024)
         rng_s = np.random.default_rng(11)
