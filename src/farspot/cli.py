@@ -153,13 +153,18 @@ def cmd_featurize(args, cfg):
     return EXIT_OK
 
 
-def _fit(args, cfg, fit):
-    """Shared body of train/distill/adapt.  fit(items, train_config, out_dir)
-    returns the trained network and its per-epoch loss log."""
+def _fit(args, cfg, input_dim: int, fit):
+    """Shared body of train/distill/adapt.  input_dim is the frame width the
+    model takes; fit(items, train_config, out_dir) returns the trained
+    network and its per-epoch loss log."""
     out = _prepare_out_dir(args.out, args.force)
     spec = _build(SynthTaskSpec, cfg, "task")
     tc = _build(TrainConfig, cfg, "train", args.seed)
     items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
+    try:
+        pipeline.check_feature_dim(items, input_dim)
+    except pipeline.PipelineError as e:
+        raise ConfigError(f"features do not fit the model: {e}")
     net, log = fit(items, tc, out)
     netcore.save_checkpoint(net, out / "final.ckpt")
     (out / "loss_log.json").write_text(json.dumps(log) + "\n")
@@ -171,21 +176,23 @@ def _fit(args, cfg, fit):
 
 def cmd_train(args, cfg):
     model_spec = _model_spec(cfg)
-    return _fit(args, cfg, lambda items, tc, out: pipeline.train(
+    return _fit(args, cfg, model_spec.input_dim, lambda items, tc, out: pipeline.train(
         netcore.init_network(model_spec, np.random.default_rng(tc.seed)), items, tc,
         checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_distill(args, cfg):
     student_spec = _model_spec(cfg, "student")
-    return _fit(args, cfg, lambda items, tc, out: pipeline.distill(
-        netcore.load_checkpoint(args.teacher), student_spec, items, tc,
+    teacher = netcore.load_checkpoint(args.teacher)
+    return _fit(args, cfg, teacher.spec.input_dim, lambda items, tc, out: pipeline.distill(
+        teacher, student_spec, items, tc,
         cache_dir=out / "teacher_cache", checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_adapt(args, cfg):
-    return _fit(args, cfg, lambda items, tc, out: pipeline.adapt(
-        netcore.load_checkpoint(args.teacher), items, tc, checkpoint_dir=out / "checkpoints"))
+    teacher = netcore.load_checkpoint(args.teacher)
+    return _fit(args, cfg, teacher.spec.input_dim, lambda items, tc, out: pipeline.adapt(
+        teacher, items, tc, checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_spot(args, cfg):

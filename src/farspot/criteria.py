@@ -3,7 +3,8 @@
 Covered losses:
     * hard-label frame cross entropy
     * soft-label cross entropy against teacher posteriors (distillation)
-    * CTC over blank-augmented alignments, computed in log space
+    * CTC over blank-augmented alignments, computed in log space, for one
+      utterance or a zero-padded batch (per-utterance losses)
 
 Probabilities are clamped at EPS = 1e-12 before any log.
 """
@@ -110,10 +111,11 @@ def interpolated_ce_loss(teacher, labels, student_logits, soft_weight: float = 1
 
 def _logsumexp2(a, b):
     m = np.maximum(a, b)
-    safe = np.where(np.isneginf(m), 0.0, m)
+    zero = m == -np.inf
+    safe = np.where(zero, 0.0, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = safe + np.log(np.exp(a - safe) + np.exp(b - safe))
-    return np.where(np.isneginf(m), -np.inf, out)
+    return np.where(zero, -np.inf, out)
 
 
 def ctc_min_frames(labels) -> int:
@@ -124,76 +126,103 @@ def ctc_min_frames(labels) -> int:
 
 def ctc_loss(logits: np.ndarray, labels, blank: int):
     """Negative log probability of the label string under CTC, plus the
-    gradient w.r.t. logits, via log-space forward-backward."""
+    gradient w.r.t. logits (T, N): the one-utterance batch of ctc_loss_batch."""
     logits = np.asarray(logits, dtype=np.float64)
-    t, n = logits.shape
-    labels = [int(x) for x in labels]
-    if any(not 0 <= x < n for x in labels):
-        raise CriterionError(f"label out of range [0, {n})")
-    if blank in labels:
-        raise CriterionError("blank symbol may not appear in the label string")
+    losses, grad = ctc_loss_batch(logits[None], [len(logits)], [labels], blank)
+    return float(losses[0]), grad[0]
+
+
+def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
+    """CTC over a zero-padded batch, via log-space forward-backward (Graves
+    et al., ICML 2006).
+
+    Utterance j is logits[j, :lengths[j]] with label string label_lists[j].
+    Returns the per-utterance losses (B,) and the gradient w.r.t. logits
+    (B, T, N), which is 0 on padded frames.  The recursions run once per
+    frame over a padded (B, S) lattice of blank-augmented label strings.
+    Padded states keep log probability -inf and nothing flows back from
+    frames past an utterance's end, so every row equals its utterance run
+    alone, bit for bit.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 3:
+        raise CriterionError(f"logits must be (B, T, N), got shape {logits.shape}")
+    b, t, n = logits.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    label_lists = [[int(x) for x in labels] for labels in label_lists]
+    if lengths.shape != (b,) or len(label_lists) != b:
+        raise CriterionError(f"need one length and one label string per utterance ({b})")
     if not 0 <= blank < n:
         raise CriterionError("blank index out of range")
-    if t < ctc_min_frames(labels):
-        raise CriterionError(
-            f"label string needs at least {ctc_min_frames(labels)} frames, got {t}"
-        )
+    for tb, labels in zip(lengths, label_lists):
+        if any(not 0 <= x < n for x in labels):
+            raise CriterionError(f"label out of range [0, {n})")
+        if blank in labels:
+            raise CriterionError("blank symbol may not appear in the label string")
+        if not 1 <= tb <= t:
+            raise CriterionError(f"utterance length {tb} outside [1, {t}]")
+        if tb < ctc_min_frames(labels):
+            raise CriterionError(
+                f"label string needs at least {ctc_min_frames(labels)} frames, got {tb}"
+            )
 
-    ext = [blank]
-    for lab in labels:
-        ext.extend((lab, blank))
-    s = len(ext)
-    ext = np.asarray(ext)
+    # blank-augmented label strings, padded with blanks to the longest
+    s_len = np.array([2 * len(labels) + 1 for labels in label_lists])
+    s = int(s_len.max())
+    ext = np.full((b, s), blank)
+    for j, labels in enumerate(label_lists):
+        ext[j, 1 : 2 * len(labels) : 2] = labels
+    valid = np.arange(s) < s_len[:, None]
     logp = log_softmax(logits)
-    emit = logp[:, ext]  # (T, S)
+    emit = np.take_along_axis(logp, ext[:, None, :], axis=2)  # (B, T, S)
 
     # skip transition s-2 -> s allowed where ext[s] is a label differing
-    # from ext[s-2]
-    can_skip = np.zeros(s, dtype=bool)
-    if s > 2:
-        can_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    # from ext[s-2]; never into a padded state
+    can_skip = np.zeros((b, s), dtype=bool)
+    can_skip[:, 2:] = (ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])
 
     neg = -np.inf
-    alpha = np.full((t, s), neg)
-    alpha[0, 0] = emit[0, 0]
-    if s > 1:
-        alpha[0, 1] = emit[0, 1]
+    alpha = np.full((b, t, s), neg)
+    alpha[:, 0, :2] = np.where(valid[:, :2], emit[:, 0, :2], neg)
+    step = np.full((b, s), neg)
+    skip = np.full((b, s), neg)
     for ti in range(1, t):
-        prev = alpha[ti - 1]
-        stay = prev
-        step = np.full(s, neg)
-        step[1:] = prev[:-1]
-        skip = np.full(s, neg)
-        skip[2:] = np.where(can_skip[2:], prev[:-2], neg)
-        alpha[ti] = _logsumexp2(_logsumexp2(stay, step), skip) + emit[ti]
+        prev = alpha[:, ti - 1]
+        step[:, 1:] = prev[:, :-1]
+        skip[:, 2:] = np.where(can_skip[:, 2:], prev[:, :-2], neg)
+        alpha[:, ti] = _logsumexp2(_logsumexp2(prev, step), skip) + emit[:, ti]
 
-    total = alpha[t - 1, s - 1]
-    if s > 1:
-        total = _logsumexp2(total, alpha[t - 1, s - 2])
-    loss = float(-total)
+    utt = np.arange(b)
+    last = lengths - 1
+    final = alpha[utt, last]  # (B, S)
+    total = final[utt, s_len - 1]
+    total = np.where(s_len > 1, _logsumexp2(total, final[utt, np.maximum(s_len - 2, 0)]), total)
 
-    beta = np.full((t, s), neg)
-    beta[t - 1, s - 1] = emit[t - 1, s - 1]
-    if s > 1:
-        beta[t - 1, s - 2] = emit[t - 1, s - 2]
+    # beta starts at each utterance's last frame; later frames stay -inf
+    start = np.where(valid & (np.arange(s) >= s_len[:, None] - 2), emit[utt, last], neg)
+    beta = np.full((b, t, s), neg)
+    beta[:, t - 1] = np.where((last == t - 1)[:, None], start, neg)
+    step = np.full((b, s), neg)
+    skip = np.full((b, s), neg)
     for ti in range(t - 2, -1, -1):
-        nxt = beta[ti + 1]
-        stay = nxt
-        step = np.full(s, neg)
-        step[:-1] = nxt[1:]
-        skip = np.full(s, neg)
-        skip[:-2] = np.where(can_skip[2:], nxt[2:], neg)
-        beta[ti] = _logsumexp2(_logsumexp2(stay, step), skip) + emit[ti]
+        nxt = beta[:, ti + 1]
+        step[:, :-1] = nxt[:, 1:]
+        skip[:, :-2] = np.where(can_skip[:, 2:], nxt[:, 2:], neg)
+        cur = _logsumexp2(_logsumexp2(nxt, step), skip) + emit[:, ti]
+        beta[:, ti] = np.where((last == ti)[:, None], start, cur)
 
     # paths through (t, s): alpha * beta / emit; normalize by total probability
     with np.errstate(invalid="ignore"):
-        log_gamma = alpha + beta - emit - total
+        log_gamma = alpha + beta - emit - total[:, None, None]
     gamma = np.where(np.isneginf(log_gamma), 0.0, np.exp(log_gamma))
 
-    label_post = np.zeros((t, n))
-    np.add.at(label_post.T, ext, gamma.T)
+    # sum state posteriors into label posteriors in state order per frame
+    label_post = np.zeros((b, t, n))
+    np.add.at(label_post, (utt[:, None, None], np.arange(t)[None, :, None], ext[:, None, :]),
+              gamma)
     grad = softmax(logits) - label_post
-    return loss, grad
+    grad[np.arange(t) >= lengths[:, None]] = 0.0
+    return -total, grad
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +268,9 @@ def read_posterior_cache(path: str | Path) -> tuple[str, np.ndarray]:
             f"{path}: cache payload has {len(payload)} bytes, expected {t * n * 4}")
     rows = np.frombuffer(payload, dtype="<f4").reshape(t, n).astype(np.float64)
     sums = rows.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(sums) & (sums > 0)):
-        raise CriterionError(f"{path}: cache row without finite positive mass")
+    if not np.all(np.isfinite(sums) & (sums > 0)) or np.any(rows < 0):
+        raise CriterionError(f"{path}: cache row without finite positive mass, "
+                             f"or with a negative probability")
     # renormalize away float32 quantization so downstream row-sum checks hold
     rows /= sums
     return utt_id, rows

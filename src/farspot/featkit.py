@@ -164,6 +164,8 @@ def read_features(path: str | Path) -> FeatureSequence:
     version, t, d, shift = struct.unpack_from("<IIId", data, 4)
     if version != _VERSION:
         raise FeatureError(f"{path}: unsupported archive version {version}")
+    if not (np.isfinite(shift) and shift > 0):
+        raise FeatureError(f"{path}: frame shift {shift} ms is not positive")
     if len(data) - 24 != t * d * 4:
         raise FeatureError(f"{path}: payload has {len(data) - 24} bytes, expected {t * d * 4}")
     return FeatureSequence(np.frombuffer(data, dtype="<f4", offset=24).reshape(t, d)

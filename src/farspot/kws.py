@@ -17,6 +17,7 @@ segment (for two units: sqrt(p_hey_peak * p_cortana_peak)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,30 +118,30 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
 
     logp = np.log(np.maximum(rows, 1e-300))
     filler = np.maximum(logp[:, km.silence], logp[:, km.garbage])
+    # emit[ti][s]: log emission of state s at frame ti, as Python floats, so
+    # the DP below runs on floats and ints instead of numpy scalars
+    emit = np.column_stack([filler if lab == -1 else logp[:, lab] for lab in labels]).tolist()
 
-    def emit(ti, s):
-        lab = labels[s]
-        return filler[ti] if lab == -1 else logp[ti, lab]
-
-    neg = -np.inf
+    neg = -math.inf
+    unset = int(np.iinfo(np.int64).max)
     # DP cell: (score, m, last_kw); ties maximize score, then minimize m, then
     # minimize last_kw.
-    score = np.full(n_states, neg)
-    seg_m = np.full(n_states, np.iinfo(np.int64).max, dtype=np.int64)
-    seg_n = np.full(n_states, np.iinfo(np.int64).max, dtype=np.int64)
+    score = [neg] * n_states
+    seg_m = [unset] * n_states
+    seg_n = [unset] * n_states
     for s in starts:
-        score[s] = emit(0, s)
-        seg_m[s] = 0 if s == u_first else np.iinfo(np.int64).max
-        seg_n[s] = 0 if s == u_last else np.iinfo(np.int64).max
+        score[s] = emit[0][s]
+        seg_m[s] = 0 if s == u_first else unset
+        seg_n[s] = 0 if s == u_last else unset
 
     for ti in range(1, t):
-        new_score = np.full(n_states, neg)
-        new_m = np.full(n_states, np.iinfo(np.int64).max, dtype=np.int64)
-        new_n = np.full(n_states, np.iinfo(np.int64).max, dtype=np.int64)
+        new_score = [neg] * n_states
+        new_m = [unset] * n_states
+        new_n = [unset] * n_states
         for s in range(n_states):
             best = None
             for p in preds[s]:
-                if np.isneginf(score[p]):
+                if score[p] == neg:
                     continue
                 cand = (score[p], -seg_m[p], -seg_n[p])
                 if best is None or cand > best:
@@ -148,9 +149,9 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
                     best_p = p
             if best is None:
                 continue
-            new_score[s] = score[best_p] + emit(ti, s)
+            new_score[s] = score[best_p] + emit[ti][s]
             m_val, n_val = seg_m[best_p], seg_n[best_p]
-            if s == u_first and m_val == np.iinfo(np.int64).max:
+            if s == u_first and m_val == unset:
                 m_val = ti
             if s == u_last:
                 n_val = ti
@@ -159,7 +160,7 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
 
     best = None
     for s in ends:
-        if np.isneginf(score[s]):
+        if score[s] == neg:
             continue
         cand = (score[s], -seg_m[s], -seg_n[s])
         if best is None or cand > best:
@@ -167,7 +168,7 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
             best_s = s
     if best is None:
         raise KwsError(f"no feasible keyword path in {t} frames")
-    return int(seg_m[best_s]), int(seg_n[best_s])
+    return seg_m[best_s], seg_n[best_s]
 
 
 def confidence_score(
@@ -256,14 +257,12 @@ def evaluate(
             fa_per_hour = an / neg_hours
     roc = []
     if with_roc:
-        for th in sorted({s for s, _ in scores} | {0.0, 1.0}):
-            roc.append(
-                (
-                    th,
-                    sum(1 for s in pos if s >= th) / len(pos),
-                    sum(1 for s in neg if s >= th) / len(neg),
-                )
-            )
+        # counts of scores >= th: one sort per class, then a binary search
+        ths = sorted({s for s, _ in scores} | {0.0, 1.0})
+        below_p = np.searchsorted(np.sort(np.asarray(pos, dtype=np.float64)), ths, side="left")
+        below_n = np.searchsorted(np.sort(np.asarray(neg, dtype=np.float64)), ths, side="left")
+        roc = [(th, (len(pos) - int(bp)) / len(pos), (len(neg) - int(bn)) / len(neg))
+               for th, bp, bn in zip(ths, below_p, below_n)]
     return EvalReport(
         threshold=threshold,
         ca=ap / len(pos),

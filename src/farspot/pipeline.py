@@ -485,10 +485,27 @@ def _padded(seqs: list[np.ndarray], tmax: int, dim: int) -> np.ndarray:
     return x
 
 
+def _per_utterance(loss):
+    """Batch-level criterion from a per-utterance one: loss(item, logits
+    (T, N), cfg, teacher rows (T, N) or None) -> (loss, dloss/dlogits)."""
+    def batch_loss(batch: list[TrainItem], logits, cfg: TrainConfig, teacher_rows):
+        grad = np.zeros_like(logits)
+        losses = []
+        for j, it in enumerate(batch):
+            t = it.num_frames
+            rows = None if teacher_rows is None else teacher_rows[j, :t]
+            loss_j, grad[j, :t] = loss(it, logits[j, :t], cfg, rows)
+            losses.append(loss_j)
+        return losses, grad
+    return batch_loss
+
+
+@_per_utterance
 def _hard_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
     return criteria.hard_ce_loss(_delayed(np.asarray(it.frame_labels), cfg.label_delay), logits)
 
 
+@_per_utterance
 def _soft_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
     if cfg.soft_weight < 1.0:
         labels = _delayed(np.asarray(it.frame_labels), cfg.label_delay)
@@ -496,18 +513,21 @@ def _soft_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
     return criteria.soft_ce_loss(it.teacher_rows, logits)
 
 
+@_per_utterance
 def _ts_adapt(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
     return criteria.soft_ce_loss(teacher_rows, logits)
 
 
-def _ctc(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
-    return criteria.ctc_loss(logits, it.symbols, blank=cfg.blank)
+def _ctc(batch: list[TrainItem], logits, cfg: TrainConfig, teacher_rows):
+    return criteria.ctc_loss_batch(logits, [it.num_frames for it in batch],
+                                   [it.symbols for it in batch], cfg.blank)
 
 
 class _Criterion(NamedTuple):
     # TrainItem fields (and what they hold) that every training item must carry
     needs: Callable[[TrainConfig], dict[str, str]]
-    # (item, logits (T, N), cfg, teacher rows (T, N) or None) -> (loss, dloss/dlogits)
+    # (batch, padded logits (B, T, N), cfg, padded teacher rows (B, T, N) or
+    # None) -> (per-utterance losses, dloss/dlogits (B, T, N), 0 on padding)
     loss: Callable
     # targets are the posteriors of a teacher network run on source_feats
     uses_teacher: bool = False
@@ -526,7 +546,18 @@ _CRITERIA = {
 }
 
 
-def _check_items(items: list[TrainItem], cfg: TrainConfig) -> None:
+def check_feature_dim(items: list[TrainItem], input_dim: int) -> None:
+    """Raise PipelineError unless every item's features, and its paired
+    source features if any, are (frames, input_dim) matrices."""
+    for it in items:
+        for name in ("feats", "source_feats"):
+            x = getattr(it, name)
+            if x is not None and (x.ndim != 2 or x.shape[1] != input_dim):
+                raise PipelineError(f"{it.utt_id}: {name} have shape {x.shape}, "
+                                    f"the model takes {input_dim}-dim frames")
+
+
+def _check_items(items: list[TrainItem], cfg: TrainConfig, input_dim: int) -> None:
     needs = _CRITERIA[cfg.criterion].needs(cfg)
     for it in items:
         for name, what in needs.items():
@@ -534,6 +565,7 @@ def _check_items(items: list[TrainItem], cfg: TrainConfig) -> None:
                 raise PipelineError(f"{it.utt_id}: {cfg.criterion} needs {what}")
         if "source_feats" in needs and it.source_feats.shape[0] != it.num_frames:
             raise PipelineError(f"{it.utt_id}: paired frame counts differ")
+    check_feature_dim(items, input_dim)
 
 
 def _batches(items: list[TrainItem], batch_size: int):
@@ -556,16 +588,11 @@ def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig,
         t_logits, _ = netcore.forward_batch(teacher, xs, want_cache=False)
         teacher_rows = netcore.softmax(t_logits.astype(np.float64))
 
-    dlogits = np.zeros_like(logits64)
+    losses, dlogits = crit.loss(batch, logits64, cfg, teacher_rows)
     total_loss = 0.0
-    total_frames = 0
-    for j, it in enumerate(batch):
-        t = it.num_frames
-        rows = None if teacher_rows is None else teacher_rows[j, :t]
-        loss, g = crit.loss(it, logits64[j, :t], cfg, rows)
-        dlogits[j, :t] = g
+    for loss in losses:  # in item order, which fixes the rounding
         total_loss += loss
-        total_frames += t
+    total_frames = sum(it.num_frames for it in batch)
 
     dlogits /= total_frames
     grad = netcore.backward_batch(net, cache, dlogits)
@@ -585,7 +612,7 @@ def train(
         raise PipelineError("empty training set")
     if _CRITERIA[cfg.criterion].uses_teacher and teacher is None:
         raise PipelineError(f"{cfg.criterion} requires a teacher network")
-    _check_items(items, cfg)
+    _check_items(items, cfg, net.spec.input_dim)
 
     net = net.copy()
     velocity = np.zeros_like(net.parameters, dtype=np.float64)
@@ -665,6 +692,7 @@ def distill(
             f"teacher output dim {teacher.spec.output_dim} != "
             f"student output dim {student_spec.output_dim}"
         )
+    check_feature_dim(items, teacher.spec.input_dim)
     items = compute_teacher_posteriors(teacher, items, cache_dir)
     cfg = replace(cfg, criterion="soft_ce")
     student = netcore.init_network(student_spec, np.random.default_rng(cfg.seed))

@@ -4,6 +4,7 @@ of the library implementations they check."""
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def grad_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -25,6 +26,19 @@ def central_diff_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         xm[i] -= eps
         g[i] = (f(xp) - f(xm)) / (2.0 * eps)
     return g
+
+
+# byte flips for reader robustness tests: (position, nonzero XOR mask) pairs;
+# positions wrap around the file length
+BYTE_FLIPS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)),
+                      min_size=1, max_size=4)
+
+
+def flip_bytes(data: bytes, flips) -> bytes:
+    out = bytearray(data)
+    for pos, mask in flips:
+        out[pos % len(out)] ^= mask
+    return bytes(out)
 
 
 def naive_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -65,13 +79,21 @@ def ctc_enum_loss(logits: np.ndarray, labels, blank: int) -> float:
     return float(-total)
 
 
-def viterbi_oracle(rows: np.ndarray, units, silence, garbage, blank):
+def _exact(x: float) -> int:
+    """x * 2**1100 as an exact integer; every finite float maps exactly."""
+    num, den = float(x).as_integer_ratio()
+    return num * (2**1100 // den)
+
+
+def viterbi_oracle(rows: np.ndarray, units, silence, garbage, blank, exact: bool = False):
     """Best keyword segment by exhaustive enumeration of state-run boundaries.
 
     Assumes two distinct keyword units.  The decoding path is seven runs in
     order: filler, blank, unit1, blank, unit2, blank, filler; every run except
     the two unit runs may be empty.  Returns (m, n) with ties resolved by
-    highest score, then earliest start, then earliest end.
+    highest score, then earliest start, then earliest end.  With exact=True
+    path scores are summed without rounding, so paths whose scores tie in
+    real arithmetic tie here too.
     """
     u1, u2 = units
     assert u1 != u2
@@ -80,7 +102,10 @@ def viterbi_oracle(rows: np.ndarray, units, silence, garbage, blank):
     filler = np.maximum(logp[:, silence], logp[:, garbage])
     tracks = [filler, logp[:, blank], logp[:, u1], logp[:, blank],
               logp[:, u2], logp[:, blank], filler]
-    cums = [np.concatenate([[0.0], np.cumsum(tr)]) for tr in tracks]
+    if exact:
+        cums = [list(itertools.accumulate((_exact(x) for x in tr), initial=0)) for tr in tracks]
+    else:
+        cums = [np.concatenate([[0.0], np.cumsum(tr)]) for tr in tracks]
 
     best = None
     for bounds in itertools.combinations_with_replacement(range(t + 1), 6):

@@ -203,6 +203,17 @@ class TestEndToEnd:
         teacher = netcore.load_checkpoint(trained / "final.ckpt")
         assert adapted.spec == teacher.spec
 
+    def test_adapt_features_of_wrong_width_is_config_error(self, workspace, tmp_path):
+        root, _, far, trained = workspace
+        cfg = {"task": dict(TASK["task"], n_mels=6)}  # 24-dim frames; the teacher takes 48
+        cfg["train"] = {"criterion": "ts_adapt", "epochs": 1}
+        rc = cli.run(["adapt", "--config", _write_cfg(tmp_path, cfg),
+                      "--manifest", str(far / "manifest.tsv"),
+                      "--teacher", str(trained / "final.ckpt"),
+                      "--out", str(tmp_path / "adapted")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "adapted" / "final.ckpt").exists()
+
     def test_distill_without_transcripts(self, workspace, tmp_path):
         root, corpus, _, trained = workspace
         # strip every label field; distillation must not need them
@@ -260,6 +271,17 @@ class TestRuntimeErrors:
                       "--manifest", str(corpus / "manifest.tsv"),
                       "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+    def test_model_input_dim_not_matching_features_is_config_error(self, tmp_path, capsys):
+        corpus = _synth(tmp_path, count=2)
+        cfg = dict(TASK)  # 12 mels stacked 4 times: 48-dim frames
+        cfg["model"] = {"input_dim": 24, "layers": 1, "hidden": 4,
+                        "projection": 0, "output_dim": 5, "peepholes": False}
+        rc = cli.run(["train", "--config", _write_cfg(tmp_path, cfg),
+                      "--manifest", str(corpus / "manifest.tsv"),
+                      "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "takes 24-dim" in capsys.readouterr().err
 
     def test_bad_train_value_is_config_error(self, tmp_path):
         corpus = _synth(tmp_path, count=2)

@@ -2,14 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from farspot import criteria, netcore, pipeline
 from farspot.criteria import CriterionError
 from farspot.netcore import ModelSpec, init_network, softmax
 from farspot.pipeline import FarFieldConfig, PipelineError, SynthTaskSpec, TrainConfig
-from helpers import central_diff_grad, ctc_enum_loss, grad_rel_err
+from helpers import BYTE_FLIPS, central_diff_grad, ctc_enum_loss, flip_bytes, grad_rel_err
 
 
 def _rand_dist(rng, n):
@@ -282,6 +282,61 @@ class TestCtc:
         assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-9)
 
 
+class TestCtcBatch:
+    # the batched kernel must give each utterance exactly (==) what it gets
+    # alone, since training checkpoints depend on the last bits
+    def test_rows_equal_single_utterance_calls(self):
+        rng = np.random.default_rng(20)
+        label_lists = [[0, 1, 2], [], [0, 0], [3, 1, 3, 3], [2]]
+        # includes utterances of exactly ctc_min_frames frames
+        lengths = [9, 4, criteria.ctc_min_frames([0, 0]),
+                   criteria.ctc_min_frames([3, 1, 3, 3]), 1]
+        t = max(lengths) + 2  # every utterance is padded
+        logits = 3.0 * rng.standard_normal((len(lengths), t, 5))
+        losses, grad = criteria.ctc_loss_batch(logits, lengths, label_lists, blank=4)
+        assert grad.shape == logits.shape
+        for j, (tj, labels) in enumerate(zip(lengths, label_lists)):
+            loss_j, grad_j = criteria.ctc_loss(logits[j, :tj], labels, blank=4)
+            assert losses[j] == loss_j
+            assert np.array_equal(grad[j, :tj], grad_j)
+            assert np.all(grad[j, tj:] == 0.0)
+
+    def test_bad_lengths_rejected(self):
+        logits = np.zeros((2, 4, 3))
+        for lengths in ([4, 5], [0, 4], [4]):
+            with pytest.raises(CriterionError):
+                criteria.ctc_loss_batch(logits, lengths, [[0], [1]], blank=2)
+        with pytest.raises(CriterionError):
+            criteria.ctc_loss_batch(logits, [4, 2], [[0], [1, 1]], blank=2)
+
+    def test_training_batch_equals_per_utterance_loop(self):
+        # the ctc entry of the criterion table against one ctc_loss call per
+        # utterance, summed in item order, on the same padded forward pass
+        items = pipeline.synth_items(SynthTaskSpec(seed=3, n_mels=12, stack_context=4,
+                                                   stack_step=2), 5)
+        spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=1, hidden=8,
+                         projection=0, output_dim=5, peepholes=False)
+        net = init_network(spec, np.random.default_rng(22))
+        loss, grad = pipeline._batch_loss_and_grad(net, items, TrainConfig(criterion="ctc"), None)
+
+        tmax = max(it.num_frames for it in items)
+        assert any(it.num_frames < tmax for it in items)
+        x = np.zeros((len(items), tmax, spec.input_dim))
+        for j, it in enumerate(items):
+            x[j, : it.num_frames] = it.feats
+        logits, cache = netcore.forward_batch(net, x)
+        dlogits = np.zeros_like(logits)
+        want_loss, frames = 0.0, 0
+        for j, it in enumerate(items):
+            t = it.num_frames
+            lj, dlogits[j, :t] = criteria.ctc_loss(logits[j, :t], it.symbols, pipeline.BLANK)
+            want_loss += lj
+            frames += t
+        dlogits /= frames
+        assert loss == want_loss / frames
+        assert np.array_equal(grad, netcore.backward_batch(net, cache, dlogits))
+
+
 class TestPosteriorCache:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -320,3 +375,22 @@ class TestPosteriorCache:
         criteria.write_posterior_cache(bad, "utt-4", zero_row)
         with pytest.raises(CriterionError):
             criteria.read_posterior_cache(bad)
+
+    def test_negative_probability_rejected(self, tmp_path):
+        p = tmp_path / "u.fspc"
+        criteria.write_posterior_cache(p, "utt-1", np.array([[0.5, 0.5], [1.25, -0.25]]))
+        with pytest.raises(CriterionError, match="negative"):
+            criteria.read_posterior_cache(p)
+
+    @given(flips=BYTE_FLIPS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_byte_flips_load_or_raise_criterion_error(self, tmp_path, flips):
+        p = tmp_path / "u.fspc"
+        criteria.write_posterior_cache(p, "utt-4", softmax(np.arange(12.0).reshape(4, 3)))
+        p.write_bytes(flip_bytes(p.read_bytes(), flips))
+        try:
+            _, rows = criteria.read_posterior_cache(p)
+        except CriterionError:
+            return
+        assert np.all(rows >= 0) and np.allclose(rows.sum(axis=1), 1.0)

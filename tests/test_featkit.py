@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from farspot import featkit
 from farspot.featkit import FbankConfig, FeatureError, FeatureSequence
 from farspot.simkit import Waveform
+from helpers import BYTE_FLIPS, flip_bytes
 
 
 class TestMelScale:
@@ -171,3 +174,25 @@ class TestFeatureArchive:
         bad.write_bytes(data + b"\x00" * 8)
         with pytest.raises(FeatureError, match="payload"):
             featkit.read_features(bad)
+
+    def test_non_positive_frame_shift_rejected(self, tmp_path):
+        p = tmp_path / "u.fsfa"
+        featkit.write_features(p, FeatureSequence(np.ones((2, 3)), 10.0))
+        data = p.read_bytes()
+        for shift in (0.0, -10.0, float("nan"), float("inf")):
+            p.write_bytes(data[:16] + struct.pack("<d", shift) + data[24:])
+            with pytest.raises(FeatureError, match="frame shift"):
+                featkit.read_features(p)
+
+    @given(flips=BYTE_FLIPS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_byte_flips_load_or_raise_feature_error(self, tmp_path, flips):
+        p = tmp_path / "u.fsfa"
+        featkit.write_features(p, FeatureSequence(np.arange(15.0).reshape(5, 3), 10.0))
+        p.write_bytes(flip_bytes(p.read_bytes(), flips))
+        try:
+            f = featkit.read_features(p)
+        except FeatureError:
+            return
+        assert f.frame_shift_ms > 0 and np.all(np.isfinite(f.frames))

@@ -93,6 +93,21 @@ class TestViterbiLocate:
             want = viterbi_oracle(post.rows, (0, 1), 2, 3, 4)
             assert got == want
 
+    def test_matches_exhaustive_oracle_on_ties(self):
+        # uniform rows tie every path; one-hot rows tie every path with the
+        # same number of zero-posterior frames.  Both sum without rounding
+        # error in the decoder (every path adds the same values), so the
+        # (score, -m, -n) tie-break must match an oracle in exact arithmetic.
+        rng = np.random.default_rng(1)
+        for i in range(120):
+            t = int(rng.integers(2, 10))
+            if i % 2 == 0:
+                rows = np.full((t, 5), 0.2)
+            else:
+                rows = np.eye(5)[rng.integers(0, 5, t)]
+            got = kws.viterbi_locate(Posteriorgram(rows), KM)
+            assert got == viterbi_oracle(rows, (0, 1), 2, 3, 4, exact=True)
+
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_segment_is_valid_property(self, seed):
@@ -205,6 +220,17 @@ class TestEvaluate:
             fas.append(r.fa)
         assert all(b <= a for a, b in zip(cas, cas[1:]))
         assert all(b <= a for a, b in zip(fas, fas[1:]))
+
+    def test_roc_equals_quadratic_reference(self):
+        # scores on a 0.05 grid tie within and across the two classes
+        rng = np.random.default_rng(3)
+        scores = [(float(rng.integers(0, 21)) / 20, bool(rng.integers(2))) for _ in range(300)]
+        scores += [(0.0, True), (1.0, False)]
+        pos = [s for s, p in scores if p]
+        neg = [s for s, p in scores if not p]
+        want = [(th, sum(s >= th for s in pos) / len(pos), sum(s >= th for s in neg) / len(neg))
+                for th in sorted({s for s, _ in scores} | {0.0, 1.0})]
+        assert kws.evaluate(scores, 0.5, with_roc=True).roc == want
 
 
 class TestThresholdAtCa:

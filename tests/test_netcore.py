@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from farspot import netcore
@@ -14,7 +14,7 @@ from farspot.netcore import (
     init_network,
     param_count,
 )
-from helpers import central_diff_grad, grad_rel_err
+from helpers import BYTE_FLIPS, central_diff_grad, flip_bytes, grad_rel_err
 
 
 def _tiny_spec(**kw):
@@ -359,6 +359,19 @@ class TestCheckpoints:
         bad.write_bytes(data + b"\x00" * 8)
         with pytest.raises(NetworkError, match="payload"):
             netcore.load_checkpoint(bad)
+
+    @given(flips=BYTE_FLIPS)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_byte_flips_load_or_raise_network_error(self, tmp_path, flips):
+        net = init_network(_tiny_spec(peepholes=True), np.random.default_rng(18))
+        p = tmp_path / "m.ckpt"
+        netcore.save_checkpoint(net, p)
+        p.write_bytes(flip_bytes(p.read_bytes(), flips))
+        try:
+            netcore.load_checkpoint(p)
+        except NetworkError:
+            pass
 
 
 class TestPosteriorgram:

@@ -227,6 +227,12 @@ class TestTraining:
         with pytest.raises(PipelineError):
             pipeline.train(net, [it], TrainConfig(criterion="ctc"))
 
+    def test_feature_width_must_match_the_model(self):
+        items = pipeline.synth_items(_small_task(), 2)  # 48-dim stacked frames
+        net = netcore.init_network(_tiny_model(24), np.random.default_rng(0))
+        with pytest.raises(PipelineError, match="takes 24-dim"):
+            pipeline.train(net, items, TrainConfig())
+
     def test_non_finite_gradient_stops_training_before_checkpoint(self, tmp_path):
         items = pipeline.synth_items(_small_task(), 3)
         feats = items[1].feats.copy()
@@ -334,6 +340,20 @@ class TestDistillAndAdapt:
         teacher = netcore.init_network(spec, np.random.default_rng(2))
         with pytest.raises(PipelineError, match="frame labels"):
             pipeline.distill(teacher, spec, items, TrainConfig(soft_weight=0.5))
+
+    def test_adapt_source_width_must_match_the_model(self):
+        items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
+        items[1] = replace(items[1], source_feats=items[1].source_feats[:, :24])
+        teacher = netcore.init_network(_tiny_model(items[0].feats.shape[1]),
+                                       np.random.default_rng(6))
+        with pytest.raises(PipelineError, match=f"{items[1].utt_id}: source_feats"):
+            pipeline.adapt(teacher, items, TrainConfig())
+
+    def test_distill_feature_width_must_match_the_teacher(self):
+        items = pipeline.synth_items(_small_task(), 2)
+        teacher = netcore.init_network(_tiny_model(24), np.random.default_rng(6))
+        with pytest.raises(PipelineError, match="takes 24-dim"):
+            pipeline.distill(teacher, _tiny_model(24), items, TrainConfig())
 
     def test_adapt_unpaired_items_rejected(self):
         items = pipeline.synth_items(_small_task(), 2)
