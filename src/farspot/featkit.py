@@ -8,6 +8,7 @@ final frame past the right edge so every input frame lands in some output.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,8 +78,13 @@ def mel_filter_centers(n_mels: int, sample_rate: int) -> np.ndarray:
     return edges[1:-1]
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    """(n_mels, fft_size//2 + 1) triangular filter matrix, HTK-style Mel scale."""
+    """(n_mels, fft_size//2 + 1) triangular filter matrix, HTK-style Mel scale.
+
+    Built once per configuration and shared by every caller, so the array is
+    read-only: writing to it would change every later log_mel.
+    """
     n_bins = fft_size // 2 + 1
     freqs = np.arange(n_bins) * sample_rate / fft_size
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
@@ -88,6 +94,7 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
         rising = (freqs - lo) / (ctr - lo)
         falling = (hi - freqs) / (hi - ctr)
         fb[i] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False
     return fb
 
 

@@ -124,8 +124,12 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
 
     neg = -math.inf
     unset = int(np.iinfo(np.int64).max)
-    # DP cell: (score, m, last_kw); ties maximize score, then minimize m, then
-    # minimize last_kw.
+    # DP cell: (score, m, last_kw); the best cell maximizes score, then
+    # minimizes m, then minimizes last_kw.  Scores are float sums along each
+    # path, so paths whose real-valued scores tie (or nearly tie) are ordered
+    # by rounding, not by (m, last_kw): this is not the exact (score, -m, -n)
+    # order of the exhaustive search with exact sums in
+    # tests/helpers.py:viterbi_oracle(..., exact=True).
     score = [neg] * n_states
     seg_m = [unset] * n_states
     seg_n = [unset] * n_states

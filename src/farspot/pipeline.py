@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing as mp
+import os
+import traceback
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -292,17 +295,74 @@ def synth_items(spec: SynthTaskSpec, count: int, start_index: int = 0) -> list[T
 
 
 def _pmap(fn, jobs, workers: int):
-    """Map over per-utterance jobs, optionally with a process pool.
+    """[fn(job) for job in jobs], on up to `workers` forked processes.
 
-    Each job is independent and seeded by utterance index, so results do not
-    depend on the worker count.
+    Each job is independent and seeded by its inputs, so results do not
+    depend on the worker count.  Worker w runs jobs[w::n] and sends its
+    results back over a pipe that this thread reads; no helper thread
+    unpickles them.  Forking lets fn and the jobs be closures over large
+    arrays, which the workers share copy-on-write instead of receiving
+    pickled.  An exception raised by a job is raised here with its own type;
+    a worker that dies without a result raises PipelineError.
     """
+    jobs = list(jobs)
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
-    import multiprocessing as mp
+    ctx = mp.get_context("fork")
+    procs = []
+    results = [None] * len(jobs)
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            p = ctx.Process(target=_pmap_worker, args=(fn, jobs[w::workers], send))
+            procs.append((p, recv))
+            p.start()
+            send.close()  # so that recv sees EOF if the worker dies
+        for w, (p, recv) in enumerate(procs):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                p.join()
+                raise PipelineError(f"_pmap worker {w} died with exit code {p.exitcode} "
+                                    f"before returning its results") from None
+            if not ok:
+                raise value
+            results[w::workers] = value
+    finally:
+        for p, recv in procs:
+            recv.close()
+            if p.is_alive():
+                p.kill()
+            p.join()
+    return results
 
-    with mp.Pool(workers) as pool:
-        return pool.map(fn, jobs)
+
+def _pmap_worker(fn, jobs, conn) -> None:
+    try:
+        out = (True, [fn(job) for job in jobs])
+    except Exception as exc:
+        exc.add_note(f"raised in a _pmap worker:\n{traceback.format_exc()}")
+        out = (False, exc)
+    conn.send(out)
+
+
+def _blas_workers() -> int:
+    """Processes that fit beside BLAS: nCPU // t when BLAS is pinned to t
+    threads, 1 when it is not, since it then uses every CPU already."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        t = int(threads)
+    except (TypeError, ValueError):
+        return 1
+    if t < 1:
+        return 1
+    ncpu = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (ncpu or 1) // t)
+
+
+def _call(job):
+    return job()
 
 
 def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
@@ -794,9 +854,14 @@ class KwsCompressionConfig:
 
 def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
     """Train teacher/hard-student/distilled-student and report FA at the
-    target CA operating point for each."""
+    target CA operating point for each.
+
+    Only the distilled student needs the teacher, so the arms run as two
+    phases of independent jobs, in parallel when BLAS is pinned to fewer
+    threads than there are CPUs (see _blas_workers) and inline otherwise;
+    the results are the same either way.
+    """
     train_items = synth_items(hard_kws_task(1000 + cfg.seed), cfg.train_count)
-    test_items = synth_items(hard_kws_task(2000 + cfg.seed), cfg.test_count)
     input_dim = train_items[0].feats.shape[1]
 
     teacher_spec = ModelSpec(
@@ -812,24 +877,36 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
         criterion="ctc", learning_rate=cfg.learning_rate, lr_decay=cfg.lr_decay,
         epochs=cfg.teacher_epochs, seed=cfg.seed,
     )
-    teacher, _ = train(
-        netcore.init_network(teacher_spec, np.random.default_rng(cfg.seed)),
-        train_items, ctc_cfg,
-    )
-
     student_ctc_cfg = replace(ctc_cfg, epochs=cfg.student_epochs, seed=cfg.seed + 50)
-    hard_student, _ = train(
-        netcore.init_network(student_spec, np.random.default_rng(cfg.seed + 50)),
-        train_items, student_ctc_cfg,
-    )
-
     distill_cfg = replace(student_ctc_cfg, criterion="soft_ce")
-    distilled, _ = distill(teacher, student_spec, train_items, distill_cfg)
+    workers = _blas_workers()
+
+    def teacher_arm():
+        return train(netcore.init_network(teacher_spec, np.random.default_rng(cfg.seed)),
+                     train_items, ctc_cfg)[0]
+
+    def hard_arm():
+        test_items = synth_items(hard_kws_task(2000 + cfg.seed), cfg.test_count)
+        hard_student, _ = train(
+            netcore.init_network(student_spec, np.random.default_rng(cfg.seed + 50)),
+            train_items, student_ctc_cfg,
+        )
+        return test_items, hard_student, score_kws(hard_student, test_items)
+
+    teacher, (test_items, hard_student, hard_records) = _pmap(
+        _call, [teacher_arm, hard_arm], workers)
+
+    def distilled_arm():
+        distilled, _ = distill(teacher, student_spec, train_items, distill_cfg)
+        return distilled, score_kws(distilled, test_items)
+
+    (distilled, distilled_records), teacher_records = _pmap(
+        _call, [distilled_arm, lambda: score_kws(teacher, test_items)], workers)
 
     out = {"seed": cfg.seed, "target_ca": cfg.target_ca}
-    for name, net in (("teacher", teacher), ("hard_student", hard_student),
-                      ("distilled_student", distilled)):
-        records = score_kws(net, test_items)
+    for name, net, records in (("teacher", teacher, teacher_records),
+                               ("hard_student", hard_student, hard_records),
+                               ("distilled_student", distilled, distilled_records)):
         th, fa = fa_at_ca(records, cfg.target_ca)
         out[name] = {
             "fa": fa, "threshold": th,

@@ -82,6 +82,14 @@ class TestLogMel:
         # frames beyond the window/pad overlap region must agree
         assert np.allclose(full.frames[3:], tail.frames[1:], atol=1e-9)
 
+    def test_filterbank_is_built_once_and_read_only(self):
+        fb = featkit.mel_filterbank(20, 512, 16000)
+        assert featkit.mel_filterbank(20, 512, 16000) is fb
+        assert np.array_equal(fb, featkit.mel_filterbank.__wrapped__(20, 512, 16000))
+        assert featkit.mel_filterbank(21, 512, 16000).shape == (21, 257)
+        with pytest.raises(ValueError, match="read-only"):
+            fb[0, 0] = 1.0
+
 
 class TestStackFrames:
     def test_index_map_oracle(self):

@@ -1,4 +1,10 @@
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,6 +444,136 @@ class TestLadder:
         ts_same, _ = pipeline.adapt(teacher, train_pairs[: cfg.train_count], base)
         fer = pipeline.frame_error_rate(ts_same, test_pairs)
         assert fer == pytest.approx(rep.rows[2].far_fer, abs=1e-12)
+
+
+def _ncpu():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _pid_job(job):
+    return job, os.getpid()
+
+
+class TestPmap:
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # a _pmap that hangs fails the test instead of the whole run
+        def expire(signum, frame):
+            raise TimeoutError("_pmap did not return within 60 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+    @staticmethod
+    def _assert_reaped(pids):
+        assert not mp.active_children()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_results_in_job_order(self):
+        out = pipeline._pmap(_pid_job, range(7), 3)
+        assert [job for job, _ in out] == list(range(7))
+        pids = {pid for _, pid in out}
+        assert len(pids) == 3 and os.getpid() not in pids
+        assert [pid for _, pid in out[:3]] * 2 + [out[0][1]] == [pid for _, pid in out]
+        self._assert_reaped(pids)
+
+    def test_worker_exception_keeps_its_type_and_message(self, tmp_path):
+        items = pipeline.synth_items(_small_task(), 3)
+        feats = items[1].feats.copy()
+        feats[0, 0] = np.inf
+        items[1] = replace(items[1], feats=feats)
+        net = netcore.init_network(_tiny_model(feats.shape[1]), np.random.default_rng(0))
+
+        def job(i):
+            (tmp_path / f"{os.getpid()}.pid").touch()
+            if i == 1:
+                pipeline.train(net, items, TrainConfig(epochs=1, batch_size=1))
+            return i
+
+        with pytest.raises(PipelineError) as inline:
+            job(1)
+        with pytest.raises(PipelineError) as forked:
+            pipeline._pmap(job, range(4), 2)
+        assert type(forked.value) is type(inline.value)
+        assert str(forked.value) == str(inline.value)
+        assert "non-finite" in str(forked.value)
+        self._assert_reaped(int(p.stem) for p in tmp_path.glob("*.pid")
+                            if int(p.stem) != os.getpid())
+
+    def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
+        def job(i):
+            (tmp_path / f"{os.getpid()}.pid").touch()
+            if i == 2:
+                os._exit(7)
+            return i
+
+        with pytest.raises(PipelineError, match="died with exit code 7"):
+            pipeline._pmap(job, range(4), 2)
+        self._assert_reaped(int(p.stem) for p in tmp_path.glob("*.pid"))
+
+    def test_blas_workers_follow_the_thread_pinning(self, monkeypatch):
+        ncpu = _ncpu()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert pipeline._blas_workers() == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert pipeline._blas_workers() == ncpu
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(ncpu))  # takes precedence
+        assert pipeline._blas_workers() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+        assert pipeline._blas_workers() == 1
+        # platforms without sched_getaffinity (macOS) count every CPU
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert pipeline._blas_workers() == 4
+
+
+def test_compression_experiment_independent_of_workers(tmp_path):
+    # One run with BLAS at 1 thread (parallel arms), one at nCPU threads
+    # (inline arms), each in its own process because BLAS reads its thread
+    # count at start-up.
+    ncpu = _ncpu()
+    if ncpu < 2:
+        pytest.skip("parallel arms need 2 or more CPUs")
+    script = (
+        "import sys\n"
+        "from farspot import pipeline\n"
+        "print(pipeline._blas_workers())\n"
+        "pipeline.kws_compression_experiment(pipeline.KwsCompressionConfig(\n"
+        "    seed=3, train_count=16, test_count=20, teacher_hidden=12, student_hidden=6,\n"
+        "    teacher_epochs=2, student_epochs=2, out_dir=sys.argv[1]))\n"
+    )
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (1, ncpu):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("OMP_NUM_THREADS", None)
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[0]) == ncpu // threads
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert set(outputs[0]) == {"report.json"} | {
+        f"{n}.{ext}" for n in ("teacher", "hard_student", "distilled_student")
+        for ext in ("ckpt", "scores")}
+    assert outputs[0] == outputs[1]
+
+    # the hard student equals one trained in this process by train()
+    items = pipeline.synth_items(pipeline.hard_kws_task(1003), 16)
+    spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=2, hidden=6, projection=0,
+                     output_dim=pipeline.KWS_OUTPUT_DIM, peepholes=False)
+    cfg = TrainConfig(criterion="ctc", learning_rate=0.2, lr_decay=0.95, epochs=2, seed=53)
+    hard, _ = pipeline.train(netcore.init_network(spec, np.random.default_rng(53)), items, cfg)
+    netcore.save_checkpoint(hard, tmp_path / "hard.ckpt")
+    assert (tmp_path / "hard.ckpt").read_bytes() == outputs[0]["hard_student.ckpt"]
 
 
 class TestCtcSymbols:
