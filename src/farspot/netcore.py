@@ -26,6 +26,17 @@ Recurrence (c = cell, m = hidden, r = recurrent output):
     o_t           = sigmoid(z_o + p_o * c_t)
     m_t           = o_t * tanh(c_t)
     r_t           = proj @ m_t        (or m_t when projection = 0)
+
+Summation order.  A checkpoint's bits depend on the order of every gradient
+sum, and `np.einsum` sums in the memory order of its operands.
+The LSTM weight gradients are summed over (batch b, frame t) as follows:
+    l{i}.wx          b-major when the layer input is a contiguous (B, T, d)
+                     batch (layer 0), through a b-major copy of dz; t-major
+                     when it is the (B, T, r) view of the (T, B, r) output of
+                     the layer below
+    l{i}.wr          t-major
+`backward_batch` must match the plain per-frame BPTT of tests/helpers.py bit
+for bit.
 """
 
 from __future__ import annotations
@@ -244,8 +255,13 @@ def init_network(
     return net
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """In-place logistic 1 / (1 + exp(-x)), in the same four steps as the
+    plain expression so every bit matches it."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(x, 1.0, out=x)
+    return np.divide(1.0, x, out=x)
 
 
 def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
@@ -273,42 +289,44 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
         peep = net.block(f"l{li}.peep") if spec.peepholes else None
         proj = net.weight(f"l{li}.proj") if spec.projection > 0 else None
 
-        xpart = seq @ wx.T + bias  # (B, T, 4h)
-        gi = np.zeros((t, b, h), dtype=dtype)
-        gf = np.zeros((t, b, h), dtype=dtype)
-        gg = np.zeros((t, b, h), dtype=dtype)
-        go = np.zeros((t, b, h), dtype=dtype)
-        cc = np.zeros((t, b, h), dtype=dtype)
-        mm = np.zeros((t, b, h), dtype=dtype)
-        rr = np.zeros((t, b, r_size), dtype=dtype)
+        # per frame, the gates [i, f, g, o] as four contiguous (B, h) blocks:
+        # pre-activations, then activations in place; g's block is scratch
+        # and tanh(z_g) goes to gg
+        act = np.ascontiguousarray((seq @ wx.T + bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
+        gg = np.empty((t, b, h), dtype=dtype)
+        cc = np.empty((t, b, h), dtype=dtype)
+        mm = np.empty((t, b, h), dtype=dtype)
+        rr = np.empty((t, b, r_size), dtype=dtype) if proj is not None else mm
+        tanh_c = np.empty((b, h), dtype=dtype)
 
         c_prev = np.zeros((b, h), dtype=dtype)
         r_prev = np.zeros((b, r_size), dtype=dtype)
         for ti in range(t):
-            z = xpart[:, ti] + r_prev @ wr.T
-            zi, zf, zg, zo = z[:, :h], z[:, h : 2 * h], z[:, 2 * h : 3 * h], z[:, 3 * h :]
-            if peep is not None:
-                i_t = _sigmoid(zi + peep[:h] * c_prev)
-                f_t = _sigmoid(zf + peep[h : 2 * h] * c_prev)
+            z = act[ti]
+            z += (r_prev @ wr.T).reshape(b, 4, h).transpose(1, 0, 2)
+            np.tanh(z[2], out=gg[ti])
+            if peep is None:
+                _sigmoid_(z)  # i, f and o in one pass
             else:
-                i_t = _sigmoid(zi)
-                f_t = _sigmoid(zf)
-            g_t = np.tanh(zg)
-            c_t = f_t * c_prev + i_t * g_t
+                z[0] += peep[:h] * c_prev
+                z[1] += peep[h : 2 * h] * c_prev
+                _sigmoid_(z[:2])
+            c_t = np.multiply(z[1], c_prev, out=cc[ti])
+            c_t += z[0] * gg[ti]
+            o_t = z[3]
             if peep is not None:
-                o_t = _sigmoid(zo + peep[2 * h :] * c_t)
-            else:
-                o_t = _sigmoid(zo)
-            m_t = o_t * np.tanh(c_t)
-            r_t = m_t @ proj.T if proj is not None else m_t
-            gi[ti], gf[ti], gg[ti], go[ti] = i_t, f_t, g_t, o_t
-            cc[ti], mm[ti], rr[ti] = c_t, m_t, r_t
-            c_prev, r_prev = c_t, r_t
+                o_t += peep[2 * h :] * c_t
+                _sigmoid_(o_t)
+            np.multiply(o_t, np.tanh(c_t, out=tanh_c), out=mm[ti])
+            if proj is not None:
+                rr[ti] = mm[ti] @ proj.T
+            c_prev, r_prev = c_t, rr[ti]
 
         if want_cache:
-            cache["layers"].append(
-                {"in": seq, "i": gi, "f": gf, "g": gg, "o": go, "c": cc, "m": mm, "r": rr}
-            )
+            cache["layers"].append({
+                "in": seq, "i": act[:, 0], "f": act[:, 1], "g": gg, "o": act[:, 3],
+                "c": cc, "m": mm, "r": rr,
+            })
         seq = np.transpose(rr, (1, 0, 2))  # (B, T, r)
 
     logits = seq @ net.weight("out.w").T + net.block("out.b")
@@ -347,43 +365,67 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
         gi, gf, gg, go = lc["i"], lc["f"], lc["g"], lc["o"]
         cc, mm, rr = lc["c"], lc["m"], lc["r"]
         tanh_c = np.tanh(cc)
+        # the gates' derivative factors, in the same precision as the cache
+        d_tanh_c = 1.0 - tanh_c**2
+        d_gi, d_gf, d_go = 1.0 - gi, 1.0 - gf, 1.0 - go
+        d_gg = 1.0 - gg**2
 
-        dz_all = np.zeros((t, b, 4 * h))
+        dz_all = np.empty((t, b, 4 * h))
+        dz_gates = np.empty((4, b, h))
+        dzi, dzf, dzg, dzo = dz_gates
         dproj = np.zeros_like(proj) if proj is not None else None
         dpeep = np.zeros(3 * h) if peep is not None else None
         dr_rec = np.zeros((b, rr.shape[2]))
         dc_next = np.zeros((b, h))
+        c_zero = np.zeros((b, h))
+        dc = np.empty((b, h))
         for ti in reversed(range(t)):
-            c_prev = cc[ti - 1] if ti > 0 else np.zeros((b, h))
+            c_prev = cc[ti - 1] if ti > 0 else c_zero
             dr = dseq[:, ti] + dr_rec
             if proj is not None:
                 dproj += dr.T @ mm[ti]
                 dm = dr @ proj
             else:
                 dm = dr
-            do = dm * tanh_c[ti]
-            dzo = do * go[ti] * (1.0 - go[ti])
-            dc = dc_next + dm * go[ti] * (1.0 - tanh_c[ti] ** 2)
+            # each product keeps the association ((a * b) * c) of the plain
+            # per-frame expressions, so the bits do not change
+            np.multiply(dm, tanh_c[ti], out=dzo)
+            dzo *= go[ti]
+            dzo *= d_go[ti]
+            np.multiply(dm, go[ti], out=dc)
+            dc *= d_tanh_c[ti]
+            dc += dc_next
             if peep is not None:
-                dc = dc + dzo * peep[2 * h :]
+                dc += dzo * peep[2 * h :]
                 dpeep[2 * h :] += np.sum(dzo * cc[ti], axis=0)
-            di = dc * gg[ti]
-            df = dc * c_prev
-            dg = dc * gi[ti]
-            dzi = di * gi[ti] * (1.0 - gi[ti])
-            dzf = df * gf[ti] * (1.0 - gf[ti])
-            dzg = dg * (1.0 - gg[ti] ** 2)
+            np.multiply(dc, gg[ti], out=dzi)
+            dzi *= gi[ti]
+            dzi *= d_gi[ti]
+            np.multiply(dc, c_prev, out=dzf)
+            dzf *= gf[ti]
+            dzf *= d_gf[ti]
+            np.multiply(dc, gi[ti], out=dzg)
+            dzg *= d_gg[ti]
             dc_next = dc * gf[ti]
             if peep is not None:
-                dc_next = dc_next + dzi * peep[:h] + dzf * peep[h : 2 * h]
+                dc_next += dzi * peep[:h]
+                dc_next += dzf * peep[h : 2 * h]
                 dpeep[:h] += np.sum(dzi * c_prev, axis=0)
                 dpeep[h : 2 * h] += np.sum(dzf * c_prev, axis=0)
-            dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
-            dz_all[ti] = dz
+            dz = dz_all[ti]
+            np.copyto(dz.reshape(b, 4, h), dz_gates.transpose(1, 0, 2))
             dr_rec = dz @ wr
+        # free the whole-sequence factors before the contractions' temporaries
+        del tanh_c, d_tanh_c, d_gi, d_gf, d_go, d_gg
 
         x_in = lc["in"]  # (B, T, d)
-        sink.add_weight_grad(f"l{li}.wx", np.einsum("tbz,btd->zd", dz_all, x_in))
+        if x_in.flags.c_contiguous:
+            # einsum sums a batch-major input over (b, t); so does this
+            # batch-major copy of dz, only faster
+            dwx = np.einsum("btz,btd->zd", np.ascontiguousarray(dz_all.transpose(1, 0, 2)), x_in)
+        else:
+            dwx = np.einsum("tbz,btd->zd", dz_all, x_in)
+        sink.add_weight_grad(f"l{li}.wx", dwx)
         r_prev_seq = np.zeros_like(rr)
         r_prev_seq[1:] = rr[:-1]
         sink.add_weight_grad(f"l{li}.wr", np.einsum("tbz,tbr->zr", dz_all, r_prev_seq))
@@ -393,7 +435,8 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
         if proj is not None:
             sink.add_weight_grad(f"l{li}.proj", dproj)
 
-        dseq = np.transpose(dz_all @ wx, (1, 0, 2))  # grad w.r.t. layer input
+        if li > 0:
+            dseq = np.transpose(dz_all @ wx, (1, 0, 2))  # grad w.r.t. layer input
 
     return sink.grad
 

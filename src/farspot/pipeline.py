@@ -780,10 +780,15 @@ def adapt(
 
 def frame_error_rate(net: Network, items: list[TrainItem]) -> float:
     """Fraction of frames whose argmax posterior disagrees with the label."""
+    if not items:
+        raise PipelineError("frame error rate of no utterances")
     wrong = total = 0
     for it in items:
         if it.frame_labels is None:
             raise PipelineError(f"{it.utt_id}: frame labels required for FER")
+        if len(it.frame_labels) != it.num_frames:
+            raise PipelineError(f"{it.utt_id}: {len(it.frame_labels)} frame labels "
+                                f"for {it.num_frames} frames")
         logits, _ = netcore.forward_batch(net, it.feats[None], want_cache=False)
         pred = np.argmax(logits[0], axis=1)
         wrong += int(np.sum(pred != it.frame_labels))

@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
+from farspot.netcore import GradientSink, Network, NetworkError
+
 
 def grad_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Whole-vector relative error ||a - n|| / max(||a||, ||n||)."""
@@ -120,3 +122,163 @@ def viterbi_oracle(rows: np.ndarray, units, silence, garbage, blank, exact: bool
             best = cand
             best_seg = (m, n)
     return best_seg
+
+
+# ---------------------------------------------------------------------------
+# Reference LSTM kernels: the straightforward per-frame forward pass and BPTT
+# that `netcore.forward_batch`/`backward_batch` must reproduce bit for bit.
+# The weight-gradient contractions' summation order depends on the memory
+# layout of their operands, so this copy is kept as written, not tidied.
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
+    """Run the network over a padded batch.
+
+    x: (B, T, input_dim).  Returns (logits (B, T, N), cache).  Padded frames
+    are computed like any other; callers mask them in the loss (padding must
+    sit at the end of each sequence).
+    """
+    spec = net.spec
+    x = np.asarray(x)
+    if x.ndim != 3 or x.shape[2] != spec.input_dim:
+        raise NetworkError(f"input shape {x.shape} incompatible with input_dim {spec.input_dim}")
+    b, t, _ = x.shape
+    h = spec.hidden
+    r_size = spec.recurrent_size
+    dtype = net.parameters.dtype
+
+    cache = {"x": x, "layers": []} if want_cache else None
+    seq = x.astype(dtype, copy=False)
+    for li in range(spec.layers):
+        wx = net.weight(f"l{li}.wx")
+        wr = net.weight(f"l{li}.wr")
+        bias = net.block(f"l{li}.bias")
+        peep = net.block(f"l{li}.peep") if spec.peepholes else None
+        proj = net.weight(f"l{li}.proj") if spec.projection > 0 else None
+
+        xpart = seq @ wx.T + bias  # (B, T, 4h)
+        gi = np.zeros((t, b, h), dtype=dtype)
+        gf = np.zeros((t, b, h), dtype=dtype)
+        gg = np.zeros((t, b, h), dtype=dtype)
+        go = np.zeros((t, b, h), dtype=dtype)
+        cc = np.zeros((t, b, h), dtype=dtype)
+        mm = np.zeros((t, b, h), dtype=dtype)
+        rr = np.zeros((t, b, r_size), dtype=dtype)
+
+        c_prev = np.zeros((b, h), dtype=dtype)
+        r_prev = np.zeros((b, r_size), dtype=dtype)
+        for ti in range(t):
+            z = xpart[:, ti] + r_prev @ wr.T
+            zi, zf, zg, zo = z[:, :h], z[:, h : 2 * h], z[:, 2 * h : 3 * h], z[:, 3 * h :]
+            if peep is not None:
+                i_t = _sigmoid(zi + peep[:h] * c_prev)
+                f_t = _sigmoid(zf + peep[h : 2 * h] * c_prev)
+            else:
+                i_t = _sigmoid(zi)
+                f_t = _sigmoid(zf)
+            g_t = np.tanh(zg)
+            c_t = f_t * c_prev + i_t * g_t
+            if peep is not None:
+                o_t = _sigmoid(zo + peep[2 * h :] * c_t)
+            else:
+                o_t = _sigmoid(zo)
+            m_t = o_t * np.tanh(c_t)
+            r_t = m_t @ proj.T if proj is not None else m_t
+            gi[ti], gf[ti], gg[ti], go[ti] = i_t, f_t, g_t, o_t
+            cc[ti], mm[ti], rr[ti] = c_t, m_t, r_t
+            c_prev, r_prev = c_t, r_t
+
+        if want_cache:
+            cache["layers"].append(
+                {"in": seq, "i": gi, "f": gf, "g": gg, "o": go, "c": cc, "m": mm, "r": rr}
+            )
+        seq = np.transpose(rr, (1, 0, 2))  # (B, T, r)
+
+    logits = seq @ net.weight("out.w").T + net.block("out.b")
+    if want_cache:
+        cache["top"] = seq
+        cache["logits"] = logits
+    return logits, cache
+
+
+def reference_backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar loss w.r.t. all parameters.
+
+    dlogits: (B, T, N) upstream gradient w.r.t. the output-layer logits; must
+    be zero on padded frames.  Returns a flat vector in parameter layout.
+    """
+    spec = net.spec
+    dlogits = np.asarray(dlogits, dtype=np.float64)
+    if dlogits.shape != cache["logits"].shape:
+        raise NetworkError("upstream gradient shape does not match cached forward")
+    b, t, _ = dlogits.shape
+    h = spec.hidden
+    sink = GradientSink(net)
+
+    top = cache["top"]
+    sink.add_weight_grad("out.w", np.einsum("btn,btr->nr", dlogits, top))
+    sink.view("out.b")[...] += dlogits.sum(axis=(0, 1))
+    dseq = dlogits @ net.weight("out.w")  # (B, T, r_top)
+
+    for li in reversed(range(spec.layers)):
+        lc = cache["layers"][li]
+        wx = net.weight(f"l{li}.wx")
+        wr = net.weight(f"l{li}.wr")
+        peep = net.block(f"l{li}.peep") if spec.peepholes else None
+        proj = net.weight(f"l{li}.proj") if spec.projection > 0 else None
+
+        gi, gf, gg, go = lc["i"], lc["f"], lc["g"], lc["o"]
+        cc, mm, rr = lc["c"], lc["m"], lc["r"]
+        tanh_c = np.tanh(cc)
+
+        dz_all = np.zeros((t, b, 4 * h))
+        dproj = np.zeros_like(proj) if proj is not None else None
+        dpeep = np.zeros(3 * h) if peep is not None else None
+        dr_rec = np.zeros((b, rr.shape[2]))
+        dc_next = np.zeros((b, h))
+        for ti in reversed(range(t)):
+            c_prev = cc[ti - 1] if ti > 0 else np.zeros((b, h))
+            dr = dseq[:, ti] + dr_rec
+            if proj is not None:
+                dproj += dr.T @ mm[ti]
+                dm = dr @ proj
+            else:
+                dm = dr
+            do = dm * tanh_c[ti]
+            dzo = do * go[ti] * (1.0 - go[ti])
+            dc = dc_next + dm * go[ti] * (1.0 - tanh_c[ti] ** 2)
+            if peep is not None:
+                dc = dc + dzo * peep[2 * h :]
+                dpeep[2 * h :] += np.sum(dzo * cc[ti], axis=0)
+            di = dc * gg[ti]
+            df = dc * c_prev
+            dg = dc * gi[ti]
+            dzi = di * gi[ti] * (1.0 - gi[ti])
+            dzf = df * gf[ti] * (1.0 - gf[ti])
+            dzg = dg * (1.0 - gg[ti] ** 2)
+            dc_next = dc * gf[ti]
+            if peep is not None:
+                dc_next = dc_next + dzi * peep[:h] + dzf * peep[h : 2 * h]
+                dpeep[:h] += np.sum(dzi * c_prev, axis=0)
+                dpeep[h : 2 * h] += np.sum(dzf * c_prev, axis=0)
+            dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
+            dz_all[ti] = dz
+            dr_rec = dz @ wr
+
+        x_in = lc["in"]  # (B, T, d)
+        sink.add_weight_grad(f"l{li}.wx", np.einsum("tbz,btd->zd", dz_all, x_in))
+        r_prev_seq = np.zeros_like(rr)
+        r_prev_seq[1:] = rr[:-1]
+        sink.add_weight_grad(f"l{li}.wr", np.einsum("tbz,tbr->zr", dz_all, r_prev_seq))
+        sink.view(f"l{li}.bias")[...] += dz_all.sum(axis=(0, 1))
+        if peep is not None:
+            sink.view(f"l{li}.peep")[...] += dpeep
+        if proj is not None:
+            sink.add_weight_grad(f"l{li}.proj", dproj)
+
+        dseq = np.transpose(dz_all @ wx, (1, 0, 2))  # grad w.r.t. layer input
+
+    return sink.grad

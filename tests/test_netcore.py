@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -14,7 +15,14 @@ from farspot.netcore import (
     init_network,
     param_count,
 )
-from helpers import BYTE_FLIPS, central_diff_grad, flip_bytes, grad_rel_err
+from helpers import (
+    BYTE_FLIPS,
+    central_diff_grad,
+    flip_bytes,
+    grad_rel_err,
+    reference_backward_batch,
+    reference_forward_batch,
+)
 
 
 def _tiny_spec(**kw):
@@ -232,6 +240,60 @@ class TestBackward:
             lg, c = netcore.forward_batch(net, frames[None])
             separate += netcore.backward_batch(net, c, lg - tgt[None])
         assert np.allclose(batched, separate, atol=1e-10)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelsMatchReference:
+    """`forward_batch`/`backward_batch` against the plain per-frame kernels in
+    helpers: logits and gradients must be equal byte for byte, because
+    checkpoints, scores and FAs depend on every bit.  The weight gradients'
+    summation order follows the memory layout of their operands, and that
+    layout differs between layer 0 and deeper layers, hence 1-3 layers."""
+
+    @staticmethod
+    def _check(spec, dtype, lengths, seed, time_major_input=False):
+        rng = np.random.default_rng(seed)
+        net = init_network(spec, rng, dtype=dtype)
+        net.parameters[...] = rng.normal(0.0, 0.5, net.parameters.shape)
+        b, t = len(lengths), max(lengths)
+        x = np.zeros((b, t, spec.input_dim))
+        dlogits = np.zeros((b, t, spec.output_dim))
+        for j, n in enumerate(lengths):  # trailing padding, zero upstream there
+            x[j, :n] = rng.standard_normal((n, spec.input_dim))
+            dlogits[j, :n] = rng.standard_normal((n, spec.output_dim))
+        if time_major_input:  # a (B, T, d) view of a (T, B, d) array
+            x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+        ref_logits, ref_cache = reference_forward_batch(net, x)
+        logits, cache = netcore.forward_batch(net, x)
+        assert _same_bytes(logits, ref_logits)
+        assert _same_bytes(netcore.forward_batch(net, x, want_cache=False)[0], ref_logits)
+        ref_grad = reference_backward_batch(net, ref_cache, dlogits)
+        grad = netcore.backward_batch(net, cache, dlogits)
+        assert _same_bytes(grad, ref_grad), np.max(np.abs(grad - ref_grad))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("peepholes", [False, True])
+    @pytest.mark.parametrize("projection", [0, 4])
+    def test_bit_identical_to_reference(self, layers, peepholes, projection):
+        factored = {f"l{i}.{w}": 3 for i in range(layers) for w in ("wx", "wr")}
+        for svd, dtype, b in itertools.product(
+            [False, True], [np.float64, np.float32], [1, 3, 8, 16]
+        ):
+            spec = ModelSpec(input_dim=11, layers=layers, hidden=9, projection=projection,
+                             output_dim=5, peepholes=peepholes,
+                             svd_rank=tuple(sorted(factored.items())) if svd else None)
+            lengths = [9 - 2 * (j % 4) for j in range(b)]
+            self._check(spec, dtype, lengths, seed=layers * 1000 + b)
+            self._check(spec, dtype, lengths, seed=layers * 1000 + b + 1,
+                        time_major_input=True)
+
+    def test_bit_identical_at_kws_teacher_shape(self):
+        spec = ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5, peepholes=False)
+        self._check(spec, np.float64, [38] * 12 + [30, 25, 20, 14], seed=3)
 
 
 class TestSvdCompression:

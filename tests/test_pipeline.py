@@ -380,6 +380,23 @@ class TestEvaluationHelpers:
         wrong = sum(int(np.sum(np.asarray(it.frame_labels) != 0)) for it in items)
         assert fer == pytest.approx(wrong / total)
 
+    def test_frame_error_rate_of_no_items_rejected(self):
+        spec = _tiny_model(24)
+        net = netcore.Network(spec, np.zeros(netcore.param_count(spec)))
+        with pytest.raises(PipelineError, match="no utterances"):
+            pipeline.frame_error_rate(net, [])
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_frame_error_rate_label_count_must_match_frames(self, delta):
+        items = pipeline.synth_items(_small_task(), 2)
+        spec = _tiny_model(items[0].feats.shape[1])
+        net = netcore.Network(spec, np.zeros(netcore.param_count(spec)))
+        bad = items[1]
+        n = bad.num_frames + delta
+        items[1] = replace(bad, frame_labels=np.resize(bad.frame_labels, n))
+        with pytest.raises(PipelineError, match=f"{bad.utt_id}: {n} frame labels"):
+            pipeline.frame_error_rate(net, items)
+
     def test_score_kws_produces_one_record_per_item(self):
         items = pipeline.synth_items(_small_task(), 4)
         spec = _tiny_model(items[0].feats.shape[1])
