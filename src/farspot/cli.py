@@ -212,6 +212,13 @@ def cmd_spot(args, cfg):
 
 
 def cmd_eval(args, cfg):
+    try:
+        if args.threshold is None:
+            kws.check_target_ca(args.target_ca)
+        else:
+            kws.check_threshold(args.threshold)
+    except kws.KwsError as e:
+        raise ConfigError(f"bad operating point: {e}")
     records = kws.read_scores(args.scores)
     scores = [(s, p) for _, s, p, _ in records]
     durations = [(-1.0 if d is None else d / 3600.0) for _, _, _, d in records]

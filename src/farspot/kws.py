@@ -241,6 +241,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def check_target_ca(target_ca: float) -> None:
+    if not 0.0 < target_ca <= 1.0:  # also rejects NaN
+        raise KwsError(f"target CA must be in (0, 1], got {target_ca}")
+
+
+def check_threshold(threshold: float) -> None:
+    if not math.isfinite(threshold):
+        raise KwsError(f"threshold must be finite, got {threshold}")
+
+
 def evaluate(
     scores: list[tuple[float, bool]],
     threshold: float,
@@ -248,6 +258,7 @@ def evaluate(
     with_roc: bool = False,
 ) -> EvalReport:
     """Exact CA/FA counts at one threshold (accept iff score >= threshold)."""
+    check_threshold(threshold)
     pos = [s for s, is_pos in scores if is_pos]
     neg = [s for s, is_pos in scores if not is_pos]
     if not pos or not neg:
@@ -282,6 +293,7 @@ def evaluate(
 
 def threshold_at_ca(scores: list[tuple[float, bool]], target_ca: float = 0.96) -> float:
     """Largest threshold whose CA still reaches target_ca."""
+    check_target_ca(target_ca)
     pos = sorted((s for s, is_pos in scores if is_pos), reverse=True)
     if not pos:
         raise KwsError("no positive utterances in score list")

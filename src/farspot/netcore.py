@@ -37,6 +37,19 @@ The LSTM weight gradients are summed over (batch b, frame t) as follows:
     l{i}.wr          t-major
 `backward_batch` must match the plain per-frame BPTT of tests/helpers.py bit
 for bit.
+
+Batch invariance.  BLAS picks its kernel, and so the rounding of a product,
+by the operands' shapes: an (M, k) @ (k, n) product with M = 1 runs as a
+matrix-vector product, and the row blocking of a matrix-matrix product
+depends on M.  So a row of a batched forward need not equal the same
+utterance run alone.  Given `lengths`, `forward_batch` takes every product
+whose shape depends on the batch once per utterance, in the shapes of the
+one-utterance forward:
+    input projection, output layer   (1, T_j, k) @ w.T, one call per utterance
+    recurrent and projection         (B, 1, k) @ w.T per frame, B 1-row products
+The gate math is elementwise and equal on any row, so each row of the batch
+is byte for byte the forward of that utterance alone.  Training keeps the
+plain batched products: its checkpoints were made with them.
 """
 
 from __future__ import annotations
@@ -264,12 +277,14 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
-def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
+def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=None):
     """Run the network over a padded batch.
 
     x: (B, T, input_dim).  Returns (logits (B, T, N), cache).  Padded frames
     are computed like any other; callers mask them in the loss (padding must
-    sit at the end of each sequence).
+    sit at the end of each sequence).  With `lengths`, the real frame count
+    of each sequence, row j of the logits equals the forward of x[j, :n_j]
+    alone byte for byte (see "Batch invariance"), and padded frames are 0.
     """
     spec = net.spec
     x = np.asarray(x)
@@ -279,6 +294,21 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
     h = spec.hidden
     r_size = spec.recurrent_size
     dtype = net.parameters.dtype
+    if lengths is not None:
+        lengths = [int(n) for n in lengths]
+        if len(lengths) != b or not all(0 <= n <= t for n in lengths):
+            raise NetworkError(f"lengths {lengths} do not fit a batch of shape {x.shape}")
+
+    def seq_product(seq, w):  # (B, T, k) @ w.T
+        if lengths is None:
+            return seq @ w.T
+        out = np.zeros((b, t, w.shape[0]), dtype=dtype)
+        for j, n in enumerate(lengths):
+            out[j, :n] = seq[j : j + 1, :n] @ w.T
+        return out
+
+    def frame_product(v, w):  # (B, k) @ w.T
+        return v @ w.T if lengths is None else (v[:, None] @ w.T)[:, 0]
 
     cache = {"x": x, "layers": []} if want_cache else None
     seq = x.astype(dtype, copy=False)
@@ -292,7 +322,8 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
         # per frame, the gates [i, f, g, o] as four contiguous (B, h) blocks:
         # pre-activations, then activations in place; g's block is scratch
         # and tanh(z_g) goes to gg
-        act = np.ascontiguousarray((seq @ wx.T + bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
+        act = np.ascontiguousarray(
+            (seq_product(seq, wx) + bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
         gg = np.empty((t, b, h), dtype=dtype)
         cc = np.empty((t, b, h), dtype=dtype)
         mm = np.empty((t, b, h), dtype=dtype)
@@ -303,7 +334,7 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
         r_prev = np.zeros((b, r_size), dtype=dtype)
         for ti in range(t):
             z = act[ti]
-            z += (r_prev @ wr.T).reshape(b, 4, h).transpose(1, 0, 2)
+            z += frame_product(r_prev, wr).reshape(b, 4, h).transpose(1, 0, 2)
             np.tanh(z[2], out=gg[ti])
             if peep is None:
                 _sigmoid_(z)  # i, f and o in one pass
@@ -319,7 +350,7 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
                 _sigmoid_(o_t)
             np.multiply(o_t, np.tanh(c_t, out=tanh_c), out=mm[ti])
             if proj is not None:
-                rr[ti] = mm[ti] @ proj.T
+                rr[ti] = frame_product(mm[ti], proj)
             c_prev, r_prev = c_t, rr[ti]
 
         if want_cache:
@@ -329,7 +360,10 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True):
             })
         seq = np.transpose(rr, (1, 0, 2))  # (B, T, r)
 
-    logits = seq @ net.weight("out.w").T + net.block("out.b")
+    logits = seq_product(seq, net.weight("out.w")) + net.block("out.b")
+    if lengths is not None:
+        for j, n in enumerate(lengths):
+            logits[j, n:] = 0.0
     if want_cache:
         cache["top"] = seq
         cache["logits"] = logits

@@ -634,6 +634,27 @@ def _batches(items: list[TrainItem], batch_size: int):
     return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
+def _infer(net: Network, items: list[TrainItem]) -> list[np.ndarray]:
+    """Each item's logits (T, N), in item order, from length-bucketed batches
+    of 16; byte for byte the logits of the item run alone."""
+    logits_of = {}
+    for batch in _batches(items, 16):
+        if len(batch) == 1:
+            logits, _ = netcore.forward_batch(net, batch[0].feats[None], want_cache=False)
+        else:
+            lengths = [it.num_frames for it in batch]
+            x = _padded([it.feats for it in batch], max(lengths), net.spec.input_dim)
+            logits, _ = netcore.forward_batch(net, x, want_cache=False, lengths=lengths)
+        for it, row in zip(batch, logits):
+            logits_of[id(it)] = row[: it.num_frames]
+    return [logits_of[id(it)] for it in items]
+
+
+def _posteriors(logits: np.ndarray) -> netcore.Posteriorgram:
+    """One utterance's posteriors from its logits, as `netcore.forward`."""
+    return netcore.Posteriorgram(netcore.softmax(logits.astype(np.float64)))
+
+
 def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig,
                          teacher: Network | None):
     crit = _CRITERIA[cfg.criterion]
@@ -715,27 +736,25 @@ def compute_teacher_posteriors(
     (spec and parameters) and of the utterance's features, so another teacher
     or changed features miss the cache instead of reading stale rows.
     """
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        teacher_key = hashlib.sha256(json.dumps(teacher.spec.to_dict(), sort_keys=True).encode())
-        teacher_key.update(teacher.parameters.dtype.str.encode() + teacher.parameters.tobytes())
-    out = []
+    if cache_dir is None:
+        return [replace(it, teacher_rows=_posteriors(logits).rows)
+                for it, logits in zip(items, _infer(teacher, items))]
+    cache_dir = Path(cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    teacher_key = hashlib.sha256(json.dumps(teacher.spec.to_dict(), sort_keys=True).encode())
+    teacher_key.update(teacher.parameters.dtype.str.encode() + teacher.parameters.tobytes())
+    paths = []
     for it in items:
-        if cache_dir is None:
-            rows = netcore.forward(teacher, it.feats).rows
-        else:
-            key = teacher_key.copy()
-            key.update(f"{it.feats.dtype.str}{it.feats.shape}".encode() + it.feats.tobytes())
-            p = cache_dir / f"{it.utt_id}.{key.hexdigest()[:16]}.fspc"
-            if not p.exists():
-                rows = netcore.forward(teacher, it.feats).rows
-                criteria.write_posterior_cache(p, it.utt_id, rows)
-            # read back even what was just written, so runs with a warm cache
-            # are bit-identical to the run that filled it
-            _, rows = criteria.read_posterior_cache(p)
-        out.append(replace(it, teacher_rows=rows))
-    return out
+        key = teacher_key.copy()
+        key.update(f"{it.feats.dtype.str}{it.feats.shape}".encode() + it.feats.tobytes())
+        paths.append(cache_dir / f"{it.utt_id}.{key.hexdigest()[:16]}.fspc")
+    misses = [(it, p) for it, p in zip(items, paths) if not p.exists()]
+    for (it, p), logits in zip(misses, _infer(teacher, [it for it, _ in misses])):
+        criteria.write_posterior_cache(p, it.utt_id, _posteriors(logits).rows)
+    # read back even what was just written, so runs with a warm cache are
+    # bit-identical to the run that filled it
+    return [replace(it, teacher_rows=criteria.read_posterior_cache(p)[1])
+            for it, p in zip(items, paths)]
 
 
 def distill(
@@ -782,30 +801,24 @@ def frame_error_rate(net: Network, items: list[TrainItem]) -> float:
     """Fraction of frames whose argmax posterior disagrees with the label."""
     if not items:
         raise PipelineError("frame error rate of no utterances")
-    wrong = total = 0
     for it in items:
         if it.frame_labels is None:
             raise PipelineError(f"{it.utt_id}: frame labels required for FER")
         if len(it.frame_labels) != it.num_frames:
             raise PipelineError(f"{it.utt_id}: {len(it.frame_labels)} frame labels "
                                 f"for {it.num_frames} frames")
-        logits, _ = netcore.forward_batch(net, it.feats[None], want_cache=False)
-        pred = np.argmax(logits[0], axis=1)
-        wrong += int(np.sum(pred != it.frame_labels))
-        total += it.num_frames
-    return wrong / total
+    wrong = sum(int(np.sum(np.argmax(logits, axis=1) != it.frame_labels))
+                for it, logits in zip(items, _infer(net, items)))
+    return wrong / sum(it.num_frames for it in items)
 
 
 def score_kws(
     net: Network, items: list[TrainItem], km: kws.KeywordModel = KEYWORD_MODEL
 ) -> list[tuple[str, float, bool, float | None]]:
     """Confidence score for every utterance, as score-file records."""
-    records = []
-    for it in items:
-        post = netcore.forward(net, it.feats)
-        det = kws.spot(post, km)
-        records.append((it.utt_id, det.score, bool(it.is_positive), it.duration_sec))
-    return records
+    return [(it.utt_id, kws.spot(_posteriors(logits), km).score,
+             bool(it.is_positive), it.duration_sec)
+            for it, logits in zip(items, _infer(net, items))]
 
 
 def fa_at_ca(records, target_ca: float = 0.96) -> tuple[float, float]:
@@ -896,17 +909,20 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
             netcore.init_network(student_spec, np.random.default_rng(cfg.seed + 50)),
             train_items, student_ctc_cfg,
         )
-        return test_items, hard_student, score_kws(hard_student, test_items)
+        return test_items, hard_student
 
-    teacher, (test_items, hard_student, hard_records) = _pmap(
-        _call, [teacher_arm, hard_arm], workers)
+    teacher, (test_items, hard_student) = _pmap(_call, [teacher_arm, hard_arm], workers)
 
     def distilled_arm():
         distilled, _ = distill(teacher, student_spec, train_items, distill_cfg)
         return distilled, score_kws(distilled, test_items)
 
-    (distilled, distilled_records), teacher_records = _pmap(
-        _call, [distilled_arm, lambda: score_kws(teacher, test_items)], workers)
+    # the hard student's scoring waits for this phase, beside the teacher's,
+    # so that the first phase's arms take about as long as each other
+    (distilled, distilled_records), (teacher_records, hard_records) = _pmap(
+        _call, [distilled_arm,
+                lambda: (score_kws(teacher, test_items), score_kws(hard_student, test_items))],
+        workers)
 
     out = {"seed": cfg.seed, "target_ca": cfg.target_ca}
     for name, net, records in (("teacher", teacher, teacher_records),

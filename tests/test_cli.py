@@ -257,6 +257,19 @@ class TestEndToEnd:
         assert roc.exists() and len(roc.read_text().splitlines()) > 2
 
 
+    @pytest.mark.parametrize("flag, value", [("--target-ca", "1.5"), ("--target-ca", "0"),
+                                             ("--target-ca", "nan"), ("--threshold", "nan"),
+                                             ("--threshold", "inf")])
+    def test_eval_bad_operating_point_is_config_error(self, tmp_path, capsys, flag, value):
+        from farspot import kws
+
+        scores = tmp_path / "dev.scores"
+        kws.write_scores(scores, [("a", 0.9, True, None), ("b", 0.2, False, None)])
+        rc = cli.run(["eval", "--scores", str(scores), flag, value])
+        assert rc == EXIT_CONFIG
+        assert f"got {float(value)}" in capsys.readouterr().err
+
+
 class TestRuntimeErrors:
     def test_missing_manifest_is_runtime_error(self, tmp_path):
         rc = cli.run(["train", "--config", _write_cfg(tmp_path, {

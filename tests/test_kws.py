@@ -221,6 +221,11 @@ class TestEvaluate:
         assert all(b <= a for a, b in zip(cas, cas[1:]))
         assert all(b <= a for a, b in zip(fas, fas[1:]))
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(KwsError, match="threshold must be finite"):
+            kws.evaluate([(0.5, True), (0.5, False)], threshold)
+
     def test_roc_equals_quadratic_reference(self):
         # scores on a 0.05 grid tie within and across the two classes
         rng = np.random.default_rng(3)
@@ -263,6 +268,14 @@ class TestThresholdAtCa:
     def test_no_positives_rejected(self):
         with pytest.raises(KwsError):
             kws.threshold_at_ca([(0.5, False)], 0.96)
+
+    @pytest.mark.parametrize("target_ca", [1.5, 0.0, -0.1, float("nan"), float("inf")])
+    def test_target_outside_unit_interval_rejected(self, target_ca):
+        with pytest.raises(KwsError, match=r"target CA must be in \(0, 1\]"):
+            kws.threshold_at_ca([(0.5, True), (0.2, True)], target_ca)
+
+    def test_target_of_one_accepts_every_positive(self):
+        assert kws.threshold_at_ca([(0.5, True), (0.2, True), (0.9, False)], 1.0) == 0.2
 
 
 class TestScoreFiles:

@@ -296,6 +296,53 @@ class TestKernelsMatchReference:
         self._check(spec, np.float64, [38] * 12 + [30, 25, 20, 14], seed=3)
 
 
+class TestBatchInvariance:
+    """Given `lengths`, each row of `forward_batch` is the forward of that
+    utterance alone, byte for byte, whatever else is in the batch."""
+
+    @staticmethod
+    def _check(spec, dtype, lengths, seed):
+        rng = np.random.default_rng(seed)
+        net = init_network(spec, rng, dtype=dtype)
+        net.parameters[...] = rng.normal(0.0, 0.5, net.parameters.shape)
+        x = np.zeros((len(lengths), max(lengths), spec.input_dim))
+        for j, n in enumerate(lengths):
+            x[j, :n] = rng.standard_normal((n, spec.input_dim))
+        logits, _ = netcore.forward_batch(net, x, want_cache=False, lengths=lengths)
+        assert logits.shape == (len(lengths), max(lengths), spec.output_dim)
+        for j, n in enumerate(lengths):
+            alone, _ = netcore.forward_batch(net, x[j : j + 1, :n], want_cache=False)
+            assert logits[j, :n].tobytes() == alone[0].tobytes(), (j, n)
+            assert not np.any(logits[j, n:])
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("peepholes", [False, True])
+    @pytest.mark.parametrize("projection", [0, 4])
+    def test_rows_equal_single_utterance_forward(self, layers, peepholes, projection):
+        factored = {f"l{i}.{w}": 3 for i in range(layers) for w in ("wx", "wr")}
+        for svd, dtype, b in itertools.product(
+            [False, True], [np.float64, np.float32], [1, 3, 17, 40]
+        ):
+            spec = ModelSpec(input_dim=11, layers=layers, hidden=9, projection=projection,
+                             output_dim=5, peepholes=peepholes,
+                             svd_rank=tuple(sorted(factored.items())) if svd else None)
+            # unsorted, unequal lengths with a 1-frame sequence
+            lengths = [1 + (7 * j + 5) % 23 for j in range(b)]
+            lengths[b // 2] = 1
+            self._check(spec, dtype, lengths, seed=layers * 1000 + b)
+
+    def test_rows_equal_single_utterance_forward_at_kws_teacher_shape(self):
+        spec = ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5, peepholes=False)
+        self._check(spec, np.float64, [30, 38, 14, 38, 25, 1, 38, 20, 33, 36, 38, 29, 38, 17,
+                                       38, 22], seed=4)
+
+    @pytest.mark.parametrize("lengths", [[3, 2], [3, 4, 2], [3, -1, 2]])
+    def test_bad_lengths_rejected(self, lengths):
+        net = init_network(_tiny_spec(), np.random.default_rng(0))
+        with pytest.raises(NetworkError, match="lengths"):
+            netcore.forward_batch(net, np.zeros((3, 3, 3)), lengths=lengths)
+
+
 class TestSvdCompression:
     def test_full_rank_reconstructs_weights(self):
         rng = np.random.default_rng(10)

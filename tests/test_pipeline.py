@@ -25,6 +25,11 @@ from farspot.pipeline import (
     SynthTaskSpec,
     TrainConfig,
 )
+from helpers import (
+    reference_compute_teacher_posteriors,
+    reference_frame_error_rate,
+    reference_score_kws,
+)
 
 
 def _small_task(**kw):
@@ -414,6 +419,59 @@ class TestEvaluationHelpers:
         scores = [(s, p) for _, s, p, _ in records]
         assert kws.evaluate(scores, th).ca >= 0.9
         assert 0.0 <= fa <= 1.0
+
+
+class TestBatchedInference:
+    """Scoring, FER and teacher posteriors run 16 utterances per forward;
+    every result must equal the one-utterance-at-a-time loops byte for byte.
+    17 utterances make a full bucket and a bucket of one."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        items = pipeline.synth_items(_small_task(), 17)
+        spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=2, hidden=8,
+                         projection=3, output_dim=5, peepholes=True)
+        rng = np.random.default_rng(9)
+        net = netcore.init_network(spec, rng)
+        net.parameters[...] = rng.normal(0.0, 0.5, net.parameters.shape)
+        return items, net
+
+    def test_score_kws(self, setup):
+        items, net = setup
+        got = pipeline.score_kws(net, items)
+        want = reference_score_kws(net, items, KEYWORD_MODEL)
+        assert [(u, s.hex(), p, d) for u, s, p, d in got] == \
+            [(u, s.hex(), p, d) for u, s, p, d in want]
+
+    def test_frame_error_rate(self, setup):
+        items, net = setup
+        assert pipeline.frame_error_rate(net, items).hex() == \
+            reference_frame_error_rate(net, items).hex()
+
+    def test_teacher_posteriors_without_cache(self, setup):
+        items, net = setup
+        got = pipeline.compute_teacher_posteriors(net, items)
+        want = reference_compute_teacher_posteriors(net, items)
+        assert [it.utt_id for it in got] == [it.utt_id for it in items]
+        for a, b in zip(got, want):
+            assert a.teacher_rows.tobytes() == b.teacher_rows.tobytes()
+
+    def test_teacher_posteriors_with_cold_partly_warm_and_warm_cache(self, setup, tmp_path):
+        items, net = setup
+        want = reference_compute_teacher_posteriors(net, items, tmp_path / "ref")
+        cache = tmp_path / "cache"
+        for _ in range(2):  # cold, then warm
+            got = pipeline.compute_teacher_posteriors(net, items, cache)
+            for a, b in zip(got, want):
+                assert a.teacher_rows.tobytes() == b.teacher_rows.tobytes()
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == \
+            {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
+        for p in sorted(cache.iterdir())[::3]:
+            p.unlink()
+        got = pipeline.compute_teacher_posteriors(net, items, cache)
+        for a, b in zip(got, want):
+            assert a.teacher_rows.tobytes() == b.teacher_rows.tobytes()
+        assert len(list(cache.iterdir())) == len(items)
 
 
 @pytest.fixture(scope="module")
