@@ -48,7 +48,8 @@ one-utterance forward:
     input projection, output layer   (1, T_j, k) @ w.T, one call per utterance
     recurrent and projection         (B, 1, k) @ w.T per frame, B 1-row products
 The gate math is elementwise and equal on any row, so each row of the batch
-is byte for byte the forward of that utterance alone.  Training keeps the
+is byte for byte the forward of that utterance alone; the tests check this
+with BLAS at one thread and at one thread per CPU.  Training keeps the
 plain batched products: its checkpoints were made with them.
 """
 
@@ -475,10 +476,15 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
     return sink.grad
 
 
+def posteriors(logits: np.ndarray) -> Posteriorgram:
+    """One sequence's (T, N) logits as row-stochastic float64 posteriors."""
+    return Posteriorgram(softmax(logits.astype(np.float64)))
+
+
 def forward(net: Network, frames: np.ndarray) -> Posteriorgram:
     """Single-sequence forward returning row-stochastic posteriors."""
     logits, _ = forward_batch(net, np.asarray(frames)[None, :, :], want_cache=False)
-    return Posteriorgram(softmax(logits[0].astype(np.float64)))
+    return posteriors(logits[0])
 
 
 # ---------------------------------------------------------------------------

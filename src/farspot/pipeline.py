@@ -639,20 +639,12 @@ def _infer(net: Network, items: list[TrainItem]) -> list[np.ndarray]:
     of 16; byte for byte the logits of the item run alone."""
     logits_of = {}
     for batch in _batches(items, 16):
-        if len(batch) == 1:
-            logits, _ = netcore.forward_batch(net, batch[0].feats[None], want_cache=False)
-        else:
-            lengths = [it.num_frames for it in batch]
-            x = _padded([it.feats for it in batch], max(lengths), net.spec.input_dim)
-            logits, _ = netcore.forward_batch(net, x, want_cache=False, lengths=lengths)
+        lengths = [it.num_frames for it in batch]
+        x = _padded([it.feats for it in batch], max(lengths), net.spec.input_dim)
+        logits, _ = netcore.forward_batch(net, x, want_cache=False, lengths=lengths)
         for it, row in zip(batch, logits):
             logits_of[id(it)] = row[: it.num_frames]
     return [logits_of[id(it)] for it in items]
-
-
-def _posteriors(logits: np.ndarray) -> netcore.Posteriorgram:
-    """One utterance's posteriors from its logits, as `netcore.forward`."""
-    return netcore.Posteriorgram(netcore.softmax(logits.astype(np.float64)))
 
 
 def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig,
@@ -737,7 +729,7 @@ def compute_teacher_posteriors(
     or changed features miss the cache instead of reading stale rows.
     """
     if cache_dir is None:
-        return [replace(it, teacher_rows=_posteriors(logits).rows)
+        return [replace(it, teacher_rows=netcore.posteriors(logits).rows)
                 for it, logits in zip(items, _infer(teacher, items))]
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -750,7 +742,7 @@ def compute_teacher_posteriors(
         paths.append(cache_dir / f"{it.utt_id}.{key.hexdigest()[:16]}.fspc")
     misses = [(it, p) for it, p in zip(items, paths) if not p.exists()]
     for (it, p), logits in zip(misses, _infer(teacher, [it for it, _ in misses])):
-        criteria.write_posterior_cache(p, it.utt_id, _posteriors(logits).rows)
+        criteria.write_posterior_cache(p, it.utt_id, netcore.posteriors(logits).rows)
     # read back even what was just written, so runs with a warm cache are
     # bit-identical to the run that filled it
     return [replace(it, teacher_rows=criteria.read_posterior_cache(p)[1])
@@ -816,7 +808,7 @@ def score_kws(
     net: Network, items: list[TrainItem], km: kws.KeywordModel = KEYWORD_MODEL
 ) -> list[tuple[str, float, bool, float | None]]:
     """Confidence score for every utterance, as score-file records."""
-    return [(it.utt_id, kws.spot(_posteriors(logits), km).score,
+    return [(it.utt_id, kws.spot(netcore.posteriors(logits), km).score,
              bool(it.is_positive), it.duration_sec)
             for it, logits in zip(items, _infer(net, items))]
 

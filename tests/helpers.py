@@ -4,6 +4,7 @@ of the library implementations they check."""
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -134,6 +135,37 @@ def viterbi_oracle(rows: np.ndarray, units, silence, garbage, blank, exact: bool
 # that `netcore.forward_batch`/`backward_batch` must reproduce bit for bit.
 # The weight-gradient contractions' summation order depends on the memory
 # layout of their operands, so this copy is kept as written, not tidied.
+
+def ncpu() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def check_batch_invariance(spec, dtype, lengths, seed):
+    """Assert that each row of `forward_batch` given `lengths` is the forward
+    of that utterance alone, byte for byte, and that padded frames are 0."""
+    rng = np.random.default_rng(seed)
+    net = netcore.init_network(spec, rng, dtype=dtype)
+    net.parameters[...] = rng.normal(0.0, 0.5, net.parameters.shape)
+    x = np.zeros((len(lengths), max(lengths), spec.input_dim))
+    for j, n in enumerate(lengths):
+        x[j, :n] = rng.standard_normal((n, spec.input_dim))
+    logits, _ = netcore.forward_batch(net, x, want_cache=False, lengths=lengths)
+    assert logits.shape == (len(lengths), max(lengths), spec.output_dim)
+    for j, n in enumerate(lengths):
+        alone, _ = netcore.forward_batch(net, x[j : j + 1, :n], want_cache=False)
+        assert logits[j, :n].tobytes() == alone[0].tobytes(), (j, n)
+        assert not np.any(logits[j, n:])
+
+
+def check_batch_invariance_at_kws_teacher_shape():
+    """`check_batch_invariance` on a bucket of 16 at the compression
+    experiment's teacher shape (2 x 48 cells, 160-dim input)."""
+    spec = netcore.ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5,
+                             peepholes=False)
+    check_batch_invariance(spec, np.float64, [30, 38, 14, 38, 25, 1, 38, 20, 33, 36, 38, 29,
+                                              38, 17, 38, 22], seed=4)
+
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))

@@ -1,5 +1,9 @@
 import itertools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,11 @@ from farspot.netcore import (
 from helpers import (
     BYTE_FLIPS,
     central_diff_grad,
+    check_batch_invariance,
+    check_batch_invariance_at_kws_teacher_shape,
     flip_bytes,
     grad_rel_err,
+    ncpu,
     reference_backward_batch,
     reference_forward_batch,
 )
@@ -300,21 +307,6 @@ class TestBatchInvariance:
     """Given `lengths`, each row of `forward_batch` is the forward of that
     utterance alone, byte for byte, whatever else is in the batch."""
 
-    @staticmethod
-    def _check(spec, dtype, lengths, seed):
-        rng = np.random.default_rng(seed)
-        net = init_network(spec, rng, dtype=dtype)
-        net.parameters[...] = rng.normal(0.0, 0.5, net.parameters.shape)
-        x = np.zeros((len(lengths), max(lengths), spec.input_dim))
-        for j, n in enumerate(lengths):
-            x[j, :n] = rng.standard_normal((n, spec.input_dim))
-        logits, _ = netcore.forward_batch(net, x, want_cache=False, lengths=lengths)
-        assert logits.shape == (len(lengths), max(lengths), spec.output_dim)
-        for j, n in enumerate(lengths):
-            alone, _ = netcore.forward_batch(net, x[j : j + 1, :n], want_cache=False)
-            assert logits[j, :n].tobytes() == alone[0].tobytes(), (j, n)
-            assert not np.any(logits[j, n:])
-
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("peepholes", [False, True])
     @pytest.mark.parametrize("projection", [0, 4])
@@ -329,12 +321,27 @@ class TestBatchInvariance:
             # unsorted, unequal lengths with a 1-frame sequence
             lengths = [1 + (7 * j + 5) % 23 for j in range(b)]
             lengths[b // 2] = 1
-            self._check(spec, dtype, lengths, seed=layers * 1000 + b)
+            check_batch_invariance(spec, dtype, lengths, seed=layers * 1000 + b)
 
     def test_rows_equal_single_utterance_forward_at_kws_teacher_shape(self):
-        spec = ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5, peepholes=False)
-        self._check(spec, np.float64, [30, 38, 14, 38, 25, 1, 38, 20, 33, 36, 38, 29, 38, 17,
-                                       38, 22], seed=4)
+        check_batch_invariance_at_kws_teacher_shape()
+
+    def test_rows_equal_single_utterance_forward_at_one_blas_thread_per_cpu(self):
+        # The suite runs BLAS at one thread (tests/conftest.py), and BLAS reads
+        # its thread count at start-up, so this check runs in a process of
+        # its own with one thread per CPU.
+        if ncpu() < 2:
+            pytest.skip("needs 2 or more CPUs")
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(ncpu()),
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests),
+                                              os.environ.get("PYTHONPATH", "")])}
+        env.pop("OMP_NUM_THREADS", None)
+        script = ("from helpers import check_batch_invariance_at_kws_teacher_shape\n"
+                  "check_batch_invariance_at_kws_teacher_shape()\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("lengths", [[3, 2], [3, 4, 2], [3, -1, 2]])
     def test_bad_lengths_rejected(self, lengths):
