@@ -196,6 +196,10 @@ def cmd_adapt(args, cfg):
 
 
 def cmd_spot(args, cfg):
+    try:
+        kws.check_decision_threshold(args.threshold)
+    except kws.KwsError as e:
+        raise ConfigError(f"bad threshold: {e}")
     spec = _build(SynthTaskSpec, cfg, "task")
     net = netcore.load_checkpoint(args.model)
     w = simkit.read_wav(args.input)

@@ -204,10 +204,14 @@ def spot(post: Posteriorgram, km: KeywordModel) -> KeywordDetection:
     return confidence_score(post, viterbi_locate(post, km), km)
 
 
+def check_decision_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:  # also rejects NaN
+        raise KwsError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def decide(d: KeywordDetection, threshold: float) -> bool:
     """Accept iff the confidence score reaches the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise KwsError("threshold must be in [0, 1]")
+    check_decision_threshold(threshold)
     return d.score >= threshold
 
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -485,48 +485,6 @@ def forward(net: Network, frames: np.ndarray) -> Posteriorgram:
     """Single-sequence forward returning row-stochastic posteriors."""
     logits, _ = forward_batch(net, np.asarray(frames)[None, :, :], want_cache=False)
     return posteriors(logits[0])
-
-
-# ---------------------------------------------------------------------------
-# SVD compression
-
-def svd_compress(net: Network, rank_map: dict[str, int]) -> Network:
-    """Replace each selected m x n block by its top-k singular factors."""
-    spec = net.spec
-    existing = dict(spec.svd_rank) if spec.svd_rank else {}
-    dense_shapes = dict(_dense_blocks(spec))
-    for name, k in rank_map.items():
-        if name not in dense_shapes:
-            raise NetworkError(f"unknown block {name}")
-        if name in existing:
-            raise NetworkError(f"block {name} is already factored")
-        m, n = dense_shapes[name]
-        if k < 1 or k > min(m, n):
-            raise NetworkError(f"rank {k} invalid for block {name} of shape {(m, n)}")
-    new_spec = replace(
-        spec, svd_rank=tuple(sorted({**existing, **rank_map}.items()))
-    )
-    out = np.zeros(param_count(new_spec), dtype=net.parameters.dtype)
-    new_net = Network(new_spec, out)
-    for name, shape in layout(spec):
-        base = name[:-2] if name.endswith((".u", ".v")) else name
-        if base in rank_map and not name.endswith((".u", ".v")):
-            w = net.block(name).astype(np.float64)
-            k = rank_map[name]
-            u, s, vt = np.linalg.svd(w, full_matrices=False)
-            new_net.block(f"{name}.u")[...] = (u[:, :k] * s[:k]).astype(out.dtype)
-            new_net.block(f"{name}.v")[...] = vt[:k].astype(out.dtype)
-        else:
-            new_net.block(name)[...] = net.block(name)
-    return new_net
-
-
-def rank_for_energy(w: np.ndarray, energy: float = 0.6) -> int:
-    """Smallest rank whose singular values keep at least `energy` of the
-    total squared singular mass."""
-    s = np.linalg.svd(np.asarray(w, dtype=np.float64), compute_uv=False)
-    cum = np.cumsum(s**2) / np.sum(s**2)
-    return int(np.searchsorted(cum, energy) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,6 @@ class Manifest:
     def __len__(self):
         return len(self.records)
 
-    def strip_transcripts(self) -> "Manifest":
-        """Drop all label fields; distill/adapt must still work on this."""
-        return Manifest([replace(r, frame_labels=None, symbols=None) for r in self.records])
-
 
 def _fmt_ints(xs) -> str:
     return "-" if xs is None else ",".join(str(int(x)) for x in xs)

@@ -1,9 +1,7 @@
 """Room acoustics simulation: image-method impulse responses and far-field mixing.
 
 Far-field speech is synthesized by convolving close-talk speech with a room
-impulse response (RIR) and adding noise at a requested SNR.  The multi-source
-variant additionally sums diffuse and directional noise terms, each passed
-through its own impulse response, before the aggregate noise is scaled.
+impulse response (RIR) and adding noise at a requested SNR.
 
 Conventions:
     * audio is mono float64 in nominal range [-1, 1] at an explicit sample rate
@@ -15,11 +13,10 @@ Conventions:
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 SPEED_OF_SOUND = 343.0
 
@@ -79,10 +76,9 @@ class ImpulseResponse:
         return float(np.sum(self.taps**2))
 
 
-def unit_impulse(sample_rate: int, delay: int = 0, length: int | None = None) -> ImpulseResponse:
+def unit_impulse(sample_rate: int, delay: int = 0) -> ImpulseResponse:
     """Kronecker delta at `delay` samples."""
-    n = length if length is not None else delay + 1
-    taps = np.zeros(max(n, delay + 1))
+    taps = np.zeros(delay + 1)
     taps[delay] = 1.0
     return ImpulseResponse(taps, sample_rate)
 
@@ -135,26 +131,6 @@ class RoomSpec:
 
     def direct_delay_samples(self) -> int:
         return int(round(self.direct_distance() / self.speed_of_sound * self.sample_rate))
-
-
-@dataclass
-class NoiseSource:
-    """A noise signal plus how it reaches the microphone.
-
-    Directional sources must carry an impulse response; diffuse sources may
-    omit it, in which case a dense late-field response is derived from the
-    room at mixing time.
-    """
-
-    waveform: Waveform
-    kind: str = "diffuse"
-    ir: ImpulseResponse | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("diffuse", "directional"):
-            raise SimulationError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "directional" and self.ir is None:
-            raise SimulationError("directional noise source requires an impulse response")
 
 
 def _image_sources(room: RoomSpec):
@@ -216,25 +192,37 @@ def generate_rir(room: RoomSpec, fractional: bool = True) -> ImpulseResponse:
     return ImpulseResponse(h, room.sample_rate)
 
 
-def late_field_rir(room: RoomSpec, fractional: bool = True) -> ImpulseResponse:
-    """Diffuse-field approximation: the image-method IR with its direct path
-    removed, normalized to unit energy."""
-    full = generate_rir(room, fractional=fractional)
-    direct = generate_rir(replace(room, wall_reflection=0.0, max_order=0), fractional=fractional)
-    taps = full.taps - direct.taps
-    e = np.sqrt(np.sum(taps**2))
-    if e == 0.0:
-        raise SimulationError("late-field IR is empty; increase max_order or reflections")
-    return ImpulseResponse(taps / e, room.sample_rate)
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n (n >= 1): the real-FFT size to pad to."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def convolve(x: Waveform, h: ImpulseResponse) -> Waveform:
-    """Full linear convolution; output length len(x) + len(h) - 1."""
+    """Full linear convolution; output length len(x) + len(h) - 1.
+
+    A plain product when either side has one sample, else a real FFT padded
+    to a 5-smooth size: the steps, and so the bits, of `fftconvolve`, so
+    corpora made with it are unchanged.
+    """
     if x.sample_rate != h.sample_rate:
         raise SimulationError(
             f"sample-rate mismatch: waveform {x.sample_rate} vs IR {h.sample_rate}"
         )
-    y = fftconvolve(x.samples, h.taps, mode="full")
+    if len(x) == 0:
+        return Waveform(np.zeros(0), x.sample_rate)
+    if len(x) == 1 or len(h) == 1:
+        return Waveform(x.samples * h.taps, x.sample_rate)
+    size = len(x) + len(h) - 1
+    n = _fast_len(size)
+    y = np.fft.irfft(np.fft.rfft(x.samples, n) * np.fft.rfft(h.taps, n), n)[:size]
     return Waveform(y, x.sample_rate)
 
 
@@ -306,51 +294,6 @@ def simulate_single_channel(
         # at unit gain so the caller still gets the noise floor.
         return Waveform(_loop_to_length(noise.samples, len(s), rng), s.sample_rate)
     return mix_at_snr(rev, noise, snr_db, rng=rng)
-
-
-def simulate_beamformed(
-    s: Waveform,
-    room: RoomSpec,
-    diffuse: list[NoiseSource],
-    directional: list[NoiseSource],
-    snr_db: float,
-    rng: np.random.Generator | None = None,
-) -> Waveform:
-    """Multi-source far-field mixing.
-
-    Y = S*R_s + sum_f N_f*R_f + sum_r N_r*R_r, with the aggregate noise term
-    scaled so its power ratio against the reverberant speech equals snr_db.
-    Diffuse sources without an explicit IR use the room's late-field IR.
-    Output is trimmed to len(s) with direct-path delay compensation.
-    """
-    rev = _reverberate(s, room)
-
-    noise_total = np.zeros(len(s))
-    diffuse_ir = None
-    for src in diffuse + directional:
-        if src.waveform.sample_rate != s.sample_rate:
-            raise SimulationError("noise sample rate differs from speech")
-        if src.ir is not None:
-            ir = src.ir
-        else:
-            if diffuse_ir is None:
-                diffuse_ir = late_field_rir(room)
-            ir = diffuse_ir
-        looped = Waveform(
-            _loop_to_length(src.waveform.samples, len(s), rng), s.sample_rate
-        )
-        noise_total += convolve(looped, ir).samples[: len(s)]
-
-    if (not diffuse and not directional) or (np.isinf(snr_db) and snr_db > 0):
-        return rev
-
-    n_rms = np.sqrt(np.mean(noise_total**2))
-    if n_rms == 0.0:
-        raise SimulationError("aggregate noise has zero energy at finite SNR")
-    if rev.rms() == 0.0:
-        return Waveform(noise_total, s.sample_rate)
-    gain = rev.rms() / n_rms * 10.0 ** (-snr_db / 20.0)
-    return Waveform(rev.samples + gain * noise_total, s.sample_rate)
 
 
 def measure_snr(speech: Waveform, noise: Waveform) -> float:

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,16 @@ def _synth(tmp_path, count=6, seed=0, name="corpus"):
     ])
     assert rc == EXIT_OK
     return out
+
+
+def test_import_does_not_load_scipy():
+    script = ("import sys, farspot.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParser:
@@ -217,9 +230,10 @@ class TestEndToEnd:
     def test_distill_without_transcripts(self, workspace, tmp_path):
         root, corpus, _, trained = workspace
         # strip every label field; distillation must not need them
-        m = pipeline.read_manifest(corpus / "manifest.tsv").strip_transcripts()
+        m = pipeline.read_manifest(corpus / "manifest.tsv")
         stripped = tmp_path / "stripped.tsv"
-        pipeline.write_manifest(stripped, m)
+        pipeline.write_manifest(stripped, pipeline.Manifest([
+            dataclasses.replace(r, frame_labels=None, symbols=None) for r in m.records]))
         cfg = dict(TASK)
         cfg["student"] = {"input_dim": 48, "layers": 1, "hidden": 4, "projection": 0,
                           "output_dim": 5, "peepholes": False}
@@ -268,6 +282,15 @@ class TestEndToEnd:
         rc = cli.run(["eval", "--scores", str(scores), flag, value])
         assert rc == EXIT_CONFIG
         assert f"got {float(value)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    def test_spot_bad_threshold_is_config_error_before_loading(self, tmp_path, capsys, value):
+        # neither the model nor the input exists: the threshold is checked first
+        rc = cli.run(["spot", "--model", str(tmp_path / "none.ckpt"),
+                      "--input", str(tmp_path / "none.wav"), "--threshold", value])
+        assert rc == EXIT_CONFIG
+        assert f"bad threshold: threshold must be in [0, 1], got {float(value)}" \
+            in capsys.readouterr().err
 
 
 class TestRuntimeErrors:

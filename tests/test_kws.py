@@ -186,8 +186,10 @@ class TestDecide:
     def test_bad_threshold_rejected(self):
         det = KeywordDetection(score=0.5, segment=(0, 1), peak_frames=(0,),
                                peak_posteriors=(0.5,))
-        with pytest.raises(KwsError):
+        with pytest.raises(KwsError, match="got 1.5"):
             kws.decide(det, 1.5)
+        with pytest.raises(KwsError, match="got nan"):
+            kws.decide(det, float("nan"))
 
 
 class TestEvaluate:

@@ -354,55 +354,18 @@ class TestSvdCompression:
     def test_full_rank_reconstructs_weights(self):
         rng = np.random.default_rng(10)
         net = init_network(_tiny_spec(), rng)
-        comp = netcore.svd_compress(net, {"l0.wx": 3})  # min(16, 3) = 3 = full rank
+        spec = _tiny_spec(svd_rank=(("l0.wx", 3),))  # min(16, 3) = 3 = full rank
+        comp = Network(spec, np.zeros(param_count(spec)))
+        for name in ("l0.wr", "l0.bias", "out.w", "out.b"):
+            comp.block(name)[...] = net.block(name)
+        u, s, vt = np.linalg.svd(net.block("l0.wx"), full_matrices=False)
+        comp.block("l0.wx.u")[...] = u * s
+        comp.block("l0.wx.v")[...] = vt
         assert np.allclose(comp.weight("l0.wx"), net.block("l0.wx"), atol=1e-10)
         x = rng.standard_normal((1, 7, 3))
         a, _ = netcore.forward_batch(net, x, want_cache=False)
         b, _ = netcore.forward_batch(comp, x, want_cache=False)
         assert np.allclose(a, b, atol=1e-8)
-
-    def test_rank_one_matrix_compresses_exactly(self):
-        rng = np.random.default_rng(11)
-        net = init_network(_tiny_spec(), rng)
-        u = rng.standard_normal(16)
-        v = rng.standard_normal(3)
-        net.block("l0.wx")[...] = np.outer(u, v)
-        comp = netcore.svd_compress(net, {"l0.wx": 1})
-        assert np.allclose(comp.weight("l0.wx"), np.outer(u, v), atol=1e-10)
-
-    def test_truncation_error_equals_discarded_singular_mass(self):
-        rng = np.random.default_rng(12)
-        net = init_network(_tiny_spec(hidden=8), rng)
-        w = net.block("l0.wx").copy()
-        comp = netcore.svd_compress(net, {"l0.wx": 2})
-        s = np.linalg.svd(w, compute_uv=False)
-        err = np.linalg.norm(w - comp.weight("l0.wx"))
-        assert err == pytest.approx(np.sqrt(np.sum(s[2:] ** 2)), rel=1e-9)
-
-    def test_other_blocks_are_copied_bitwise(self):
-        rng = np.random.default_rng(13)
-        net = init_network(_tiny_spec(), rng)
-        comp = netcore.svd_compress(net, {"l0.wx": 2})
-        for name in ("l0.wr", "l0.bias", "out.w", "out.b"):
-            assert np.array_equal(comp.block(name), net.block(name))
-
-    def test_double_compression_rejected(self):
-        net = init_network(_tiny_spec(), np.random.default_rng(0))
-        comp = netcore.svd_compress(net, {"l0.wx": 2})
-        with pytest.raises(NetworkError):
-            netcore.svd_compress(comp, {"l0.wx": 1})
-
-    def test_unknown_block_rejected(self):
-        net = init_network(_tiny_spec(), np.random.default_rng(0))
-        with pytest.raises(NetworkError):
-            netcore.svd_compress(net, {"l9.wx": 1})
-
-    def test_rank_for_energy(self):
-        w = np.diag([3.0, 2.0, 1.0])
-        # squared mass 9, 4, 1; cumulative 9/14, 13/14, 1
-        assert netcore.rank_for_energy(w, 0.6) == 1
-        assert netcore.rank_for_energy(w, 0.9) == 2
-        assert netcore.rank_for_energy(w, 0.99) == 3
 
 
 class TestReferenceSpecs:

@@ -70,13 +70,6 @@ class TestManifests:
         with pytest.raises(PipelineError):
             Manifest([ManifestRecord("a", "x"), ManifestRecord("a", "y")])
 
-    def test_strip_transcripts_removes_labels_only(self):
-        m = Manifest([ManifestRecord("a", "p", [1], [1], True, "q")])
-        s = m.strip_transcripts()
-        r = s.records[0]
-        assert r.frame_labels is None and r.symbols is None
-        assert r.is_positive is True and r.pair_path == "q"
-
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\tb\tc\n")

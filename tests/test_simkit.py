@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from farspot import simkit
 from farspot.simkit import (
     ImpulseResponse,
-    NoiseSource,
     RoomSpec,
     SimulationError,
     Waveform,
@@ -139,18 +138,6 @@ class TestGenerateRir:
         assert abs(t60 - eyring) / eyring < 0.25
 
 
-class TestLateFieldRir:
-    def test_direct_path_removed_and_unit_energy(self):
-        room = _basic_room(wall_reflection=0.8, max_order=3, ir_length=2048)
-        late = simkit.late_field_rir(room, fractional=False)
-        assert late.taps[107] == pytest.approx(0.0)
-        assert late.energy() == pytest.approx(1.0)
-
-    def test_anechoic_room_has_no_late_field(self):
-        with pytest.raises(SimulationError):
-            simkit.late_field_rir(_basic_room(ir_length=2048))
-
-
 class TestConvolve:
     def test_identity(self):
         x = Waveform(np.sin(np.arange(400) * 0.01), 16000)
@@ -165,12 +152,33 @@ class TestConvolve:
         assert np.allclose(y.samples[:3], 0.0, atol=1e-12)
 
     def test_against_direct_sum(self):
+        # FFT sizes 2^a * 3^b * 5^c that are not powers of two (320, 300,
+        # 3072, 3), x shorter than h, and one-sample inputs (a plain product)
         rng = np.random.default_rng(7)
-        x = rng.standard_normal(257)
-        h = rng.standard_normal(63)
-        y = simkit.convolve(Waveform(x, 16000), ImpulseResponse(h, 16000))
-        assert len(y) == 257 + 63 - 1
-        assert np.allclose(y.samples, naive_convolve(x, h), atol=1e-10)
+        for nx, nh in [(257, 63), (100, 201), (7, 300), (1000, 2048), (2, 2),
+                       (1, 50), (50, 1), (1, 1)]:
+            x = rng.standard_normal(nx)
+            h = rng.standard_normal(nh)
+            y = simkit.convolve(Waveform(x, 16000), ImpulseResponse(h, 16000))
+            assert len(y) == nx + nh - 1
+            assert np.allclose(y.samples, naive_convolve(x, h), atol=1e-10), (nx, nh)
+
+    def test_empty_waveform_gives_empty_output(self):
+        y = simkit.convolve(Waveform(np.zeros(0), 16000), ImpulseResponse(np.ones(5), 16000))
+        assert len(y) == 0 and y.sample_rate == 16000
+
+    def test_fft_size_is_smallest_5_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 5001):
+            n_fft = n
+            while not smooth(n_fft):
+                n_fft += 1
+            assert simkit._fast_len(n) == n_fft, n
 
     def test_sample_rate_mismatch_rejected(self):
         with pytest.raises(SimulationError):
@@ -259,63 +267,6 @@ class TestSimulateSingleChannel:
         noise = Waveform(np.ones(100), 16000)
         y = simkit.simulate_single_channel(Waveform(np.zeros(300), 16000), room, noise, 10.0)
         assert np.allclose(y.samples, 1.0)
-
-
-class TestSimulateBeamformed:
-    def test_no_noise_sources_degenerates_to_reverberant_speech(self):
-        room = _basic_room(wall_reflection=0.6, max_order=2, ir_length=1024)
-        s = Waveform(np.random.default_rng(0).standard_normal(2500) * 0.1, 16000)
-        y = simkit.simulate_beamformed(s, room, [], [], 10.0)
-        expected = simkit.simulate_single_channel(s, room, None, np.inf)
-        assert np.allclose(y.samples, expected.samples, atol=1e-12)
-
-    def test_single_directional_source_matches_term_by_term_oracle(self):
-        room = _basic_room(wall_reflection=0.6, max_order=2, ir_length=1024)
-        rng = np.random.default_rng(3)
-        s = Waveform(rng.standard_normal(2000) * 0.1, 16000)
-        n1 = rng.standard_normal(2000) * 0.2
-        n2 = rng.standard_normal(2000) * 0.05
-        ir1 = ImpulseResponse(rng.standard_normal(33) * 0.1, 16000)
-        ir2 = ImpulseResponse(rng.standard_normal(17) * 0.1, 16000)
-        snr = 8.0
-
-        y = simkit.simulate_beamformed(
-            s, room,
-            diffuse=[NoiseSource(Waveform(n1, 16000), "diffuse", ir=ir1)],
-            directional=[NoiseSource(Waveform(n2, 16000), "directional", ir=ir2)],
-            snr_db=snr,
-        )
-
-        delay = room.direct_delay_samples()
-        rir = simkit.generate_rir(room)
-        rev = naive_convolve(s.samples, rir.taps)[delay : delay + len(s)]
-        total = (
-            naive_convolve(n1, ir1.taps)[: len(s)]
-            + naive_convolve(n2, ir2.taps)[: len(s)]
-        )
-        g = np.sqrt(np.mean(rev**2)) / np.sqrt(np.mean(total**2)) * 10 ** (-snr / 20)
-        assert np.allclose(y.samples, rev + g * total, atol=1e-9)
-
-    def test_aggregate_snr_is_exact(self):
-        room = _basic_room(wall_reflection=0.6, max_order=2, ir_length=1024)
-        rng = np.random.default_rng(9)
-        s = Waveform(rng.standard_normal(3000) * 0.1, 16000)
-        srcs = [
-            NoiseSource(Waveform(rng.standard_normal(3000) * 0.3, 16000), "diffuse"),
-            NoiseSource(
-                Waveform(rng.standard_normal(3000) * 0.2, 16000),
-                "directional",
-                ir=unit_impulse(16000, delay=5),
-            ),
-        ]
-        y = simkit.simulate_beamformed(s, room, [srcs[0]], [srcs[1]], 6.0)
-        rev = simkit.simulate_beamformed(s, room, [], [], 6.0)
-        noise_part = Waveform(y.samples - rev.samples, 16000)
-        assert simkit.measure_snr(rev, noise_part) == pytest.approx(6.0, abs=0.01)
-
-    def test_directional_source_requires_ir(self):
-        with pytest.raises(SimulationError):
-            NoiseSource(Waveform(np.ones(10), 16000), "directional")
 
 
 class TestWavIO:
