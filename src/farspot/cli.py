@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, simulate, featurize, train, distill, adapt, spot, eval,
-ladder.  Each takes a JSON config file plus dotted --set overrides; every run
-writes a provenance record (config snapshot, seed, version) into its output
-directory so it can be re-run bit-identically.
+compress, ladder.  Each takes a JSON config file plus dotted --set overrides;
+every run writes a provenance record (config snapshot, seed, version) into its
+output directory so it can be re-run bit-identically.
 
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +22,6 @@ import numpy as np
 from . import __version__, kws, netcore, pipeline, simkit
 from .pipeline import (
     FarFieldConfig,
-    LadderConfig,
     SynthTaskSpec,
     TrainConfig,
 )
@@ -102,7 +102,7 @@ def _prepare_out_dir(path: str, force: bool) -> Path:
     return out
 
 
-def _write_provenance(out_dir: Path, args, cfg: dict) -> None:
+def _write_provenance(out_dir: Path, args, cfg: dict, **extra) -> None:
     record = {
         "toolkit_version": __version__,
         "command": args.command,
@@ -110,6 +110,7 @@ def _write_provenance(out_dir: Path, args, cfg: dict) -> None:
         "config": cfg,
         "overrides": args.set,
         "seed": getattr(args, "seed", None),
+        **extra,
     }
     (out_dir / "provenance.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
@@ -245,12 +246,17 @@ def cmd_eval(args, cfg):
     return EXIT_OK
 
 
-def cmd_ladder(args, cfg):
+def cmd_experiment(args, cfg):
     out = _prepare_out_dir(args.out, args.force)
-    lc = dataclasses.replace(_build(LadderConfig, cfg, "ladder", args.seed), out_dir=str(out))
-    report = pipeline.ablation_ladder(lc)
-    _write_provenance(out, args, cfg)
-    print(report.format_text())
+    # one config per seed, so that a bad seed is a config error
+    configs = [_build(args.experiment, cfg, args.command, s) for s in args.seeds or [None]]
+    seeds = [c.seed for c in configs]
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds repeats a seed: {seeds}")
+    table = pipeline.run_seeds(configs[0], seeds, out)
+    _write_provenance(out, args, cfg, seeds=seeds, workers=table.workers, threads={
+        var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+    print(table.format_text())
     return EXIT_OK
 
 
@@ -264,11 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, needs_out=True, seeds=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted config override, repeatable")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seeds:
+            p.add_argument("--seeds", type=int, nargs="+", help="seeds to run (default: config's)")
+        else:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
             p.add_argument("--force", action="store_true",
@@ -329,9 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roc", default=None, help="write a threshold/CA/FA table here")
     p.set_defaults(fn=cmd_eval)
 
+    p = sub.add_parser("compress", help="run the KWS model-compression experiment")
+    common(p, seeds=True)
+    p.set_defaults(fn=cmd_experiment, experiment=pipeline.KwsCompressionConfig)
+
     p = sub.add_parser("ladder", help="run the single-factor-change experiment ladder")
-    common(p)
-    p.set_defaults(fn=cmd_ladder)
+    common(p, seeds=True)
+    p.set_defaults(fn=cmd_experiment, experiment=pipeline.LadderConfig)
 
     return parser
 

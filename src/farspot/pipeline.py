@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import multiprocessing as mp
+import numbers
 import os
 import traceback
 from dataclasses import dataclass, asdict, replace
@@ -32,6 +34,21 @@ from .simkit import RoomSpec, Waveform
 
 class PipelineError(ValueError):
     pass
+
+
+def _check_ints(cfg, low: int, *names: str) -> None:
+    """Raise PipelineError unless every named field of cfg is an int >= low."""
+    for name in names:
+        v = getattr(cfg, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+            raise PipelineError(f"{name} must be an int >= {low}, got {v!r}")
+
+
+def _check_real(cfg, name: str, ok: Callable[[float], bool], what: str) -> None:
+    """Raise PipelineError unless ok holds for cfg.name, a number; NaN fails ok."""
+    v = getattr(cfg, name)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(v):
+        raise PipelineError(f"{name} must be {what}, got {v!r}")
 
 
 # Output alphabet of the wake-word task.
@@ -158,8 +175,7 @@ class SynthTaskSpec:
     stack_step: int = 3
 
     def __post_init__(self):
-        if self.stack_context < 1 or self.stack_step < 1:
-            raise PipelineError("stack_context and stack_step must be >= 1")
+        _check_ints(self, 1, "stack_context", "stack_step")
 
     def fbank_config(self) -> FbankConfig:
         return FbankConfig(n_mels=self.n_mels, window_ms=self.window_ms, hop_ms=self.hop_ms)
@@ -299,11 +315,12 @@ def _pmap(fn, jobs, workers: int):
     unpickles them.  Forking lets fn and the jobs be closures over large
     arrays, which the workers share copy-on-write instead of receiving
     pickled.  An exception raised by a job is raised here with its own type;
-    a worker that dies without a result raises PipelineError.
+    a worker that dies without a result raises PipelineError.  Called inside
+    a worker, it runs the jobs inline: one level of processes per run.
     """
     jobs = list(jobs)
     workers = min(workers, len(jobs))
-    if workers <= 1:
+    if workers <= 1 or _in_pmap_worker:
         return [fn(job) for job in jobs]
     ctx = mp.get_context("fork")
     procs = []
@@ -334,7 +351,12 @@ def _pmap(fn, jobs, workers: int):
     return results
 
 
+_in_pmap_worker = False  # set in forked _pmap workers only
+
+
 def _pmap_worker(fn, jobs, conn) -> None:
+    global _in_pmap_worker
+    _in_pmap_worker = True
     try:
         out = (True, [fn(job) for job in jobs])
     except Exception as exc:
@@ -520,10 +542,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.criterion not in _CRITERIA:
             raise PipelineError(f"unknown criterion {self.criterion!r}")
-        if self.learning_rate < 0:
-            raise PipelineError("learning_rate must be non-negative")
-        if self.epochs < 1:
-            raise PipelineError("epochs must be >= 1")
+        _check_ints(self, 1, "batch_size", "epochs")
+        _check_ints(self, 0, "seed", "label_delay")
+        _check_real(self, "learning_rate", lambda v: 0 <= v < math.inf, "finite and >= 0")
+        _check_real(self, "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
+        _check_real(self, "grad_clip", lambda v: 0 < v < math.inf, "finite and > 0")
+        _check_real(self, "lr_decay", lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 def _delayed(labels: np.ndarray, delay: int) -> np.ndarray:
@@ -857,6 +881,14 @@ class KwsCompressionConfig:
     lr_decay: float = 0.95
     out_dir: str | None = None
 
+    def __post_init__(self):
+        _check_ints(self, 0, "seed")
+        _check_ints(self, 1, "train_count", "test_count", "teacher_layers", "teacher_hidden",
+                    "student_layers", "student_hidden", "teacher_epochs", "student_epochs")
+        _check_real(self, "learning_rate", lambda v: 0 < v < math.inf, "finite and > 0")
+        _check_real(self, "lr_decay", lambda v: 0 < v <= 1, "in (0, 1]")
+        kws.check_target_ca(self.target_ca)
+
 
 def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
     """Train teacher/hard-student/distilled-student and report FA at the
@@ -951,6 +983,12 @@ class LadderConfig:
     layers: int = 1
     output_dim: int = 4  # wake-word task classes without blank (AM mode)
     out_dir: str | None = None
+
+    def __post_init__(self):
+        _check_ints(self, 0, "seed", "extra_count")
+        _check_ints(self, 1, "train_count", "test_count", "epochs", "teacher_epochs",
+                    "layers", "hidden")
+        _check_real(self, "learning_rate", lambda v: 0 < v < math.inf, "finite and > 0")
 
 
 @dataclass
@@ -1081,3 +1119,57 @@ def ablation_ladder(cfg: LadderConfig) -> LadderReport:
         (out_dir / "ladder.txt").write_text(report.format_text() + "\n")
         (out_dir / "ladder.json").write_text(report.to_json() + "\n")
     return report
+
+
+# ---------------------------------------------------------------------------
+# Multi-seed driver: one experiment, one row of named figures per seed.
+
+@dataclass
+class SeedTable:
+    metric: str  # what every figure measures
+    seeds: list[int]
+    rows: list[dict[str, float]]  # one per seed, in the order of seeds
+    workers: int  # forked processes that ran the seeds; 1: all in this process
+
+    def medians(self) -> dict[str, float]:
+        return {name: float(np.median([row[name] for row in self.rows])) for name in self.rows[0]}
+
+    def format_text(self) -> str:
+        cols = [(name, max(len(name), 7)) for name in self.rows[0]]
+        lines = [f"{self.metric} per seed", "seed    " + "  ".join(n.rjust(w) for n, w in cols)]
+        for label, row in [*zip(map(str, self.seeds), self.rows), ("median", self.medians())]:
+            lines.append(f"{label:6}  " + "  ".join(f"{row[n]:{w}.4f}" for n, w in cols))
+        return "\n".join(lines)
+
+    def to_json(self) -> str:  # the results only, so the same for any worker count
+        return json.dumps({"metric": self.metric, "seeds": self.seeds, "rows": self.rows,
+                           "medians": self.medians()}, indent=2)
+
+
+# config type -> (metric, experiment, the named figures of its result)
+_EXPERIMENTS = {
+    KwsCompressionConfig: ("FA at the target CA", kws_compression_experiment, lambda r: {
+        name: r[name]["fa"] for name in ("teacher", "hard_student", "distilled_student")}),
+    LadderConfig: ("far-field FER", ablation_ladder, lambda rep: {
+        **{r.stage: r.far_fer for r in rep.rows}, "majority-class": rep.majority_fer}),
+}
+
+
+def run_seeds(cfg: KwsCompressionConfig | LadderConfig, seeds,
+              out_dir: str | Path | None = None) -> SeedTable:
+    """Run cfg's experiment once per seed; with out_dir, seed N writes its
+    files to out_dir/seed<N> and the table goes to out_dir/summary.json.
+    Seeds run as _pmap jobs, so an experiment in a worker runs its own jobs
+    inline; a single seed forks its arms as a direct call does."""
+    seeds = list(seeds)
+    if not seeds or len(set(seeds)) < len(seeds):  # two runs would share seed<N>/
+        raise PipelineError(f"seeds must be a non-empty list without repeats, got {seeds}")
+    metric, experiment, figures = _EXPERIMENTS[type(cfg)]
+    configs = [replace(cfg, seed=s, out_dir=None if out_dir is None else
+                       str(Path(out_dir) / f"seed{s}")) for s in seeds]
+    workers = min(_blas_workers(), len(seeds))
+    table = SeedTable(metric, seeds, _pmap(lambda c: figures(experiment(c)), configs, workers),
+                      workers)
+    if out_dir is not None:  # the experiments have made it
+        (Path(out_dir) / "summary.json").write_text(table.to_json() + "\n")
+    return table

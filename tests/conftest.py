@@ -4,9 +4,9 @@ from pathlib import Path
 
 # Pin BLAS to one thread unless the caller chose otherwise.  OpenBLAS reads
 # the variable once, when numpy loads it, and numpy is not loaded yet here.
-# Pinned, the compression experiment runs its independent arms in parallel
-# (see pipeline._blas_workers); the worker-count test sets its subprocesses'
-# variables itself and so still covers the unpinned path.
+# Pinned, the experiments run their seeds, or one seed's independent arms, in
+# parallel (see pipeline._blas_workers); the worker-count tests set their
+# subprocesses' variables themselves and so still cover the unpinned path.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

@@ -16,8 +16,7 @@ from farspot.pipeline import (
     LadderConfig,
     SynthTaskSpec,
     TrainConfig,
-    ablation_ladder,
-    kws_compression_experiment,
+    run_seeds,
 )
 from helpers import (
     central_diff_grad,
@@ -233,14 +232,12 @@ def test_criterion_6_threshold_selection():
 
 @pytest.mark.slow
 def test_criterion_7_distillation_beats_hard_training():
-    results = [kws_compression_experiment(KwsCompressionConfig(seed=s)) for s in range(3)]
-
-    def med(key):
-        return float(np.median([r[key]["fa"] for r in results]))
-
-    fa_teacher, fa_hard, fa_dist = med("teacher"), med("hard_student"), med("distilled_student")
+    table = run_seeds(KwsCompressionConfig(), range(3))
+    med = table.medians()
+    fa_teacher, fa_hard, fa_dist = med["teacher"], med["hard_student"], med["distilled_student"]
     assert fa_hard > fa_dist
     assert fa_dist <= 1.5 * fa_teacher
+    print("\n" + table.format_text())
     _ok(
         "7 compression (median FA: teacher "
         f"{fa_teacher:.3f}, hard student {fa_hard:.3f}, distilled {fa_dist:.3f})"
@@ -254,19 +251,13 @@ def test_criterion_7_distillation_beats_hard_training():
 def test_criterion_8_adaptation_improves_far_field_fer():
     # the ladder's close-talk, ts-same-data (40 pairs) and ts-more-data (80
     # pairs) stages are the unadapted teacher and the half/full-data students
-    reports = [
-        ablation_ladder(LadderConfig(seed=s, train_count=40, extra_count=40, test_count=40))
-        for s in range(5)
-    ]
-
-    def med(stage):
-        return float(np.median([r.far_fer for rep in reports for r in rep.rows
-                                if r.stage == stage]))
-
-    teacher, half, full = med("close-talk"), med("ts-same-data"), med("ts-more-data")
-    majority = float(np.median([rep.majority_fer for rep in reports]))
+    table = run_seeds(LadderConfig(train_count=40, extra_count=40, test_count=40), range(5))
+    med = table.medians()
+    teacher, half, full = med["close-talk"], med["ts-same-data"], med["ts-more-data"]
+    majority = med["majority-class"]
     assert full < teacher
     assert full <= half
+    print("\n" + table.format_text())
     _ok(
         f"8 adaptation (median FER: teacher {teacher:.3f}, half-data {half:.3f}, "
         f"full-data {full:.3f}; majority-class baseline {majority:.3f})"

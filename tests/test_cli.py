@@ -47,7 +47,7 @@ class TestParser:
 
     def test_subcommand_help_exits_zero(self):
         for sub in ("synth", "simulate", "featurize", "train", "distill",
-                    "adapt", "spot", "eval", "ladder"):
+                    "adapt", "spot", "eval", "compress", "ladder"):
             with pytest.raises(SystemExit) as e:
                 cli.run([sub, "--help"])
             assert e.value.code == 0
@@ -293,6 +293,41 @@ class TestEndToEnd:
             in capsys.readouterr().err
 
 
+TINY_COMPRESS = ["--set", "compress.train_count=16", "--set", "compress.test_count=20",
+                 "--set", "compress.teacher_hidden=12", "--set", "compress.student_hidden=6",
+                 "--set", "compress.teacher_epochs=2", "--set", "compress.student_epochs=2"]
+
+
+class TestExperiments:
+    def test_compress_writes_seed_dirs_summary_and_provenance(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.run(["compress", "--seeds", "0", "1", "--out", str(out), *TINY_COMPRESS])
+        assert rc == EXIT_OK
+        assert {p.name for p in out.iterdir()} == {"seed0", "seed1", "summary.json",
+                                                   "provenance.json"}
+        assert (out / "seed1" / "distilled_student.ckpt").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["seeds"] == [0, 1] and len(summary["rows"]) == 2
+        prov = json.loads((out / "provenance.json").read_text())
+        assert prov["seeds"] == [0, 1]
+        assert prov["workers"] == min(pipeline._blas_workers(), 2)
+        assert set(prov["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert "median" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "--seeds", "0", "0"],
+        ["ladder", "--seeds", "0", "-1"],
+        ["compress", "--set", "compress.target_ca=1.5"],
+        ["compress", "--set", "compress.train_count=0"],
+        ["ladder", "--set", "ladder.test_count=0"],
+        ["ladder", "--set", "ladder.learning_rate=NaN"],
+    ])
+    def test_bad_experiment_config_is_config_error(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert cli.run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not any(out.iterdir())
+
+
 class TestRuntimeErrors:
     def test_missing_manifest_is_runtime_error(self, tmp_path):
         rc = cli.run(["train", "--config", _write_cfg(tmp_path, {
@@ -329,3 +364,18 @@ class TestRuntimeErrors:
                       "--manifest", str(corpus / "manifest.tsv"),
                       "--out", str(tmp_path / "o2")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", [
+        "learning_rate=NaN", "momentum=NaN", "grad_clip=-1", "grad_clip=0", "grad_clip=Infinity",
+        "lr_decay=0", "label_delay=-5", "batch_size=0", "batch_size=-3", "epochs=2.5",
+        "seed=-1",
+    ])
+    def test_bad_train_override_is_config_error(self, workspace, tmp_path, override):
+        _, corpus, _, trained = workspace
+        cfg = json.loads((trained / "provenance.json").read_text())["config"]
+        out = tmp_path / "o"
+        rc = cli.run(["train", "--config", _write_cfg(tmp_path, cfg),
+                      "--manifest", str(corpus / "manifest.tsv"),
+                      "--set", f"train.{override}", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not (out / "final.ckpt").exists()

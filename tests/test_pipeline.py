@@ -1,3 +1,4 @@
+import json
 import multiprocessing as mp
 import os
 import signal
@@ -584,6 +585,16 @@ class TestPmap:
             pipeline._pmap(job, range(4), 2)
         self._assert_reaped(int(p.stem) for p in tmp_path.glob("*.pid"))
 
+    def test_pmap_inside_a_worker_runs_inline(self):
+        def outer(job):
+            return os.getpid(), [pid for _, pid in pipeline._pmap(_pid_job, range(3), 2)]
+
+        out = pipeline._pmap(outer, range(2), 2)
+        assert len({pid for pid, _ in out}) == 2 and os.getpid() not in dict(out)
+        for pid, inner in out:
+            assert inner == [pid] * 3
+        self._assert_reaped(dict(out))
+
     def test_blas_workers_follow_the_thread_pinning(self, monkeypatch):
         ncpu = _ncpu()
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -642,6 +653,95 @@ def test_compression_experiment_independent_of_workers(tmp_path):
     hard, _ = pipeline.train(netcore.init_network(spec, np.random.default_rng(53)), items, cfg)
     netcore.save_checkpoint(hard, tmp_path / "hard.ckpt")
     assert (tmp_path / "hard.ckpt").read_bytes() == outputs[0]["hard_student.ckpt"]
+
+
+TINY_LADDER = pipeline.LadderConfig(train_count=8, extra_count=8, test_count=6,
+                                   epochs=1, teacher_epochs=1, hidden=8)
+TINY_COMPRESSION = pipeline.KwsCompressionConfig(train_count=16, test_count=20,
+                                                 teacher_hidden=12, student_hidden=6,
+                                                 teacher_epochs=2, student_epochs=2)
+
+
+class TestRunSeeds:
+    # Under the suite's 1-thread BLAS the seeds run in forked workers with
+    # their arms inline; the direct calls fork the compression arms instead.
+    def test_ladder_rows_equal_direct_runs_in_seed_order(self, tmp_path):
+        table = pipeline.run_seeds(TINY_LADDER, [1, 0], tmp_path)
+        direct = [pipeline.ablation_ladder(replace(TINY_LADDER, seed=s)) for s in (1, 0)]
+        assert table.seeds == [1, 0]
+        assert table.rows == [{**{r.stage: r.far_fer for r in rep.rows},
+                               "majority-class": rep.majority_fer} for rep in direct]
+        assert table.medians()["ts-more-data"] == float(np.median(
+            [rep.rows[3].far_fer for rep in direct]))
+        assert (tmp_path / "summary.json").read_text() == table.to_json() + "\n"
+        assert json.loads(table.to_json())["seeds"] == [1, 0]
+        for s in (0, 1):
+            assert (tmp_path / f"seed{s}" / "ladder.json").exists()
+        lines = table.format_text().splitlines()
+        assert len(lines) == 2 + 2 + 1 and lines[-1].startswith("median")
+
+    def test_compression_rows_equal_direct_runs(self):
+        table = pipeline.run_seeds(TINY_COMPRESSION, range(2))
+        direct = [pipeline.kws_compression_experiment(replace(TINY_COMPRESSION, seed=s))
+                  for s in range(2)]
+        assert table.rows == [{name: r[name]["fa"] for name in
+                               ("teacher", "hard_student", "distilled_student")} for r in direct]
+
+    @pytest.mark.parametrize("seeds", [[], [0, 0], [0, -1]])
+    def test_bad_seed_list_rejected(self, seeds, tmp_path):
+        with pytest.raises(PipelineError):
+            pipeline.run_seeds(TINY_LADDER, seeds, tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("cfg, field, value", [
+        (TINY_COMPRESSION, "train_count", 0), (TINY_COMPRESSION, "teacher_epochs", 2.5),
+        (TINY_COMPRESSION, "student_hidden", True), (TINY_COMPRESSION, "seed", -1),
+        (TINY_COMPRESSION, "learning_rate", float("nan")), (TINY_COMPRESSION, "lr_decay", 0.0),
+        (TINY_LADDER, "test_count", 0), (TINY_LADDER, "extra_count", -1),
+        (TINY_LADDER, "layers", 0), (TINY_LADDER, "learning_rate", float("inf")),
+    ])
+    def test_bad_experiment_config_rejected(self, cfg, field, value):
+        with pytest.raises(PipelineError, match=field):
+            replace(cfg, **{field: value})
+
+    def test_target_ca_checked_by_kws(self):
+        with pytest.raises(kws.KwsError, match="got 1.5"):
+            replace(TINY_COMPRESSION, target_ca=1.5)
+
+
+def test_ladder_seeds_independent_of_workers(tmp_path):
+    # `farspot ladder --seeds 0 1` with BLAS at 1 thread (seeds on parallel
+    # workers) and at nCPU threads (seeds one after another): the same files
+    # and output.  Each run writes to the relative path "run" so that the
+    # checkpoint paths in ladder.json agree; provenance.json records the
+    # environment and so differs.
+    ncpu = _ncpu()
+    if ncpu < 2:
+        pytest.skip("parallel seeds need 2 or more CPUs")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    runs = []
+    for threads in (1, ncpu):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("OMP_NUM_THREADS", None)
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "farspot.cli", "ladder", "--seeds", "0", "1", "--out", "run",
+             *[f"--set=ladder.{k}={getattr(TINY_LADDER, k)}" for k in
+               ("train_count", "extra_count", "test_count", "epochs", "teacher_epochs",
+                "hidden")]],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        prov = json.loads((cwd / "run" / "provenance.json").read_text())
+        assert prov["workers"] == (2 if threads == 1 else 1)
+        assert prov["threads"]["OPENBLAS_NUM_THREADS"] == str(threads)
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in (cwd / "run").rglob("*")
+                 if p.is_file() and p.name != "provenance.json"}
+        runs.append((proc.stdout, files))
+    assert {"run/summary.json", "run/seed0/ladder.json", "run/seed1/ts-rich-sim.ckpt"} \
+        <= set(runs[0][1])
+    assert runs[0] == runs[1]
 
 
 class TestCtcSymbols:
