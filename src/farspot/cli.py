@@ -116,18 +116,17 @@ def _write_provenance(out_dir: Path, args, cfg: dict, **extra) -> None:
 
 
 def _model_spec(cfg: dict, section: str = "model") -> netcore.ModelSpec:
-    data = cfg.get(section)
-    if data is None:
+    if cfg.get(section) is None:
         raise ConfigError(f"config needs a {section!r} section with the model spec")
-    return netcore.ModelSpec.from_dict(data)
+    return _build(netcore.ModelSpec, cfg, section)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synth(args, cfg):
-    out = _prepare_out_dir(args.out, args.force)
     spec = _build(SynthTaskSpec, cfg, "task", args.seed)
+    out = _prepare_out_dir(args.out, args.force)
     manifest = pipeline.synth_corpus(spec, args.count, out, workers=args.workers)
     _write_provenance(out, args, cfg)
     print(f"wrote {len(manifest)} utterances to {out}")
@@ -135,8 +134,8 @@ def cmd_synth(args, cfg):
 
 
 def cmd_simulate(args, cfg):
-    out = _prepare_out_dir(args.out, args.force)
     far = _build(FarFieldConfig, cfg, "farfield", args.seed)
+    out = _prepare_out_dir(args.out, args.force)
     manifest = pipeline.read_manifest(args.manifest)
     result = pipeline.simulate_corpus(manifest, far, out, workers=args.workers)
     _write_provenance(out, args, cfg)
@@ -145,8 +144,8 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_featurize(args, cfg):
-    out = _prepare_out_dir(args.out, args.force)
     spec = _build(SynthTaskSpec, cfg, "task", args.seed)
+    out = _prepare_out_dir(args.out, args.force)
     manifest = pipeline.read_manifest(args.manifest)
     result = pipeline.featurize_corpus(manifest, spec, out, workers=args.workers)
     _write_provenance(out, args, cfg)
@@ -158,9 +157,9 @@ def _fit(args, cfg, input_dim: int, fit):
     """Shared body of train/distill/adapt.  input_dim is the frame width the
     model takes; fit(items, train_config, out_dir) returns the trained
     network and its per-epoch loss log."""
-    out = _prepare_out_dir(args.out, args.force)
     spec = _build(SynthTaskSpec, cfg, "task")
     tc = _build(TrainConfig, cfg, "train", args.seed)
+    out = _prepare_out_dir(args.out, args.force)
     items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
     try:
         pipeline.check_feature_dim(items, input_dim)

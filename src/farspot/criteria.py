@@ -91,21 +91,6 @@ def hard_ce_loss(labels, student_logits: np.ndarray):
     return loss, grad
 
 
-def interpolated_ce_loss(teacher, labels, student_logits, soft_weight: float = 1.0):
-    """soft_weight * soft CE + (1 - soft_weight) * hard CE.
-
-    Defaults to pure soft targets; the hard-label term exists only for
-    knowledge-distillation style comparisons.
-    """
-    if not 0.0 <= soft_weight <= 1.0:
-        raise CriterionError("soft_weight must be in [0, 1]")
-    ls, gs = soft_ce_loss(teacher, student_logits)
-    if soft_weight == 1.0:
-        return ls, gs
-    lh, gh = hard_ce_loss(labels, student_logits)
-    return soft_weight * ls + (1 - soft_weight) * lh, soft_weight * gs + (1 - soft_weight) * gh
-
-
 # ---------------------------------------------------------------------------
 # CTC
 

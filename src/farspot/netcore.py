@@ -2,8 +2,8 @@
 
 A network is `layers` LSTM layers (optionally with peephole connections and a
 linear projection of the hidden state) followed by an affine output layer and
-a softmax.  Parameters live in one flat vector; the layout is a fixed ordered
-list of named blocks:
+a softmax.  Parameters live in one flat float64 vector; the layout is a fixed
+ordered list of named blocks:
 
     per layer i (d = layer input size, h = hidden, r = projection or h):
         l{i}.wx    (4h, d)   input weights, gate order [i, f, g, o]
@@ -56,6 +56,7 @@ plain batched products: its checkpoints were made with them.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,6 +103,10 @@ class Posteriorgram:
         return self.rows.shape[1]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     input_dim: int
@@ -113,14 +118,23 @@ class ModelSpec:
     svd_rank: tuple[tuple[str, int], ...] | None = None
 
     def __post_init__(self):
+        for name in ("input_dim", "layers", "hidden", "projection", "output_dim"):
+            if not _is_int(getattr(self, name)):
+                raise NetworkError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not isinstance(self.peepholes, bool):
+            raise NetworkError(f"peepholes must be true or false, got {self.peepholes!r}")
         if self.layers < 1 or self.hidden < 1 or self.output_dim < 1:
             raise NetworkError("layers, hidden and output_dim must be >= 1")
         if self.input_dim < 1:
             raise NetworkError("input_dim must be >= 1")
         if not 0 <= self.projection <= self.hidden:
             raise NetworkError("projection must be in [0, hidden]")
-        if self.svd_rank is not None and not isinstance(self.svd_rank, tuple):
-            object.__setattr__(self, "svd_rank", tuple(sorted(dict(self.svd_rank).items())))
+        if self.svd_rank is not None:
+            if not isinstance(self.svd_rank, tuple):
+                object.__setattr__(self, "svd_rank", tuple(sorted(dict(self.svd_rank).items())))
+            for block, k in self.svd_rank:
+                if not _is_int(k) or k < 1:
+                    raise NetworkError(f"svd rank of {block} must be an int >= 1, got {k!r}")
 
     @property
     def recurrent_size(self) -> int:
@@ -194,14 +208,15 @@ def param_count(spec: ModelSpec) -> int:
 
 @dataclass
 class Network:
-    """Immutable-by-convention pairing of a spec and a flat parameter vector."""
+    """Immutable-by-convention pairing of a spec and a flat float64 parameter
+    vector."""
 
     spec: ModelSpec
     parameters: np.ndarray
     _offsets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.parameters = np.asarray(self.parameters)
+        self.parameters = np.asarray(self.parameters, dtype=np.float64)
         expected = param_count(self.spec)
         if self.parameters.shape != (expected,):
             raise NetworkError(
@@ -234,7 +249,7 @@ class GradientSink:
 
     def __init__(self, net: Network):
         self.net = net
-        self.grad = np.zeros_like(net.parameters, dtype=np.float64)
+        self.grad = np.zeros_like(net.parameters)
 
     def view(self, name: str) -> np.ndarray:
         off, shape = self.net._offsets[name]
@@ -251,12 +266,9 @@ class GradientSink:
             self.view(f"{name}.v")[...] += u.T @ dw
 
 
-def init_network(
-    spec: ModelSpec, rng: np.random.Generator, dtype=np.float64
-) -> Network:
+def init_network(spec: ModelSpec, rng: np.random.Generator) -> Network:
     """Uniform(-0.05, 0.05) weights, zero biases, forget-gate bias +1."""
-    params = np.zeros(param_count(spec), dtype=dtype)
-    net = Network(spec, params)
+    net = Network(spec, np.zeros(param_count(spec)))
     h = spec.hidden
     for name, shape in layout(spec):
         blk = net.block(name)
@@ -265,7 +277,7 @@ def init_network(
         elif name.endswith(".peep") or name == "out.b":
             pass
         else:
-            blk[...] = rng.uniform(-0.05, 0.05, size=shape).astype(dtype)
+            blk[...] = rng.uniform(-0.05, 0.05, size=shape)
     return net
 
 
@@ -288,13 +300,12 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
     alone byte for byte (see "Batch invariance"), and padded frames are 0.
     """
     spec = net.spec
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != spec.input_dim:
         raise NetworkError(f"input shape {x.shape} incompatible with input_dim {spec.input_dim}")
     b, t, _ = x.shape
     h = spec.hidden
     r_size = spec.recurrent_size
-    dtype = net.parameters.dtype
     if lengths is not None:
         lengths = [int(n) for n in lengths]
         if len(lengths) != b or not all(0 <= n <= t for n in lengths):
@@ -303,7 +314,7 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
     def seq_product(seq, w):  # (B, T, k) @ w.T
         if lengths is None:
             return seq @ w.T
-        out = np.zeros((b, t, w.shape[0]), dtype=dtype)
+        out = np.zeros((b, t, w.shape[0]))
         for j, n in enumerate(lengths):
             out[j, :n] = seq[j : j + 1, :n] @ w.T
         return out
@@ -311,8 +322,8 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
     def frame_product(v, w):  # (B, k) @ w.T
         return v @ w.T if lengths is None else (v[:, None] @ w.T)[:, 0]
 
-    cache = {"x": x, "layers": []} if want_cache else None
-    seq = x.astype(dtype, copy=False)
+    cache = {"layers": []} if want_cache else None
+    seq = x
     for li in range(spec.layers):
         wx = net.weight(f"l{li}.wx")
         wr = net.weight(f"l{li}.wr")
@@ -325,14 +336,14 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
         # and tanh(z_g) goes to gg
         act = np.ascontiguousarray(
             (seq_product(seq, wx) + bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
-        gg = np.empty((t, b, h), dtype=dtype)
-        cc = np.empty((t, b, h), dtype=dtype)
-        mm = np.empty((t, b, h), dtype=dtype)
-        rr = np.empty((t, b, r_size), dtype=dtype) if proj is not None else mm
-        tanh_c = np.empty((b, h), dtype=dtype)
+        gg = np.empty((t, b, h))
+        cc = np.empty((t, b, h))
+        mm = np.empty((t, b, h))
+        rr = np.empty((t, b, r_size)) if proj is not None else mm
+        tanh_c = np.empty((b, h))
 
-        c_prev = np.zeros((b, h), dtype=dtype)
-        r_prev = np.zeros((b, r_size), dtype=dtype)
+        c_prev = np.zeros((b, h))
+        r_prev = np.zeros((b, r_size))
         for ti in range(t):
             z = act[ti]
             z += frame_product(r_prev, wr).reshape(b, 4, h).transpose(1, 0, 2)
@@ -400,7 +411,7 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
         gi, gf, gg, go = lc["i"], lc["f"], lc["g"], lc["o"]
         cc, mm, rr = lc["c"], lc["m"], lc["r"]
         tanh_c = np.tanh(cc)
-        # the gates' derivative factors, in the same precision as the cache
+        # the gates' derivative factors
         d_tanh_c = 1.0 - tanh_c**2
         d_gi, d_gf, d_go = 1.0 - gi, 1.0 - gf, 1.0 - go
         d_gg = 1.0 - gg**2
@@ -477,8 +488,8 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
 
 
 def posteriors(logits: np.ndarray) -> Posteriorgram:
-    """One sequence's (T, N) logits as row-stochastic float64 posteriors."""
-    return Posteriorgram(softmax(logits.astype(np.float64)))
+    """One sequence's (T, N) logits as row-stochastic posteriors."""
+    return Posteriorgram(softmax(logits))
 
 
 def forward(net: Network, frames: np.ndarray) -> Posteriorgram:
@@ -521,25 +532,23 @@ def small_kws_spec(input_dim: int = 640, output_dim: int = 5) -> ModelSpec:
 #   magic    4 bytes  b"FSCK"
 #   version  u32      1
 #   spec     u32 length + UTF-8 JSON of ModelSpec.to_dict()
-#   dtype    u8       0 = float64, 1 = float32
+#   dtype    u8       0 = float64, the only code
 #   count    u64      parameter count
-#   payload  raw parameter bytes
+#   payload  count little-endian float64 parameters
 
 _CKPT_MAGIC = b"FSCK"
 _CKPT_VERSION = 1
-_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 
 
 def save_checkpoint(net: Network, path: str | Path) -> None:
     spec_json = json.dumps(net.spec.to_dict(), sort_keys=True).encode()
-    code = 0 if net.parameters.dtype == np.float64 else 1
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", _CKPT_VERSION))
         fh.write(struct.pack("<I", len(spec_json)))
         fh.write(spec_json)
-        fh.write(struct.pack("<BQ", code, len(net.parameters)))
-        fh.write(np.ascontiguousarray(net.parameters).astype(_DTYPES[code], copy=False).tobytes())
+        fh.write(struct.pack("<BQ", 0, len(net.parameters)))
+        fh.write(np.ascontiguousarray(net.parameters, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> Network:
@@ -552,14 +561,13 @@ def load_checkpoint(path: str | Path) -> Network:
             raise NetworkError(f"{path}: unsupported checkpoint version {version}")
         spec = ModelSpec.from_dict(json.loads(data[12 : 12 + spec_len].decode()))
         code, count = struct.unpack_from("<BQ", data, 12 + spec_len)
-        if code not in _DTYPES:
-            raise NetworkError(f"{path}: unknown dtype code {code}")
-        dtype = _DTYPES[code]
+        if code != 0:
+            raise NetworkError(f"{path}: unknown dtype code {code} (0 = float64 is the only one)")
         payload = data[21 + spec_len :]
-        if len(payload) != count * dtype.itemsize:
+        if len(payload) != 8 * count:
             raise NetworkError(f"{path}: parameter payload has {len(payload)} bytes, "
-                               f"expected {count * dtype.itemsize}")
-        return Network(spec, np.frombuffer(payload, dtype=dtype).copy())
+                               f"expected {8 * count}")
+        return Network(spec, np.frombuffer(payload, dtype="<f8").copy())
     except NetworkError:
         raise
     except (struct.error, ValueError, TypeError, AttributeError) as e:

@@ -44,11 +44,25 @@ def _check_ints(cfg, low: int, *names: str) -> None:
             raise PipelineError(f"{name} must be an int >= {low}, got {v!r}")
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _check_real(cfg, name: str, ok: Callable[[float], bool], what: str) -> None:
     """Raise PipelineError unless ok holds for cfg.name, a number; NaN fails ok."""
     v = getattr(cfg, name)
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(v):
+    if not (_is_real(v) and ok(v)):
         raise PipelineError(f"{name} must be {what}, got {v!r}")
+
+
+def _check_range(cfg, name: str, ok: Callable[[float], bool], what: str) -> None:
+    """Raise PipelineError unless cfg.name is a (low, high) pair of numbers
+    with low <= high, for both of which ok holds; NaN fails ok."""
+    v = getattr(cfg, name)
+    if not (isinstance(v, (tuple, list)) and len(v) == 2
+            and all(_is_real(x) and ok(x) for x in v) and v[0] <= v[1]):
+        raise PipelineError(f"{name} must be a (low, high) pair with low <= high, "
+                            f"each {what}, got {v!r}")
 
 
 # Output alphabet of the wake-word task.
@@ -175,7 +189,32 @@ class SynthTaskSpec:
     stack_step: int = 3
 
     def __post_init__(self):
-        _check_ints(self, 1, "stack_context", "stack_step")
+        _check_ints(self, 0, "seed")
+        _check_ints(self, 1, "sample_rate", "n_mels", "stack_context", "stack_step")
+        _check_real(self, "sample_rate", lambda v: v == 16000, "16000, the front end's rate")
+        nyquist = self.sample_rate / 2
+        for name, tones in (("hey_freqs", (self.hey_freqs,)),
+                            ("cortana_freqs", (self.cortana_freqs,)),
+                            ("filler_freqs", self.filler_freqs)):
+            if not (isinstance(tones, (tuple, list)) and tones and all(
+                    isinstance(fs, (tuple, list)) and fs
+                    and all(_is_real(f) and 0 < f < nyquist for f in fs) for fs in tones)):
+                raise PipelineError(f"{name} must hold tone frequencies in (0, {nyquist:g}) Hz, "
+                                    f"got {getattr(self, name)!r}")
+        _check_real(self, "amplitude", lambda v: 0 < v < math.inf, "finite and > 0")
+        for name in ("amp_jitter", "freq_jitter"):
+            _check_real(self, name, lambda v: 0 <= v < 1, "in [0, 1)")
+        for name in ("segment_dur_range", "silence_pad_range"):
+            _check_range(self, name, lambda v: 0 < v < math.inf, "finite and > 0 (seconds)")
+        _check_range(self, "n_filler_range",
+                     lambda v: isinstance(v, numbers.Integral) and v >= 0, "an int >= 0")
+        _check_real(self, "positive_ratio", lambda v: 0 <= v <= 1, "in [0, 1]")
+        _check_range(self, "noise_snr_range", math.isfinite, "finite (dB)")
+        # a hop of at least one sample, and a window of at least one hop
+        _check_real(self, "hop_ms", lambda v: 1000 / self.sample_rate <= v < math.inf,
+                    f"finite and >= {1000 / self.sample_rate:g} (one sample)")
+        _check_real(self, "window_ms", lambda v: self.hop_ms <= v < math.inf,
+                    "finite and >= hop_ms")
 
     def fbank_config(self) -> FbankConfig:
         return FbankConfig(n_mels=self.n_mels, window_ms=self.window_ms, hop_ms=self.hop_ms)
@@ -471,6 +510,20 @@ class FarFieldConfig:
     snr_range: tuple[float, float] = (5.0, 15.0)
     seed: int = 100
 
+    def __post_init__(self):
+        # a room must hold the source and the mic 0.3 m from every wall and
+        # 0.5 m apart, as sample_room draws them
+        dims = (self.room_dim_low, self.room_dim_high)
+        if not (all(isinstance(d, (tuple, list)) and len(d) == 3
+                    and all(_is_real(x) and 1 <= x < math.inf for x in d) for d in dims)
+                and all(a <= b for a, b in zip(*dims))):
+            raise PipelineError("room_dim_low and room_dim_high must be 3 finite sizes >= 1 m, "
+                                f"low <= high in each, got {dims[0]!r} and {dims[1]!r}")
+        _check_range(self, "reflection_range", lambda v: 0 <= v <= 1, "in [0, 1]")
+        _check_ints(self, 0, "max_order", "seed")
+        _check_ints(self, 1, "ir_length")
+        _check_range(self, "snr_range", math.isfinite, "finite (dB)")
+
     def sample_room(self, rng, sample_rate: int) -> RoomSpec:
         dims = rng.uniform(self.room_dim_low, self.room_dim_high)
         margin = 0.3
@@ -535,27 +588,16 @@ class TrainConfig:
     seed: int = 0
     grad_clip: float = 5.0
     lr_decay: float = 0.85  # per-epoch step decay
-    label_delay: int = 0
-    soft_weight: float = 1.0
-    blank: int = BLANK
 
     def __post_init__(self):
         if self.criterion not in _CRITERIA:
             raise PipelineError(f"unknown criterion {self.criterion!r}")
         _check_ints(self, 1, "batch_size", "epochs")
-        _check_ints(self, 0, "seed", "label_delay")
+        _check_ints(self, 0, "seed")
         _check_real(self, "learning_rate", lambda v: 0 <= v < math.inf, "finite and >= 0")
         _check_real(self, "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
         _check_real(self, "grad_clip", lambda v: 0 < v < math.inf, "finite and > 0")
         _check_real(self, "lr_decay", lambda v: 0 < v <= 1, "in (0, 1]")
-
-
-def _delayed(labels: np.ndarray, delay: int) -> np.ndarray:
-    if delay == 0:
-        return labels
-    t = len(labels)
-    idx = np.clip(np.arange(t) - delay, 0, t - 1)
-    return labels[idx]
 
 
 def _padded(seqs: list[np.ndarray], tmax: int, dim: int) -> np.ndarray:
@@ -582,14 +624,11 @@ def _per_utterance(loss):
 
 @_per_utterance
 def _hard_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
-    return criteria.hard_ce_loss(_delayed(np.asarray(it.frame_labels), cfg.label_delay), logits)
+    return criteria.hard_ce_loss(it.frame_labels, logits)
 
 
 @_per_utterance
 def _soft_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
-    if cfg.soft_weight < 1.0:
-        labels = _delayed(np.asarray(it.frame_labels), cfg.label_delay)
-        return criteria.interpolated_ce_loss(it.teacher_rows, labels, logits, cfg.soft_weight)
     return criteria.soft_ce_loss(it.teacher_rows, logits)
 
 
@@ -600,12 +639,12 @@ def _ts_adapt(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
 
 def _ctc(batch: list[TrainItem], logits, cfg: TrainConfig, teacher_rows):
     return criteria.ctc_loss_batch(logits, [it.num_frames for it in batch],
-                                   [it.symbols for it in batch], cfg.blank)
+                                   [it.symbols for it in batch], BLANK)
 
 
 class _Criterion(NamedTuple):
     # TrainItem fields (and what they hold) that every training item must carry
-    needs: Callable[[TrainConfig], dict[str, str]]
+    needs: dict[str, str]
     # (batch, padded logits (B, T, N), cfg, padded teacher rows (B, T, N) or
     # None) -> (per-utterance losses, dloss/dlogits (B, T, N), 0 on padding)
     loss: Callable
@@ -614,15 +653,11 @@ class _Criterion(NamedTuple):
 
 
 _CRITERIA = {
-    "hard_ce": _Criterion(lambda cfg: {"frame_labels": "frame labels"}, _hard_ce),
-    "soft_ce": _Criterion(
-        lambda cfg: {"teacher_rows": "teacher posteriors",
-                     **({"frame_labels": "frame labels"} if cfg.soft_weight < 1.0 else {})},
-        _soft_ce,
-    ),
-    "ts_adapt": _Criterion(lambda cfg: {"source_feats": "paired source features"},
-                           _ts_adapt, uses_teacher=True),
-    "ctc": _Criterion(lambda cfg: {"symbols": "a symbol transcript"}, _ctc),
+    "hard_ce": _Criterion({"frame_labels": "frame labels"}, _hard_ce),
+    "soft_ce": _Criterion({"teacher_rows": "teacher posteriors"}, _soft_ce),
+    "ts_adapt": _Criterion({"source_feats": "paired source features"}, _ts_adapt,
+                           uses_teacher=True),
+    "ctc": _Criterion({"symbols": "a symbol transcript"}, _ctc),
 }
 
 
@@ -638,7 +673,7 @@ def check_feature_dim(items: list[TrainItem], input_dim: int) -> None:
 
 
 def _check_items(items: list[TrainItem], cfg: TrainConfig, input_dim: int) -> None:
-    needs = _CRITERIA[cfg.criterion].needs(cfg)
+    needs = _CRITERIA[cfg.criterion].needs
     for it in items:
         for name, what in needs.items():
             if getattr(it, name) is None:
@@ -673,15 +708,14 @@ def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig,
     tmax = max(it.num_frames for it in batch)
     d = net.spec.input_dim
     logits, cache = netcore.forward_batch(net, _padded([it.feats for it in batch], tmax, d))
-    logits64 = logits.astype(np.float64)
 
     teacher_rows = None
     if crit.uses_teacher:
         xs = _padded([it.source_feats for it in batch], tmax, d)
         t_logits, _ = netcore.forward_batch(teacher, xs, want_cache=False)
-        teacher_rows = netcore.softmax(t_logits.astype(np.float64))
+        teacher_rows = netcore.softmax(t_logits)
 
-    losses, dlogits = crit.loss(batch, logits64, cfg, teacher_rows)
+    losses, dlogits = crit.loss(batch, logits, cfg, teacher_rows)
     total_loss = 0.0
     for loss in losses:  # in item order, which fixes the rounding
         total_loss += loss
@@ -708,7 +742,7 @@ def train(
     _check_items(items, cfg, net.spec.input_dim)
 
     net = net.copy()
-    velocity = np.zeros_like(net.parameters, dtype=np.float64)
+    velocity = np.zeros_like(net.parameters)
     batches = _batches(items, cfg.batch_size)
     rng = np.random.default_rng(cfg.seed)
     log = []
@@ -731,7 +765,7 @@ def train(
             if norm > cfg.grad_clip:
                 grad = grad * (cfg.grad_clip / norm)
             velocity = cfg.momentum * velocity - lr * grad
-            net.parameters += velocity.astype(net.parameters.dtype)
+            net.parameters += velocity
             epoch_loss += loss
         log.append(epoch_loss / len(batches))
         if checkpoint_dir is not None:
@@ -824,11 +858,9 @@ def frame_error_rate(net: Network, items: list[TrainItem]) -> float:
     return wrong / sum(it.num_frames for it in items)
 
 
-def score_kws(
-    net: Network, items: list[TrainItem], km: kws.KeywordModel = KEYWORD_MODEL
-) -> list[tuple[str, float, bool, float | None]]:
+def score_kws(net: Network, items: list[TrainItem]) -> list[tuple[str, float, bool, float | None]]:
     """Confidence score for every utterance, as score-file records."""
-    return [(it.utt_id, kws.spot(netcore.posteriors(logits), km).score,
+    return [(it.utt_id, kws.spot(netcore.posteriors(logits), KEYWORD_MODEL).score,
              bool(it.is_positive), it.duration_sec)
             for it, logits in zip(items, _infer(net, items))]
 
@@ -997,7 +1029,7 @@ class LadderRow:
     changed_factor: str
     far_fer: float
     seed: int
-    checkpoint: str | None
+    checkpoint: str | None  # file name in the ladder's out_dir
 
 
 @dataclass
@@ -1076,9 +1108,8 @@ def ablation_ladder(cfg: LadderConfig) -> LadderReport:
     def ckpt(name: str, net: Network) -> str | None:
         if out_dir is None:
             return None
-        p = out_dir / f"{name}.ckpt"
-        netcore.save_checkpoint(net, p)
-        return str(p)
+        netcore.save_checkpoint(net, out_dir / f"{name}.ckpt")
+        return f"{name}.ckpt"
 
     rows = [
         LadderRow("close-talk", "baseline (no adaptation)",

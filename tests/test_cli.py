@@ -365,17 +365,35 @@ class TestRuntimeErrors:
                       "--out", str(tmp_path / "o2")])
         assert rc == EXIT_CONFIG
 
+    # label_delay, soft_weight and blank are unknown keys; the ids of the
+    # train section's cases omit "train."
     @pytest.mark.parametrize("override", [
-        "learning_rate=NaN", "momentum=NaN", "grad_clip=-1", "grad_clip=0", "grad_clip=Infinity",
-        "lr_decay=0", "label_delay=-5", "batch_size=0", "batch_size=-3", "epochs=2.5",
-        "seed=-1",
-    ])
+        "train.learning_rate=NaN", "train.momentum=NaN", "train.grad_clip=-1",
+        "train.grad_clip=0", "train.grad_clip=Infinity", "train.lr_decay=0",
+        "train.label_delay=-5", "train.soft_weight=0.5", "train.blank=9",
+        "train.batch_size=0", "train.batch_size=-3", "train.epochs=2.5", "train.seed=-1",
+        "model.hidden=2.5", "model.foo=1", "model.layers=true",
+        "task.n_mels=0", "task.positive_ratio=2", "task.window_ms=-1", "task.hop_ms=0",
+        "task.sample_rate=8000",
+    ], ids=lambda override: override.removeprefix("train."))
     def test_bad_train_override_is_config_error(self, workspace, tmp_path, override):
         _, corpus, _, trained = workspace
         cfg = json.loads((trained / "provenance.json").read_text())["config"]
         out = tmp_path / "o"
         rc = cli.run(["train", "--config", _write_cfg(tmp_path, cfg),
                       "--manifest", str(corpus / "manifest.tsv"),
-                      "--set", f"train.{override}", "--out", str(out)])
+                      "--set", override, "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert not (out / "final.ckpt").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        "max_order=2.5", "max_order=-1", "ir_length=0", "reflection_range=[2,3]",
+        "snr_range=[NaN,1]",
+    ])
+    def test_bad_farfield_override_is_config_error(self, workspace, tmp_path, override):
+        _, corpus, _, _ = workspace
+        out = tmp_path / "o"
+        rc = cli.run(["simulate", "--manifest", str(corpus / "manifest.tsv"),
+                      "--set", f"farfield.{override}", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()

@@ -128,20 +128,6 @@ class TestHardCe:
         with pytest.raises(CriterionError):
             criteria.hard_ce_loss([4], np.zeros((1, 4)))
 
-    def test_interpolation_endpoints(self):
-        rng = np.random.default_rng(4)
-        logits = rng.standard_normal((3, 4))
-        labels = np.array([0, 2, 1])
-        teacher = np.stack([_rand_dist(rng, 4) for _ in range(3)])
-        ls, _ = criteria.soft_ce_loss(teacher, logits)
-        lh, _ = criteria.hard_ce_loss(labels, logits)
-        l1, _ = criteria.interpolated_ce_loss(teacher, labels, logits, 1.0)
-        l0, _ = criteria.interpolated_ce_loss(teacher, labels, logits, 0.0)
-        lm, _ = criteria.interpolated_ce_loss(teacher, labels, logits, 0.25)
-        assert l1 == pytest.approx(ls)
-        assert l0 == pytest.approx(lh)
-        assert lm == pytest.approx(0.25 * ls + 0.75 * lh)
-
 
 class TestTsAdaptation:
     # T/S adaptation is the batched ts_adapt criterion of pipeline: soft CE

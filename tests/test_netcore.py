@@ -261,9 +261,9 @@ class TestKernelsMatchReference:
     layout differs between layer 0 and deeper layers, hence 1-3 layers."""
 
     @staticmethod
-    def _check(spec, dtype, lengths, seed, time_major_input=False):
+    def _check(spec, lengths, seed, time_major_input=False):
         rng = np.random.default_rng(seed)
-        net = init_network(spec, rng, dtype=dtype)
+        net = init_network(spec, rng)
         net.parameters[...] = rng.normal(0.0, 0.5, net.parameters.shape)
         b, t = len(lengths), max(lengths)
         x = np.zeros((b, t, spec.input_dim))
@@ -287,20 +287,17 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("projection", [0, 4])
     def test_bit_identical_to_reference(self, layers, peepholes, projection):
         factored = {f"l{i}.{w}": 3 for i in range(layers) for w in ("wx", "wr")}
-        for svd, dtype, b in itertools.product(
-            [False, True], [np.float64, np.float32], [1, 3, 8, 16]
-        ):
+        for svd, b in itertools.product([False, True], [1, 3, 8, 16]):
             spec = ModelSpec(input_dim=11, layers=layers, hidden=9, projection=projection,
                              output_dim=5, peepholes=peepholes,
                              svd_rank=tuple(sorted(factored.items())) if svd else None)
             lengths = [9 - 2 * (j % 4) for j in range(b)]
-            self._check(spec, dtype, lengths, seed=layers * 1000 + b)
-            self._check(spec, dtype, lengths, seed=layers * 1000 + b + 1,
-                        time_major_input=True)
+            self._check(spec, lengths, seed=layers * 1000 + b)
+            self._check(spec, lengths, seed=layers * 1000 + b + 1, time_major_input=True)
 
     def test_bit_identical_at_kws_teacher_shape(self):
         spec = ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5, peepholes=False)
-        self._check(spec, np.float64, [38] * 12 + [30, 25, 20, 14], seed=3)
+        self._check(spec, [38] * 12 + [30, 25, 20, 14], seed=3)
 
 
 class TestBatchInvariance:
@@ -312,16 +309,14 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("projection", [0, 4])
     def test_rows_equal_single_utterance_forward(self, layers, peepholes, projection):
         factored = {f"l{i}.{w}": 3 for i in range(layers) for w in ("wx", "wr")}
-        for svd, dtype, b in itertools.product(
-            [False, True], [np.float64, np.float32], [1, 3, 17, 40]
-        ):
+        for svd, b in itertools.product([False, True], [1, 3, 17, 40]):
             spec = ModelSpec(input_dim=11, layers=layers, hidden=9, projection=projection,
                              output_dim=5, peepholes=peepholes,
                              svd_rank=tuple(sorted(factored.items())) if svd else None)
             # unsorted, unequal lengths with a 1-frame sequence
             lengths = [1 + (7 * j + 5) % 23 for j in range(b)]
             lengths[b // 2] = 1
-            check_batch_invariance(spec, dtype, lengths, seed=layers * 1000 + b)
+            check_batch_invariance(spec, lengths, seed=layers * 1000 + b)
 
     def test_rows_equal_single_utterance_forward_at_kws_teacher_shape(self):
         check_batch_invariance_at_kws_teacher_shape()
@@ -396,14 +391,6 @@ class TestCheckpoints:
         assert back.parameters.dtype == net.parameters.dtype
         assert np.array_equal(back.parameters, net.parameters)
 
-    def test_float32_round_trip(self, tmp_path):
-        net = init_network(_tiny_spec(), np.random.default_rng(15), dtype=np.float32)
-        p = tmp_path / "m32.ckpt"
-        netcore.save_checkpoint(net, p)
-        back = netcore.load_checkpoint(p)
-        assert back.parameters.dtype == np.float32
-        assert np.array_equal(back.parameters, net.parameters)
-
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"XXXX" + b"\x00" * 64)
@@ -419,8 +406,9 @@ class TestCheckpoints:
             netcore.load_checkpoint(p)
 
     def test_every_truncation_and_bad_dtype_rejected(self, tmp_path):
-        # every proper prefix of a valid checkpoint, an unknown dtype code and
-        # trailing bytes must fail with the module's own error type
+        # every proper prefix of a valid checkpoint, a dtype code other than
+        # 0 (float64) and trailing bytes must fail with the module's own
+        # error type
         net = init_network(_tiny_spec(peepholes=True), np.random.default_rng(17))
         p = tmp_path / "m.ckpt"
         netcore.save_checkpoint(net, p)
@@ -432,9 +420,10 @@ class TestCheckpoints:
                 netcore.load_checkpoint(bad)
         (spec_len,) = struct.unpack_from("<I", data, 8)
         code_at = 12 + spec_len
-        bad.write_bytes(data[:code_at] + b"\x07" + data[code_at + 1 :])
-        with pytest.raises(NetworkError, match="dtype"):
-            netcore.load_checkpoint(bad)
+        for code in (b"\x01", b"\x07"):
+            bad.write_bytes(data[:code_at] + code + data[code_at + 1 :])
+            with pytest.raises(NetworkError, match="dtype"):
+                netcore.load_checkpoint(bad)
         bad.write_bytes(data + b"\x00" * 8)
         with pytest.raises(NetworkError, match="payload"):
             netcore.load_checkpoint(bad)

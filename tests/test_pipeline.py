@@ -122,6 +122,24 @@ class TestSynthesis:
         with pytest.raises(PipelineError, match="stack"):
             _small_task(stack_context=context, stack_step=step)
 
+    @pytest.mark.parametrize("cls, field, value", [
+        (SynthTaskSpec, "hey_freqs", (500.0, 9000.0)),  # above Nyquist
+        (SynthTaskSpec, "filler_freqs", ()),
+        (SynthTaskSpec, "amplitude", 0.0),
+        (SynthTaskSpec, "freq_jitter", 1.0),
+        (SynthTaskSpec, "segment_dur_range", (0.16, 0.07)),
+        (SynthTaskSpec, "n_filler_range", (2.0, 6)),
+        (SynthTaskSpec, "noise_snr_range", (8.0, float("inf"))),
+        (SynthTaskSpec, "hop_ms", 0.01),  # rounds to a hop of 0 samples
+        (SynthTaskSpec, "window_ms", 5.0),  # shorter than the 10 ms hop
+        (FarFieldConfig, "room_dim_low", (0.5, 3.0, 2.4)),
+        (FarFieldConfig, "room_dim_high", (3.0, 6.0, 3.2)),  # below room_dim_low in x
+        (FarFieldConfig, "seed", True),
+    ])
+    def test_bad_task_or_farfield_field_rejected(self, cls, field, value):
+        with pytest.raises(PipelineError, match=field):
+            cls(**{field: value})
+
     def test_labels_match_feature_frames(self):
         for spec in _STACKINGS:
             for it in pipeline.synth_items(spec, 10):
@@ -254,14 +272,6 @@ class TestTraining:
         with pytest.raises(PipelineError):
             pipeline.train(net, [], TrainConfig())
 
-    def test_label_delay_shifts_targets(self):
-        # delay 2 trains frame t against the label of frame t-2
-        it = self._one_item()
-        labels = np.asarray(it.frame_labels)
-        delayed = pipeline._delayed(labels, 2)
-        assert np.array_equal(delayed[2:], labels[:-2])
-        assert delayed[0] == labels[0] and delayed[1] == labels[0]
-
 
 class TestDistillAndAdapt:
     def test_distill_fixed_point(self):
@@ -338,13 +348,24 @@ class TestDistillAndAdapt:
         student, log = pipeline.adapt(teacher, items, TrainConfig(epochs=1))
         assert len(log) == 1
 
-    def test_interpolated_soft_ce_needs_frame_labels(self):
-        items = [replace(it, frame_labels=None, symbols=None)
-                 for it in pipeline.synth_items(_small_task(), 2)]
+    @pytest.mark.parametrize("criterion, field, what", [
+        ("hard_ce", "frame_labels", "frame labels"),
+        ("soft_ce", "teacher_rows", "teacher posteriors"),
+        ("ts_adapt", "source_feats", "paired source features"),
+        ("ctc", "symbols", "a symbol transcript"),
+    ])
+    def test_item_without_the_criterion_target_rejected(self, criterion, field, what):
+        # items carrying every field pass; one without the criterion's field
+        # is named before any training
+        items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
         spec = _tiny_model(items[0].feats.shape[1])
         teacher = netcore.init_network(spec, np.random.default_rng(2))
-        with pytest.raises(PipelineError, match="frame labels"):
-            pipeline.distill(teacher, spec, items, TrainConfig(soft_weight=0.5))
+        items = pipeline.compute_teacher_posteriors(teacher, items)
+        cfg = TrainConfig(criterion=criterion)
+        pipeline._check_items(items, cfg, spec.input_dim)
+        items[1] = replace(items[1], **{field: None})
+        with pytest.raises(PipelineError, match=f"{items[1].utt_id}: {criterion} needs {what}"):
+            pipeline.train(teacher, items, cfg, teacher=teacher)
 
     def test_adapt_source_width_must_match_the_model(self):
         items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
@@ -489,11 +510,9 @@ class TestLadder:
 
     def test_checkpoints_and_reports_written(self, report):
         cfg, rep = report
-        from pathlib import Path
-
         out = Path(cfg.out_dir)
-        for r in rep.rows:
-            assert r.checkpoint is not None and Path(r.checkpoint).exists()
+        for r in rep.rows:  # file names, relative to ladder.json
+            assert r.checkpoint == f"{r.stage}.ckpt" and (out / r.checkpoint).exists()
         assert (out / "ladder.txt").exists()
         assert (out / "ladder.json").exists()
 
@@ -507,7 +526,7 @@ class TestLadder:
         test_pairs = pipeline.synth_pair_items(
             task, FarFieldConfig(seed=cfg.seed + 3), cfg.test_count, start_index=10_000
         )
-        teacher = netcore.load_checkpoint(rep.rows[0].checkpoint)
+        teacher = netcore.load_checkpoint(Path(cfg.out_dir) / rep.rows[0].checkpoint)
         base = TrainConfig(criterion="hard_ce", learning_rate=cfg.learning_rate,
                            epochs=cfg.epochs, seed=cfg.seed)
         ts_same, _ = pipeline.adapt(teacher, train_pairs[: cfg.train_count], base)
@@ -711,9 +730,8 @@ class TestRunSeeds:
 
 def test_ladder_seeds_independent_of_workers(tmp_path):
     # `farspot ladder --seeds 0 1` with BLAS at 1 thread (seeds on parallel
-    # workers) and at nCPU threads (seeds one after another): the same files
-    # and output.  Each run writes to the relative path "run" so that the
-    # checkpoint paths in ladder.json agree; provenance.json records the
+    # workers) and at nCPU threads (seeds one after another), into two
+    # directories: the same files and output.  provenance.json records the
     # environment and so differs.
     ncpu = _ncpu()
     if ncpu < 2:
@@ -724,23 +742,22 @@ def test_ladder_seeds_independent_of_workers(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         env.pop("OMP_NUM_THREADS", None)
-        cwd = tmp_path / f"threads{threads}"
-        cwd.mkdir()
+        out = tmp_path / f"threads{threads}"
         proc = subprocess.run(
-            [sys.executable, "-m", "farspot.cli", "ladder", "--seeds", "0", "1", "--out", "run",
+            [sys.executable, "-m", "farspot.cli", "ladder", "--seeds", "0", "1",
+             "--out", str(out),
              *[f"--set=ladder.{k}={getattr(TINY_LADDER, k)}" for k in
                ("train_count", "extra_count", "test_count", "epochs", "teacher_epochs",
                 "hidden")]],
-            cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+            env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        prov = json.loads((cwd / "run" / "provenance.json").read_text())
+        prov = json.loads((out / "provenance.json").read_text())
         assert prov["workers"] == (2 if threads == 1 else 1)
         assert prov["threads"]["OPENBLAS_NUM_THREADS"] == str(threads)
-        files = {str(p.relative_to(cwd)): p.read_bytes() for p in (cwd / "run").rglob("*")
+        files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
                  if p.is_file() and p.name != "provenance.json"}
         runs.append((proc.stdout, files))
-    assert {"run/summary.json", "run/seed0/ladder.json", "run/seed1/ts-rich-sim.ckpt"} \
-        <= set(runs[0][1])
+    assert {"summary.json", "seed0/ladder.json", "seed1/ts-rich-sim.ckpt"} <= set(runs[0][1])
     assert runs[0] == runs[1]
 
 
