@@ -246,12 +246,14 @@ def cmd_eval(args, cfg):
 
 
 def cmd_experiment(args, cfg):
-    out = _prepare_out_dir(args.out, args.force)
     # one config per seed, so that a bad seed is a config error
     configs = [_build(args.experiment, cfg, args.command, s) for s in args.seeds or [None]]
+    if "out_dir" in cfg.get(args.command, {}):  # run_seeds would replace it
+        raise ConfigError(f"{args.command}.out_dir: --out names the output directory")
     seeds = [c.seed for c in configs]
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds repeats a seed: {seeds}")
+    out = _prepare_out_dir(args.out, args.force)
     table = pipeline.run_seeds(configs[0], seeds, out)
     _write_provenance(out, args, cfg, seeds=seeds, workers=table.workers, threads={
         var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})

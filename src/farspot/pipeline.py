@@ -580,7 +580,7 @@ def simulate_corpus(
 
 @dataclass
 class TrainConfig:
-    criterion: str = "hard_ce"  # hard_ce | soft_ce | ts_adapt | ctc
+    criterion: str = "hard_ce"  # hard_ce | soft_ce | ctc; distill and adapt train soft_ce
     learning_rate: float = 0.05
     momentum: float = 0.9
     batch_size: int = 16
@@ -609,54 +609,46 @@ def _padded(seqs: list[np.ndarray], tmax: int, dim: int) -> np.ndarray:
 
 def _per_utterance(loss):
     """Batch-level criterion from a per-utterance one: loss(item, logits
-    (T, N), cfg, teacher rows (T, N) or None) -> (loss, dloss/dlogits)."""
-    def batch_loss(batch: list[TrainItem], logits, cfg: TrainConfig, teacher_rows):
+    (T, N)) -> (loss, dloss/dlogits)."""
+    def batch_loss(batch: list[TrainItem], logits):
         grad = np.zeros_like(logits)
         losses = []
         for j, it in enumerate(batch):
             t = it.num_frames
-            rows = None if teacher_rows is None else teacher_rows[j, :t]
-            loss_j, grad[j, :t] = loss(it, logits[j, :t], cfg, rows)
+            loss_j, grad[j, :t] = loss(it, logits[j, :t])
             losses.append(loss_j)
         return losses, grad
     return batch_loss
 
 
 @_per_utterance
-def _hard_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
+def _hard_ce(it: TrainItem, logits):
     return criteria.hard_ce_loss(it.frame_labels, logits)
 
 
 @_per_utterance
-def _soft_ce(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
+def _soft_ce(it: TrainItem, logits):
     return criteria.soft_ce_loss(it.teacher_rows, logits)
 
 
-@_per_utterance
-def _ts_adapt(it: TrainItem, logits, cfg: TrainConfig, teacher_rows):
-    return criteria.soft_ce_loss(teacher_rows, logits)
-
-
-def _ctc(batch: list[TrainItem], logits, cfg: TrainConfig, teacher_rows):
+def _ctc(batch: list[TrainItem], logits):
     return criteria.ctc_loss_batch(logits, [it.num_frames for it in batch],
                                    [it.symbols for it in batch], BLANK)
 
 
 class _Criterion(NamedTuple):
+    """A training criterion; distill and adapt both train soft_ce, on
+    teacher_rows computed before training."""
     # TrainItem fields (and what they hold) that every training item must carry
     needs: dict[str, str]
-    # (batch, padded logits (B, T, N), cfg, padded teacher rows (B, T, N) or
-    # None) -> (per-utterance losses, dloss/dlogits (B, T, N), 0 on padding)
+    # (batch, padded logits (B, T, N)) -> (per-utterance losses,
+    # dloss/dlogits (B, T, N), 0 on padding)
     loss: Callable
-    # targets are the posteriors of a teacher network run on source_feats
-    uses_teacher: bool = False
 
 
 _CRITERIA = {
     "hard_ce": _Criterion({"frame_labels": "frame labels"}, _hard_ce),
     "soft_ce": _Criterion({"teacher_rows": "teacher posteriors"}, _soft_ce),
-    "ts_adapt": _Criterion({"source_feats": "paired source features"}, _ts_adapt,
-                           uses_teacher=True),
     "ctc": _Criterion({"symbols": "a symbol transcript"}, _ctc),
 }
 
@@ -678,8 +670,6 @@ def _check_items(items: list[TrainItem], cfg: TrainConfig, input_dim: int) -> No
         for name, what in needs.items():
             if getattr(it, name) is None:
                 raise PipelineError(f"{it.utt_id}: {cfg.criterion} needs {what}")
-        if "source_feats" in needs and it.source_feats.shape[0] != it.num_frames:
-            raise PipelineError(f"{it.utt_id}: paired frame counts differ")
     check_feature_dim(items, input_dim)
 
 
@@ -702,20 +692,11 @@ def _infer(net: Network, items: list[TrainItem]) -> list[np.ndarray]:
     return [logits_of[id(it)] for it in items]
 
 
-def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig,
-                         teacher: Network | None):
-    crit = _CRITERIA[cfg.criterion]
+def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig):
     tmax = max(it.num_frames for it in batch)
-    d = net.spec.input_dim
-    logits, cache = netcore.forward_batch(net, _padded([it.feats for it in batch], tmax, d))
-
-    teacher_rows = None
-    if crit.uses_teacher:
-        xs = _padded([it.source_feats for it in batch], tmax, d)
-        t_logits, _ = netcore.forward_batch(teacher, xs, want_cache=False)
-        teacher_rows = netcore.softmax(t_logits)
-
-    losses, dlogits = crit.loss(batch, logits, cfg, teacher_rows)
+    logits, cache = netcore.forward_batch(
+        net, _padded([it.feats for it in batch], tmax, net.spec.input_dim))
+    losses, dlogits = _CRITERIA[cfg.criterion].loss(batch, logits)
     total_loss = 0.0
     for loss in losses:  # in item order, which fixes the rounding
         total_loss += loss
@@ -730,15 +711,12 @@ def train(
     net: Network,
     items: list[TrainItem],
     cfg: TrainConfig,
-    teacher: Network | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> tuple[Network, list[float]]:
     """Mini-batch SGD with momentum; returns the trained network and the
     per-epoch mean per-frame loss."""
     if not items:
         raise PipelineError("empty training set")
-    if _CRITERIA[cfg.criterion].uses_teacher and teacher is None:
-        raise PipelineError(f"{cfg.criterion} requires a teacher network")
     _check_items(items, cfg, net.spec.input_dim)
 
     net = net.copy()
@@ -755,7 +733,7 @@ def train(
         order = rng.permutation(len(batches))
         epoch_loss = 0.0
         for bi in order:
-            loss, grad = _batch_loss_and_grad(net, batches[bi], cfg, teacher)
+            loss, grad = _batch_loss_and_grad(net, batches[bi], cfg)
             norm = np.linalg.norm(grad)
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise PipelineError(
@@ -832,12 +810,26 @@ def adapt(
 ) -> tuple[Network, list[float]]:
     """Adapt a teacher to the target domain on parallel unlabeled pairs.
 
-    The student starts as a copy of the teacher and is trained so its
-    posteriors on target features track the teacher's on source features.
+    The student starts as a copy of the teacher and is trained with soft CE
+    so that its posteriors on target features track the frozen teacher's on
+    source features, which are computed once, on the batches train forms.
     """
-    cfg = replace(cfg, criterion="ts_adapt")
-    student = teacher.copy()
-    return train(student, paired_items, cfg, teacher=teacher, checkpoint_dir=checkpoint_dir)
+    for it in paired_items:
+        if it.source_feats is None:
+            raise PipelineError(f"{it.utt_id}: adapt needs paired source features")
+        if it.source_feats.shape[0] != it.num_frames:
+            raise PipelineError(f"{it.utt_id}: paired frame counts differ")
+    check_feature_dim(paired_items, teacher.spec.input_dim)
+    # Not compute_teacher_posteriors: its batch-invariant products differ from
+    # these in the last bits, and the adapted checkpoints depend on every bit.
+    items = []
+    for batch in _batches(paired_items, cfg.batch_size):
+        x = _padded([it.source_feats for it in batch], max(it.num_frames for it in batch),
+                    teacher.spec.input_dim)
+        rows = netcore.softmax(netcore.forward_batch(teacher, x, want_cache=False)[0])
+        items += [replace(it, teacher_rows=r[: it.num_frames]) for it, r in zip(batch, rows)]
+    return train(teacher.copy(), items, replace(cfg, criterion="soft_ce"),
+                 checkpoint_dir=checkpoint_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -367,3 +367,66 @@ def reference_score_kws(net, items, km):
         det = kws.spot(post, km)
         records.append((it.utt_id, det.score, bool(it.is_positive), it.duration_sec))
     return records
+
+
+# ---------------------------------------------------------------------------
+# T/S adaptation as it was with the teacher run inside the SGD loop, once per
+# batch of every epoch, kept verbatim so that pipeline.adapt, which runs the
+# teacher once before training, can be compared with it byte for byte.
+
+def _padded(seqs, tmax, dim):
+    x = np.zeros((len(seqs), tmax, dim))
+    for j, seq in enumerate(seqs):
+        x[j, : len(seq)] = seq
+    return x
+
+
+def reference_adapt(teacher, paired_items, cfg, checkpoint_dir=None):
+    net = teacher.copy()
+    velocity = np.zeros_like(net.parameters)
+    order = sorted(paired_items, key=lambda it: (it.num_frames, it.utt_id))
+    batches = [order[i : i + cfg.batch_size] for i in range(0, len(order), cfg.batch_size)]
+    rng = np.random.default_rng(cfg.seed)
+    log = []
+    if checkpoint_dir is not None:
+        checkpoint_dir = Path(checkpoint_dir)
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * cfg.lr_decay**epoch
+        order = rng.permutation(len(batches))
+        epoch_loss = 0.0
+        for bi in order:
+            batch = batches[bi]
+            tmax = max(it.num_frames for it in batch)
+            d = net.spec.input_dim
+            logits, cache = netcore.forward_batch(net, _padded([it.feats for it in batch], tmax, d))
+
+            xs = _padded([it.source_feats for it in batch], tmax, d)
+            t_logits, _ = netcore.forward_batch(teacher, xs, want_cache=False)
+            teacher_rows = netcore.softmax(t_logits)
+
+            dlogits = np.zeros_like(logits)
+            losses = []
+            for j, it in enumerate(batch):
+                t = it.num_frames
+                loss_j, dlogits[j, :t] = criteria.soft_ce_loss(teacher_rows[j, :t], logits[j, :t])
+                losses.append(loss_j)
+            total_loss = 0.0
+            for loss in losses:  # in item order, which fixes the rounding
+                total_loss += loss
+            total_frames = sum(it.num_frames for it in batch)
+            dlogits /= total_frames
+            grad = netcore.backward_batch(net, cache, dlogits)
+            loss = total_loss / total_frames
+
+            norm = np.linalg.norm(grad)
+            if norm > cfg.grad_clip:
+                grad = grad * (cfg.grad_clip / norm)
+            velocity = cfg.momentum * velocity - lr * grad
+            net.parameters += velocity
+            epoch_loss += loss
+        log.append(epoch_loss / len(batches))
+        if checkpoint_dir is not None:
+            netcore.save_checkpoint(net, checkpoint_dir / f"epoch{epoch:03d}.ckpt")
+    return net, log

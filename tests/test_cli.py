@@ -205,7 +205,7 @@ class TestEndToEnd:
     def test_adapt_on_simulated_pairs(self, workspace, tmp_path):
         root, _, far, trained = workspace
         cfg = dict(TASK)
-        cfg["train"] = {"criterion": "ts_adapt", "epochs": 1, "learning_rate": 0.05}
+        cfg["train"] = {"epochs": 1, "learning_rate": 0.05}
         out = tmp_path / "adapted"
         rc = cli.run(["adapt", "--config", _write_cfg(tmp_path, cfg),
                       "--manifest", str(far / "manifest.tsv"),
@@ -219,7 +219,7 @@ class TestEndToEnd:
     def test_adapt_features_of_wrong_width_is_config_error(self, workspace, tmp_path):
         root, _, far, trained = workspace
         cfg = {"task": dict(TASK["task"], n_mels=6)}  # 24-dim frames; the teacher takes 48
-        cfg["train"] = {"criterion": "ts_adapt", "epochs": 1}
+        cfg["train"] = {"epochs": 1}
         rc = cli.run(["adapt", "--config", _write_cfg(tmp_path, cfg),
                       "--manifest", str(far / "manifest.tsv"),
                       "--teacher", str(trained / "final.ckpt"),
@@ -321,11 +321,12 @@ class TestExperiments:
         ["compress", "--set", "compress.train_count=0"],
         ["ladder", "--set", "ladder.test_count=0"],
         ["ladder", "--set", "ladder.learning_rate=NaN"],
+        ["ladder", "--set", "ladder.out_dir=elsewhere"],
     ])
     def test_bad_experiment_config_is_config_error(self, tmp_path, argv):
         out = tmp_path / "o"
         assert cli.run([*argv, "--out", str(out)]) == EXIT_CONFIG
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestRuntimeErrors:
@@ -365,13 +366,14 @@ class TestRuntimeErrors:
                       "--out", str(tmp_path / "o2")])
         assert rc == EXIT_CONFIG
 
-    # label_delay, soft_weight and blank are unknown keys; the ids of the
-    # train section's cases omit "train."
+    # label_delay, soft_weight and blank are unknown keys, and ts_adapt is no
+    # criterion; the ids of the train section's cases omit "train."
     @pytest.mark.parametrize("override", [
         "train.learning_rate=NaN", "train.momentum=NaN", "train.grad_clip=-1",
         "train.grad_clip=0", "train.grad_clip=Infinity", "train.lr_decay=0",
         "train.label_delay=-5", "train.soft_weight=0.5", "train.blank=9",
         "train.batch_size=0", "train.batch_size=-3", "train.epochs=2.5", "train.seed=-1",
+        "train.criterion=ts_adapt",
         "model.hidden=2.5", "model.foo=1", "model.layers=true",
         "task.n_mels=0", "task.positive_ratio=2", "task.window_ms=-1", "task.hop_ms=0",
         "task.sample_rate=8000",

@@ -130,8 +130,9 @@ class TestHardCe:
 
 
 class TestTsAdaptation:
-    # T/S adaptation is the batched ts_adapt criterion of pipeline: soft CE
-    # against the teacher's posteriors on the paired source features
+    # T/S adaptation is pipeline's soft_ce criterion on the teacher rows that
+    # pipeline.adapt attaches: the teacher's posteriors on the paired source
+    # features
     def _items(self, n):
         task = SynthTaskSpec(seed=0, n_mels=12, stack_context=4, stack_step=2)
         return pipeline.synth_pair_items(task, FarFieldConfig(seed=1), n)
@@ -141,15 +142,31 @@ class TestTsAdaptation:
                          output_dim=5, peepholes=False)
         return init_network(spec, np.random.default_rng(seed))
 
-    def test_composition_oracle(self):
-        # the batched loss and gradient equal soft CE against teacher
-        # posteriors computed separately, one utterance at a time, on the
-        # source features; the batched forward may differ in the last bits
+    @staticmethod
+    def _adapt_items(monkeypatch, teacher, items):
+        """The items, teacher rows attached, that pipeline.adapt trains on."""
+        seen = []
+
+        def train(net, items, cfg, checkpoint_dir=None):
+            seen.append((items, cfg.criterion))
+            return net, []
+
+        monkeypatch.setattr(pipeline, "train", train)
+        pipeline.adapt(teacher, items, TrainConfig())
+        (items, criterion), = seen
+        assert criterion == "soft_ce"
+        return items
+
+    def test_composition_oracle(self, monkeypatch):
+        # the batched loss and gradient on adapt's items equal soft CE against
+        # teacher posteriors computed separately, one utterance at a time, on
+        # the source features; the batched forward may differ in the last bits
         items = self._items(3)
         teacher = self._net(items[0].feats.shape[1], 8)
+        items = self._adapt_items(monkeypatch, teacher, items)
         student = self._net(items[0].feats.shape[1], 9)
         loss, grad = pipeline._batch_loss_and_grad(
-            student, items, TrainConfig(criterion="ts_adapt"), teacher)
+            student, items, TrainConfig(criterion="soft_ce"))
 
         tmax = max(it.num_frames for it in items)
         x = np.zeros((len(items), tmax, student.spec.input_dim))
@@ -169,22 +186,22 @@ class TestTsAdaptation:
         assert loss == pytest.approx(want_loss / frames, rel=0, abs=1e-12)
         assert np.max(np.abs(grad - want_grad)) < 1e-12
 
-    def test_matched_student_has_zero_gradient(self):
+    def test_matched_student_has_zero_gradient(self, monkeypatch):
         # identical source/target features and a student equal to the teacher
         # sit at the criterion's stationary point
         items = [replace(it, source_feats=it.feats) for it in self._items(3)]
         teacher = self._net(items[0].feats.shape[1], 6)
+        items = self._adapt_items(monkeypatch, teacher, items)
         _, grad = pipeline._batch_loss_and_grad(
-            teacher.copy(), items, TrainConfig(criterion="ts_adapt"), teacher)
+            teacher.copy(), items, TrainConfig(criterion="soft_ce"))
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_frame_count_mismatch_rejected(self):
         items = self._items(2)
         items[1] = replace(items[1], source_feats=items[1].source_feats[:-1])
         teacher = self._net(items[0].feats.shape[1], 7)
-        with pytest.raises(PipelineError, match="paired frame counts differ"):
-            pipeline.train(teacher.copy(), items, TrainConfig(criterion="ts_adapt"),
-                           teacher=teacher)
+        with pytest.raises(PipelineError, match=f"{items[1].utt_id}: paired frame counts differ"):
+            pipeline.adapt(teacher, items, TrainConfig())
 
 
 class TestCtc:
@@ -303,7 +320,7 @@ class TestCtcBatch:
         spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=1, hidden=8,
                          projection=0, output_dim=5, peepholes=False)
         net = init_network(spec, np.random.default_rng(22))
-        loss, grad = pipeline._batch_loss_and_grad(net, items, TrainConfig(criterion="ctc"), None)
+        loss, grad = pipeline._batch_loss_and_grad(net, items, TrainConfig(criterion="ctc"))
 
         tmax = max(it.num_frames for it in items)
         assert any(it.num_frames < tmax for it in items)

@@ -27,6 +27,7 @@ from farspot.pipeline import (
     TrainConfig,
 )
 from helpers import (
+    reference_adapt,
     reference_compute_teacher_posteriors,
     reference_frame_error_rate,
     reference_score_kws,
@@ -351,21 +352,24 @@ class TestDistillAndAdapt:
     @pytest.mark.parametrize("criterion, field, what", [
         ("hard_ce", "frame_labels", "frame labels"),
         ("soft_ce", "teacher_rows", "teacher posteriors"),
-        ("ts_adapt", "source_feats", "paired source features"),
+        ("adapt", "source_feats", "paired source features"),
         ("ctc", "symbols", "a symbol transcript"),
     ])
     def test_item_without_the_criterion_target_rejected(self, criterion, field, what):
         # items carrying every field pass; one without the criterion's field
-        # is named before any training
+        # (for adapt: the paired source features) is named before any training
         items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
         spec = _tiny_model(items[0].feats.shape[1])
         teacher = netcore.init_network(spec, np.random.default_rng(2))
         items = pipeline.compute_teacher_posteriors(teacher, items)
-        cfg = TrainConfig(criterion=criterion)
-        pipeline._check_items(items, cfg, spec.input_dim)
+        if criterion != "adapt":
+            pipeline._check_items(items, TrainConfig(criterion=criterion), spec.input_dim)
         items[1] = replace(items[1], **{field: None})
         with pytest.raises(PipelineError, match=f"{items[1].utt_id}: {criterion} needs {what}"):
-            pipeline.train(teacher, items, cfg, teacher=teacher)
+            if criterion == "adapt":
+                pipeline.adapt(teacher, items, TrainConfig())
+            else:
+                pipeline.train(teacher, items, TrainConfig(criterion=criterion))
 
     def test_adapt_source_width_must_match_the_model(self):
         items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
@@ -487,6 +491,34 @@ class TestBatchedInference:
         for a, b in zip(got, want):
             assert a.teacher_rows.tobytes() == b.teacher_rows.tobytes()
         assert len(list(cache.iterdir())) == len(items)
+
+
+class TestAdaptMatchesReference:
+    """adapt runs the frozen teacher once per batch, before training; the
+    reference runs it inside every batch of every epoch.  The teacher sees the
+    same padded batches either way, so the adapted parameters, the loss log
+    and every epoch's checkpoint must be equal byte for byte."""
+
+    def test_bit_identical_to_reference(self, tmp_path):
+        items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 7)
+        assert len({it.num_frames for it in items}) > 1  # batches with padding
+        spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=2, hidden=8,
+                         projection=3, output_dim=5, peepholes=True)
+        rng = np.random.default_rng(12)
+        teacher = netcore.init_network(spec, rng)
+        teacher.parameters[...] = rng.normal(0.0, 0.5, teacher.parameters.shape)
+        cfg = TrainConfig(learning_rate=0.2, epochs=2, batch_size=3, seed=5)  # 3 batches
+
+        got, got_log = pipeline.adapt(teacher, items, cfg, checkpoint_dir=tmp_path / "got")
+        want, want_log = reference_adapt(teacher, items, cfg, checkpoint_dir=tmp_path / "want")
+        assert not np.array_equal(want.parameters, teacher.parameters)
+        assert np.array_equal(got.parameters, want.parameters)
+        assert [x.hex() for x in got_log] == [x.hex() for x in want_log]
+        names = sorted(p.name for p in (tmp_path / "want").iterdir())
+        assert names == ["epoch000.ckpt", "epoch001.ckpt"]
+        assert sorted(p.name for p in (tmp_path / "got").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
