@@ -156,9 +156,12 @@ def cmd_featurize(args, cfg):
 def _fit(args, cfg, input_dim: int, fit):
     """Shared body of train/distill/adapt.  input_dim is the frame width the
     model takes; fit(items, train_config, out_dir) returns the trained
-    network and its per-epoch loss log."""
+    network and its per-epoch loss log.  provenance.json records the
+    TrainConfig that trained under "train_config"."""
     spec = _build(SynthTaskSpec, cfg, "task")
     tc = _build(TrainConfig, cfg, "train", args.seed)
+    if args.command != "train":  # distill and adapt train soft_ce whatever is set
+        tc = dataclasses.replace(tc, criterion="soft_ce")
     out = _prepare_out_dir(args.out, args.force)
     items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
     try:
@@ -168,7 +171,7 @@ def _fit(args, cfg, input_dim: int, fit):
     net, log = fit(items, tc, out)
     netcore.save_checkpoint(net, out / "final.ckpt")
     (out / "loss_log.json").write_text(json.dumps(log) + "\n")
-    _write_provenance(out, args, cfg)
+    _write_provenance(out, args, cfg, train_config=dataclasses.asdict(tc))
     print(f"{args.command}: {len(log)} epochs; final loss {log[-1]:.6f}; "
           f"model at {out / 'final.ckpt'}")
     return EXIT_OK
@@ -185,8 +188,7 @@ def cmd_distill(args, cfg):
     student_spec = _model_spec(cfg, "student")
     teacher = netcore.load_checkpoint(args.teacher)
     return _fit(args, cfg, teacher.spec.input_dim, lambda items, tc, out: pipeline.distill(
-        teacher, student_spec, items, tc,
-        cache_dir=out / "teacher_cache", checkpoint_dir=out / "checkpoints"))
+        teacher, student_spec, items, tc, checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_adapt(args, cfg):

@@ -11,9 +11,6 @@ Probabilities are clamped at EPS = 1e-12 before any log.
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-
 import numpy as np
 
 from .netcore import Posteriorgram, log_softmax, softmax
@@ -209,53 +206,3 @@ def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
     grad[np.arange(t) >= lengths[:, None]] = 0.0
     return -total, grad
 
-
-# ---------------------------------------------------------------------------
-# Teacher-posterior cache: one utterance per file.
-#
-# Layout (little-endian):
-#   magic  4 bytes  b"FSPC"
-#   ver    u32      1
-#   id     u32 length + UTF-8 utterance id
-#   T, N   u32, u32
-#   rows   T*N f32  row-major probabilities
-
-_PC_MAGIC = b"FSPC"
-_PC_VERSION = 1
-
-
-def write_posterior_cache(path: str | Path, utt_id: str, rows: np.ndarray) -> None:
-    rows = np.asarray(rows)
-    ident = utt_id.encode()
-    with open(path, "wb") as fh:
-        fh.write(_PC_MAGIC)
-        fh.write(struct.pack("<II", _PC_VERSION, len(ident)))
-        fh.write(ident)
-        fh.write(struct.pack("<II", rows.shape[0], rows.shape[1]))
-        fh.write(rows.astype("<f4").tobytes())
-
-
-def read_posterior_cache(path: str | Path) -> tuple[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    if data[:4] != _PC_MAGIC:
-        raise CriterionError(f"{path}: not a posterior cache file")
-    try:
-        version, id_len = struct.unpack_from("<II", data, 4)
-        if version != _PC_VERSION:
-            raise CriterionError(f"{path}: unsupported cache version {version}")
-        utt_id = data[12 : 12 + id_len].decode()
-        t, n = struct.unpack_from("<II", data, 12 + id_len)
-    except (struct.error, UnicodeDecodeError) as e:
-        raise CriterionError(f"{path}: truncated cache header ({e})") from e
-    payload = data[20 + id_len :]
-    if len(payload) != t * n * 4:
-        raise CriterionError(
-            f"{path}: cache payload has {len(payload)} bytes, expected {t * n * 4}")
-    rows = np.frombuffer(payload, dtype="<f4").reshape(t, n).astype(np.float64)
-    sums = rows.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(sums) & (sums > 0)) or np.any(rows < 0):
-        raise CriterionError(f"{path}: cache row without finite positive mass, "
-                             f"or with a negative probability")
-    # renormalize away float32 quantization so downstream row-sum checks hold
-    rows /= sums
-    return utt_id, rows

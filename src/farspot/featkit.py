@@ -1,9 +1,10 @@
 """Log-Mel filterbank front-end and frame stacking.
 
 Analysis follows the common recipe: pre-emphasis 0.97, Hann window, power
-spectrum, HTK-style triangular Mel filters, floored log.  Frame stacking
-concatenates `context` consecutive frames every `step` frames, repeating the
-final frame past the right edge so every input frame lands in some output.
+spectrum over the smallest power-of-two FFT that holds the window, HTK-style
+triangular Mel filters, log floored at 1e-10.  Frame stacking concatenates
+`context` consecutive frames every `step` frames, repeating the final frame
+past the right edge so every input frame lands in some output.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .simkit import Waveform
+
+
+PREEMPHASIS = 0.97
+FLOOR = 1e-10
 
 
 class FeatureError(ValueError):
@@ -50,17 +55,12 @@ class FbankConfig:
     n_mels: int = 80
     window_ms: float = 25.0
     hop_ms: float = 10.0
-    fft_size: int | None = None
-    floor: float = 1e-10
-    preemphasis: float = 0.97
 
     def __post_init__(self):
         if self.n_mels < 1:
             raise FeatureError("n_mels must be >= 1")
         if not (self.window_ms >= self.hop_ms > 0):
             raise FeatureError("need window_ms >= hop_ms > 0")
-        if self.floor <= 0:
-            raise FeatureError("floor must be positive")
 
 
 def hz_to_mel(f):
@@ -108,10 +108,10 @@ def log_mel(w: Waveform, cfg: FbankConfig) -> FeatureSequence:
         raise FeatureError(f"waveform ({len(w)} samples) shorter than one window ({win})")
 
     x = w.samples
-    pre = np.concatenate([[x[0]], x[1:] - cfg.preemphasis * x[:-1]])
+    pre = np.concatenate([[x[0]], x[1:] - PREEMPHASIS * x[:-1]])
 
     n_frames = (len(x) - win) // hop + 1
-    fft_size = cfg.fft_size or 1 << int(np.ceil(np.log2(win)))
+    fft_size = 1 << int(np.ceil(np.log2(win)))
     window = np.hanning(win)
     fb = mel_filterbank(cfg.n_mels, fft_size, w.sample_rate)
 
@@ -119,7 +119,7 @@ def log_mel(w: Waveform, cfg: FbankConfig) -> FeatureSequence:
     frames = pre[idx] * window
     spec = np.abs(np.fft.rfft(frames, n=fft_size, axis=1)) ** 2
     energies = spec @ fb.T
-    return FeatureSequence(np.log(np.maximum(energies, cfg.floor)), cfg.hop_ms)
+    return FeatureSequence(np.log(np.maximum(energies, FLOOR)), cfg.hop_ms)
 
 
 def stack_frames(f: FeatureSequence, context: int, step: int) -> FeatureSequence:

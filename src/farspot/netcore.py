@@ -98,10 +98,6 @@ class Posteriorgram:
     def num_frames(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def num_labels(self) -> int:
-        return self.rows.shape[1]
-
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)

@@ -13,7 +13,6 @@ the criteria in `farspot.criteria`; everything is deterministic under
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import multiprocessing as mp
@@ -751,34 +750,10 @@ def train(
     return net, log
 
 
-def compute_teacher_posteriors(
-    teacher: Network, items: list[TrainItem], cache_dir: str | Path | None = None
-) -> list[TrainItem]:
-    """Attach (and optionally persist) teacher posteriors to every item.
-
-    A cache file is named by the utterance id and a digest of the teacher
-    (spec and parameters) and of the utterance's features, so another teacher
-    or changed features miss the cache instead of reading stale rows.
-    """
-    if cache_dir is None:
-        return [replace(it, teacher_rows=netcore.posteriors(logits).rows)
-                for it, logits in zip(items, _infer(teacher, items))]
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    teacher_key = hashlib.sha256(json.dumps(teacher.spec.to_dict(), sort_keys=True).encode())
-    teacher_key.update(teacher.parameters.dtype.str.encode() + teacher.parameters.tobytes())
-    paths = []
-    for it in items:
-        key = teacher_key.copy()
-        key.update(f"{it.feats.dtype.str}{it.feats.shape}".encode() + it.feats.tobytes())
-        paths.append(cache_dir / f"{it.utt_id}.{key.hexdigest()[:16]}.fspc")
-    misses = [(it, p) for it, p in zip(items, paths) if not p.exists()]
-    for (it, p), logits in zip(misses, _infer(teacher, [it for it, _ in misses])):
-        criteria.write_posterior_cache(p, it.utt_id, netcore.posteriors(logits).rows)
-    # read back even what was just written, so runs with a warm cache are
-    # bit-identical to the run that filled it
-    return [replace(it, teacher_rows=criteria.read_posterior_cache(p)[1])
-            for it, p in zip(items, paths)]
+def compute_teacher_posteriors(teacher: Network, items: list[TrainItem]) -> list[TrainItem]:
+    """Attach the teacher's posterior rows to every item."""
+    return [replace(it, teacher_rows=netcore.posteriors(logits).rows)
+            for it, logits in zip(items, _infer(teacher, items))]
 
 
 def distill(
@@ -786,7 +761,6 @@ def distill(
     student_spec: ModelSpec,
     items: list[TrainItem],
     cfg: TrainConfig,
-    cache_dir: str | Path | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> tuple[Network, list[float]]:
     """Train a fresh student on teacher soft labels; no transcripts needed."""
@@ -796,7 +770,7 @@ def distill(
             f"student output dim {student_spec.output_dim}"
         )
     check_feature_dim(items, teacher.spec.input_dim)
-    items = compute_teacher_posteriors(teacher, items, cache_dir)
+    items = compute_teacher_posteriors(teacher, items)
     cfg = replace(cfg, criterion="soft_ce")
     student = netcore.init_network(student_spec, np.random.default_rng(cfg.seed))
     return train(student, items, cfg, checkpoint_dir=checkpoint_dir)

@@ -1,9 +1,7 @@
 """Shared test oracles: brute-force references kept deliberately independent
 of the library implementations they check."""
 
-import hashlib
 import itertools
-import json
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -326,28 +324,8 @@ def reference_backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> 
 # forward per utterance, kept verbatim so the batched callers can be
 # compared with them byte for byte.
 
-def reference_compute_teacher_posteriors(teacher, items, cache_dir=None):
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        teacher_key = hashlib.sha256(json.dumps(teacher.spec.to_dict(), sort_keys=True).encode())
-        teacher_key.update(teacher.parameters.dtype.str.encode() + teacher.parameters.tobytes())
-    out = []
-    for it in items:
-        if cache_dir is None:
-            rows = netcore.forward(teacher, it.feats).rows
-        else:
-            key = teacher_key.copy()
-            key.update(f"{it.feats.dtype.str}{it.feats.shape}".encode() + it.feats.tobytes())
-            p = cache_dir / f"{it.utt_id}.{key.hexdigest()[:16]}.fspc"
-            if not p.exists():
-                rows = netcore.forward(teacher, it.feats).rows
-                criteria.write_posterior_cache(p, it.utt_id, rows)
-            # read back even what was just written, so runs with a warm cache
-            # are bit-identical to the run that filled it
-            _, rows = criteria.read_posterior_cache(p)
-        out.append(replace(it, teacher_rows=rows))
-    return out
+def reference_compute_teacher_posteriors(teacher, items):
+    return [replace(it, teacher_rows=netcore.forward(teacher, it.feats).rows) for it in items]
 
 
 def reference_frame_error_rate(net, items):

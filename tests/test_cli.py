@@ -246,6 +246,41 @@ class TestEndToEnd:
         assert rc == EXIT_OK
         assert (out / "final.ckpt").exists()
 
+    def test_distill_trains_what_pipeline_distill_trains(self, workspace, tmp_path):
+        _, corpus, _, trained = workspace
+        student = {"input_dim": 48, "layers": 1, "hidden": 4, "projection": 0,
+                   "output_dim": 5, "peepholes": False}
+        train = {"epochs": 2, "learning_rate": 0.05, "batch_size": 4, "seed": 3}
+        out = tmp_path / "student"
+        rc = cli.run(["distill", "--config", _write_cfg(tmp_path, dict(TASK, student=student,
+                                                                       train=train)),
+                      "--manifest", str(corpus / "manifest.tsv"),
+                      "--teacher", str(trained / "final.ckpt"), "--out", str(out)])
+        assert rc == EXIT_OK
+        items = pipeline.items_from_manifest(pipeline.read_manifest(corpus / "manifest.tsv"),
+                                             pipeline.SynthTaskSpec(**TASK["task"]))
+        want, _ = pipeline.distill(netcore.load_checkpoint(trained / "final.ckpt"),
+                                   netcore.ModelSpec(**student), items,
+                                   pipeline.TrainConfig(**train))
+        got = netcore.load_checkpoint(out / "final.ckpt")
+        assert np.array_equal(got.parameters, want.parameters)
+        assert not (out / "teacher_cache").exists()
+
+    def test_adapt_records_the_criterion_it_trains(self, workspace, tmp_path):
+        # adapt trains soft_ce whatever train.criterion says; provenance says so
+        _, _, far, trained = workspace
+        cfg = _write_cfg(tmp_path, dict(TASK, train={"epochs": 1, "learning_rate": 0.05}))
+        outs = [tmp_path / "plain", tmp_path / "ctc"]
+        for out, extra in zip(outs, ([], ["--set", "train.criterion=ctc"])):
+            rc = cli.run(["adapt", "--config", cfg, "--manifest", str(far / "manifest.tsv"),
+                          "--teacher", str(trained / "final.ckpt"), "--out", str(out), *extra])
+            assert rc == EXIT_OK
+        assert (outs[0] / "final.ckpt").read_bytes() == (outs[1] / "final.ckpt").read_bytes()
+        for out in outs:
+            prov = json.loads((out / "provenance.json").read_text())
+            assert prov["train_config"] == dataclasses.asdict(pipeline.TrainConfig(
+                criterion="soft_ce", epochs=1, learning_rate=0.05))
+
     def test_eval_report(self, workspace, tmp_path, capsys):
         from farspot import kws
 

@@ -2,14 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farspot import criteria, netcore, pipeline
 from farspot.criteria import CriterionError
 from farspot.netcore import ModelSpec, init_network, softmax
 from farspot.pipeline import FarFieldConfig, PipelineError, SynthTaskSpec, TrainConfig
-from helpers import BYTE_FLIPS, central_diff_grad, ctc_enum_loss, flip_bytes, grad_rel_err
+from helpers import central_diff_grad, ctc_enum_loss, grad_rel_err
 
 
 def _rand_dist(rng, n):
@@ -339,61 +339,3 @@ class TestCtcBatch:
         assert loss == want_loss / frames
         assert np.array_equal(grad, netcore.backward_batch(net, cache, dlogits))
 
-
-class TestPosteriorCache:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        rows = softmax(rng.standard_normal((9, 5)))
-        p = tmp_path / "u.fspc"
-        criteria.write_posterior_cache(p, "utt-9", rows)
-        utt_id, back = criteria.read_posterior_cache(p)
-        assert utt_id == "utt-9"
-        assert back.shape == (9, 5)
-        assert np.allclose(back, rows, atol=1e-6)
-        assert np.allclose(back.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.fspc"
-        p.write_bytes(b"ZZZZ" + b"\x00" * 24)
-        with pytest.raises(CriterionError):
-            criteria.read_posterior_cache(p)
-
-    def test_truncation_and_massless_rows_rejected(self, tmp_path):
-        # every proper prefix of a valid cache, trailing bytes and a row with
-        # no probability mass must fail with the module's own error type
-        rows = softmax(np.random.default_rng(13).standard_normal((4, 3)))
-        p = tmp_path / "u.fspc"
-        criteria.write_posterior_cache(p, "utt-4", rows)
-        data = p.read_bytes()
-        bad = tmp_path / "bad.fspc"
-        for cut in range(len(data)):
-            bad.write_bytes(data[:cut])
-            with pytest.raises(CriterionError):
-                criteria.read_posterior_cache(bad)
-        bad.write_bytes(data + b"\x00" * 8)
-        with pytest.raises(CriterionError, match="payload"):
-            criteria.read_posterior_cache(bad)
-        zero_row = rows.copy()
-        zero_row[2] = 0.0
-        criteria.write_posterior_cache(bad, "utt-4", zero_row)
-        with pytest.raises(CriterionError):
-            criteria.read_posterior_cache(bad)
-
-    def test_negative_probability_rejected(self, tmp_path):
-        p = tmp_path / "u.fspc"
-        criteria.write_posterior_cache(p, "utt-1", np.array([[0.5, 0.5], [1.25, -0.25]]))
-        with pytest.raises(CriterionError, match="negative"):
-            criteria.read_posterior_cache(p)
-
-    @given(flips=BYTE_FLIPS)
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_byte_flips_load_or_raise_criterion_error(self, tmp_path, flips):
-        p = tmp_path / "u.fspc"
-        criteria.write_posterior_cache(p, "utt-4", softmax(np.arange(12.0).reshape(4, 3)))
-        p.write_bytes(flip_bytes(p.read_bytes(), flips))
-        try:
-            _, rows = criteria.read_posterior_cache(p)
-        except CriterionError:
-            return
-        assert np.all(rows >= 0) and np.allclose(rows.sum(axis=1), 1.0)

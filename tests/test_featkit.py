@@ -35,7 +35,7 @@ class TestLogMel:
         f = featkit.log_mel(Waveform(np.zeros(1600), 16000), cfg)
         # (1600 - 400) // 160 + 1 = 8 frames
         assert f.frames.shape == (8, 20)
-        assert np.allclose(f.frames, np.log(cfg.floor))
+        assert np.allclose(f.frames, np.log(featkit.FLOOR))
 
     def test_frame_count_formula(self):
         cfg = FbankConfig(n_mels=8)

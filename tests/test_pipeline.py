@@ -303,33 +303,6 @@ class TestDistillAndAdapt:
         with pytest.raises(PipelineError):
             pipeline.distill(teacher, _tiny_model(d, output_dim=4), items, TrainConfig())
 
-    def test_posterior_cache_reused(self, tmp_path):
-        items = pipeline.synth_items(_small_task(), 2)
-        spec = _tiny_model(items[0].feats.shape[1])
-        teacher = netcore.init_network(spec, np.random.default_rng(3))
-        a = pipeline.compute_teacher_posteriors(teacher, items, cache_dir=tmp_path)
-        # posteriors now come from the float32 cache files
-        b = pipeline.compute_teacher_posteriors(teacher, items, cache_dir=tmp_path)
-        for ia, ib in zip(a, b):
-            assert np.array_equal(ia.teacher_rows, ib.teacher_rows)
-            assert np.allclose(ia.teacher_rows, netcore.forward(teacher, ia.feats).rows,
-                               atol=1e-6)
-
-    def test_posterior_cache_misses_for_another_teacher_or_changed_features(self, tmp_path):
-        items = pipeline.synth_items(_small_task(), 2)
-        spec = _tiny_model(items[0].feats.shape[1])
-        first, second = (netcore.init_network(spec, np.random.default_rng(s)) for s in (3, 4))
-        pipeline.compute_teacher_posteriors(first, items, cache_dir=tmp_path / "shared")
-        shared = pipeline.compute_teacher_posteriors(second, items, cache_dir=tmp_path / "shared")
-        fresh = pipeline.compute_teacher_posteriors(second, items, cache_dir=tmp_path / "fresh")
-        for a, b in zip(shared, fresh):
-            assert np.array_equal(a.teacher_rows, b.teacher_rows)
-            assert np.allclose(a.teacher_rows, netcore.forward(second, a.feats).rows, atol=1e-6)
-        moved = [replace(it, feats=it.feats + 1.0) for it in items]
-        got = pipeline.compute_teacher_posteriors(second, moved, cache_dir=tmp_path / "shared")
-        for it in got:
-            assert np.allclose(it.teacher_rows, netcore.forward(second, it.feats).rows, atol=1e-6)
-
     def test_adapt_fixed_point_on_identical_domains(self):
         # source == target features: the adapted student equals the teacher
         items = pipeline.synth_items(_small_task(), 3)
@@ -474,23 +447,6 @@ class TestBatchedInference:
         assert [it.utt_id for it in got] == [it.utt_id for it in items]
         for a, b in zip(got, want):
             assert a.teacher_rows.tobytes() == b.teacher_rows.tobytes()
-
-    def test_teacher_posteriors_with_cold_partly_warm_and_warm_cache(self, setup, tmp_path):
-        items, net = setup
-        want = reference_compute_teacher_posteriors(net, items, tmp_path / "ref")
-        cache = tmp_path / "cache"
-        for _ in range(2):  # cold, then warm
-            got = pipeline.compute_teacher_posteriors(net, items, cache)
-            for a, b in zip(got, want):
-                assert a.teacher_rows.tobytes() == b.teacher_rows.tobytes()
-        assert {p.name: p.read_bytes() for p in cache.iterdir()} == \
-            {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
-        for p in sorted(cache.iterdir())[::3]:
-            p.unlink()
-        got = pipeline.compute_teacher_posteriors(net, items, cache)
-        for a, b in zip(got, want):
-            assert a.teacher_rows.tobytes() == b.teacher_rows.tobytes()
-        assert len(list(cache.iterdir())) == len(items)
 
 
 class TestAdaptMatchesReference:
