@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netcore import Posteriorgram, log_softmax, softmax
+from .netcore import log_softmax, softmax
 
 EPS = 1e-12
 
@@ -50,19 +50,14 @@ def entropy(rows: np.ndarray) -> float:
     return float(-np.sum(rows * np.log(masked)))
 
 
-def _teacher_rows(teacher) -> np.ndarray:
-    if isinstance(teacher, Posteriorgram):
-        return teacher.rows
-    return np.asarray(teacher, dtype=np.float64)
-
-
-def soft_ce_loss(teacher, student_logits: np.ndarray):
-    """Cross entropy with teacher soft labels; gradient is softmax - teacher.
+def soft_ce_loss(teacher: np.ndarray, student_logits: np.ndarray):
+    """Cross entropy with teacher soft labels (posterior rows, one per frame);
+    gradient is softmax - teacher.
 
     Minimizing this is equivalent to minimizing the teacher/student KL
     divergence, since the teacher-entropy term is constant in the student.
     """
-    t_rows = _teacher_rows(teacher)
+    t_rows = np.asarray(teacher, dtype=np.float64)
     logits = np.asarray(student_logits, dtype=np.float64)
     if t_rows.shape != logits.shape:
         raise CriterionError(f"shape mismatch: teacher {t_rows.shape} vs logits {logits.shape}")

@@ -19,7 +19,7 @@ import multiprocessing as mp
 import numbers
 import os
 import traceback
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -914,7 +914,6 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
         epochs=cfg.teacher_epochs, seed=cfg.seed,
     )
     student_ctc_cfg = replace(ctc_cfg, epochs=cfg.student_epochs, seed=cfg.seed + 50)
-    distill_cfg = replace(student_ctc_cfg, criterion="soft_ce")
     workers = _blas_workers()
 
     def teacher_arm():
@@ -932,7 +931,7 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
     teacher, (test_items, hard_student) = _pmap(_call, [teacher_arm, hard_arm], workers)
 
     def distilled_arm():
-        distilled, _ = distill(teacher, student_spec, train_items, distill_cfg)
+        distilled, _ = distill(teacher, student_spec, train_items, student_ctc_cfg)
         return distilled, score_kws(distilled, test_items)
 
     # the hard student's scoring waits for this phase, beside the teacher's,
@@ -942,31 +941,36 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
                 lambda: (score_kws(teacher, test_items), score_kws(hard_student, test_items))],
         workers)
 
-    out = {"seed": cfg.seed, "target_ca": cfg.target_ca}
-    for name, net, records in (("teacher", teacher, teacher_records),
-                               ("hard_student", hard_student, hard_records),
-                               ("distilled_student", distilled, distilled_records)):
-        th, fa = fa_at_ca(records, cfg.target_ca)
-        out[name] = {
-            "fa": fa, "threshold": th,
-            "params": netcore.param_count(net.spec),
-        }
-        if cfg.out_dir is not None:
-            d = Path(cfg.out_dir)
-            d.mkdir(parents=True, exist_ok=True)
-            netcore.save_checkpoint(net, d / f"{name}.ckpt")
-            kws.write_scores(d / f"{name}.scores", records)
+    nets = {"teacher": teacher, "hard_student": hard_student, "distilled_student": distilled}
+    records = {"teacher": teacher_records, "hard_student": hard_records,
+               "distilled_student": distilled_records}
+    report = {"seed": cfg.seed, "target_ca": cfg.target_ca}
+    for name, net in nets.items():
+        th, fa = fa_at_ca(records[name], cfg.target_ca)
+        report[name] = {"fa": fa, "threshold": th, "params": netcore.param_count(net.spec)}
     if cfg.out_dir is not None:
-        (Path(cfg.out_dir) / "report.json").write_text(json.dumps(out, indent=2) + "\n")
-    return out
+        _write_report(cfg.out_dir, report, nets, records)
+    return report
+
+
+def _write_report(out_dir: str, report: dict, nets: dict[str, Network],
+                  records: dict | None = None) -> None:
+    """Save every arm's <arm>.ckpt, and its <arm>.scores when score records
+    are given, then the report as report.json."""
+    d = Path(out_dir)
+    d.mkdir(parents=True, exist_ok=True)
+    for name, net in nets.items():
+        netcore.save_checkpoint(net, d / f"{name}.ckpt")
+        if records is not None:
+            kws.write_scores(d / f"{name}.scores", records[name])
+    (d / "report.json").write_text(json.dumps(report, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Ablation ladder: ordered single-factor-change experiment chain for the
 # adaptation task, and the desk-scale adaptation experiment (close-talk
 # teacher vs T/S-adapted students on train_count and train_count +
-# extra_count pairs).  Sequence-discriminative stages are out of scope and
-# the report says so.
+# extra_count pairs).
 
 @dataclass
 class LadderConfig:
@@ -979,7 +983,6 @@ class LadderConfig:
     learning_rate: float = 0.08
     hidden: int = 32
     layers: int = 1
-    output_dim: int = 4  # wake-word task classes without blank (AM mode)
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -989,49 +992,18 @@ class LadderConfig:
         _check_real(self, "learning_rate", lambda v: 0 < v < math.inf, "finite and > 0")
 
 
-@dataclass
-class LadderRow:
-    stage: str
-    changed_factor: str
-    far_fer: float
-    seed: int
-    checkpoint: str | None  # file name in the ladder's out_dir
-
-
-@dataclass
-class LadderReport:
-    rows: list[LadderRow]
-    majority_fer: float  # far-FER of always predicting the commonest training label
-    note: str
-
-    def format_text(self) -> str:
-        width = max(len(r.stage) for r in self.rows)
-        lines = [f"{'stage'.ljust(width)}  changed-factor            far-FER  seed"]
-        for r in self.rows:
-            lines.append(
-                f"{r.stage.ljust(width)}  {r.changed_factor.ljust(24)}  "
-                f"{r.far_fer:7.4f}  {r.seed}"
-            )
-        lines.append(f"majority-class baseline far-FER: {self.majority_fer:.4f}")
-        lines.append(f"note: {self.note}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"rows": [asdict(r) for r in self.rows], "majority_fer": self.majority_fer,
-             "note": self.note},
-            indent=2,
-        )
-
-
 def _am_task_spec(seed: int) -> SynthTaskSpec:
     # AM mode: per-frame classification without blank; unstacked features.
     return SynthTaskSpec(seed=seed, stack_context=1, stack_step=1, positive_ratio=0.5)
 
 
-def ablation_ladder(cfg: LadderConfig) -> LadderReport:
+def ablation_ladder(cfg: LadderConfig) -> dict:
     """Run the adaptation ladder: hard CE on far-field data, T/S on the same
-    data, T/S with more data, T/S with richer simulation."""
+    data, T/S with more data, T/S with richer simulation.  The report gives
+    each stage's far-field FER, in stage order, and that of always predicting
+    the commonest training label (majority-class).  The paper's
+    sequence-discriminative training stages are out of scope: the ladder
+    stops at the teacher-student stages."""
     task = _am_task_spec(cfg.seed)
     far_a = FarFieldConfig(seed=cfg.seed + 1)
     far_rich = FarFieldConfig(
@@ -1053,7 +1025,7 @@ def ablation_ladder(cfg: LadderConfig) -> LadderReport:
         layers=cfg.layers,
         hidden=cfg.hidden,
         projection=0,
-        output_dim=cfg.output_dim,
+        output_dim=BLANK,  # the task classes, which precede blank
         peepholes=False,
     )
     base_cfg = TrainConfig(
@@ -1067,54 +1039,29 @@ def ablation_ladder(cfg: LadderConfig) -> LadderReport:
     teacher = netcore.init_network(spec, np.random.default_rng(cfg.seed))
     teacher, _ = train(teacher, clean_items, replace(base_cfg, epochs=cfg.teacher_epochs))
 
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def ckpt(name: str, net: Network) -> str | None:
-        if out_dir is None:
-            return None
-        netcore.save_checkpoint(net, out_dir / f"{name}.ckpt")
-        return f"{name}.ckpt"
-
-    rows = [
-        LadderRow("close-talk", "baseline (no adaptation)",
-                  frame_error_rate(teacher, test_pairs), cfg.seed, ckpt("close-talk", teacher))
-    ]
-
-    ce_far, _ = train(
-        netcore.init_network(spec, np.random.default_rng(cfg.seed)),
-        train_pairs[: cfg.train_count], base_cfg,
-    )
-    rows.append(LadderRow("ce-far", "training data: simulated far-field",
-                          frame_error_rate(ce_far, test_pairs), cfg.seed, ckpt("ce-far", ce_far)))
-
-    ts_same, _ = adapt(teacher, train_pairs[: cfg.train_count], base_cfg)
-    rows.append(LadderRow("ts-same-data", "criterion: CE -> T/S",
-                          frame_error_rate(ts_same, test_pairs), cfg.seed,
-                          ckpt("ts-same-data", ts_same)))
-
-    ts_more, _ = adapt(teacher, train_pairs, base_cfg)
-    rows.append(LadderRow("ts-more-data", "unlabeled pairs x2",
-                          frame_error_rate(ts_more, test_pairs), cfg.seed,
-                          ckpt("ts-more-data", ts_more)))
-
-    ts_rich, _ = adapt(teacher, rich_pairs, base_cfg)
-    rows.append(LadderRow("ts-rich-sim", "simulation: richer rooms/noise",
-                          frame_error_rate(ts_rich, test_pairs), cfg.seed,
-                          ckpt("ts-rich-sim", ts_rich)))
+    # stage -> its model; each stage changes one factor
+    nets = {
+        # baseline (no adaptation)
+        "close-talk": teacher,
+        # training data: simulated far-field
+        "ce-far": train(netcore.init_network(spec, np.random.default_rng(cfg.seed)),
+                        train_pairs[: cfg.train_count], base_cfg)[0],
+        # criterion: CE -> T/S
+        "ts-same-data": adapt(teacher, train_pairs[: cfg.train_count], base_cfg)[0],
+        # unlabeled pairs x2
+        "ts-more-data": adapt(teacher, train_pairs, base_cfg)[0],
+        # simulation: richer rooms/noise
+        "ts-rich-sim": adapt(teacher, rich_pairs, base_cfg)[0],
+    }
 
     majority = np.argmax(np.bincount(np.concatenate([it.frame_labels for it in train_pairs])))
     test_labels = np.concatenate([it.frame_labels for it in test_pairs])
-    report = LadderReport(
-        rows=rows,
-        majority_fer=float(np.mean(test_labels != majority)),
-        note="sequence-discriminative training stages are out of scope; "
-             "the ladder stops at the teacher-student stages",
-    )
-    if out_dir is not None:
-        (out_dir / "ladder.txt").write_text(report.format_text() + "\n")
-        (out_dir / "ladder.json").write_text(report.to_json() + "\n")
+    report = {"seed": cfg.seed,
+              **{stage: {"far_fer": frame_error_rate(net, test_pairs)}
+                 for stage, net in nets.items()},
+              "majority-class": {"far_fer": float(np.mean(test_labels != majority))}}
+    if cfg.out_dir is not None:
+        _write_report(cfg.out_dir, report, nets)
     return report
 
 
@@ -1143,12 +1090,10 @@ class SeedTable:
                            "medians": self.medians()}, indent=2)
 
 
-# config type -> (metric, experiment, the named figures of its result)
+# config type -> (metric, experiment, the key of each arm's figure in its report)
 _EXPERIMENTS = {
-    KwsCompressionConfig: ("FA at the target CA", kws_compression_experiment, lambda r: {
-        name: r[name]["fa"] for name in ("teacher", "hard_student", "distilled_student")}),
-    LadderConfig: ("far-field FER", ablation_ladder, lambda rep: {
-        **{r.stage: r.far_fer for r in rep.rows}, "majority-class": rep.majority_fer}),
+    KwsCompressionConfig: ("FA at the target CA", kws_compression_experiment, "fa"),
+    LadderConfig: ("far-field FER", ablation_ladder, "far_fer"),
 }
 
 
@@ -1161,12 +1106,14 @@ def run_seeds(cfg: KwsCompressionConfig | LadderConfig, seeds,
     seeds = list(seeds)
     if not seeds or len(set(seeds)) < len(seeds):  # two runs would share seed<N>/
         raise PipelineError(f"seeds must be a non-empty list without repeats, got {seeds}")
-    metric, experiment, figures = _EXPERIMENTS[type(cfg)]
+    metric, experiment, key = _EXPERIMENTS[type(cfg)]
     configs = [replace(cfg, seed=s, out_dir=None if out_dir is None else
                        str(Path(out_dir) / f"seed{s}")) for s in seeds]
     workers = min(_blas_workers(), len(seeds))
-    table = SeedTable(metric, seeds, _pmap(lambda c: figures(experiment(c)), configs, workers),
-                      workers)
+    # a report maps each arm to the dict of its figures
+    rows = _pmap(lambda c: {arm: v[key] for arm, v in experiment(c).items()
+                            if isinstance(v, dict)}, configs, workers)
+    table = SeedTable(metric, seeds, rows, workers)
     if out_dir is not None:  # the experiments have made it
         (Path(out_dir) / "summary.json").write_text(table.to_json() + "\n")
     return table

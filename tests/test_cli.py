@@ -357,6 +357,7 @@ class TestExperiments:
         ["ladder", "--set", "ladder.test_count=0"],
         ["ladder", "--set", "ladder.learning_rate=NaN"],
         ["ladder", "--set", "ladder.out_dir=elsewhere"],
+        ["ladder", "--set", "ladder.output_dim=9"],
     ])
     def test_bad_experiment_config_is_config_error(self, tmp_path, argv):
         out = tmp_path / "o"

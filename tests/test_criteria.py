@@ -178,7 +178,7 @@ class TestTsAdaptation:
         for j, it in enumerate(items):
             t = it.num_frames
             t_post = netcore.forward(teacher, it.source_feats)
-            lj, gj = criteria.soft_ce_loss(t_post, logits[j, :t])
+            lj, gj = criteria.soft_ce_loss(t_post.rows, logits[j, :t])
             dlogits[j, :t] = gj
             want_loss += lj
             frames += t

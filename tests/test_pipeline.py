@@ -487,22 +487,23 @@ def report(tmp_path_factory):
     return cfg, pipeline.ablation_ladder(cfg)
 
 
+LADDER_STAGES = ["close-talk", "ce-far", "ts-same-data", "ts-more-data", "ts-rich-sim"]
+
+
 class TestLadder:
     def test_report_shape(self, report):
         _, rep = report
-        stages = [r.stage for r in rep.rows]
-        assert stages == ["close-talk", "ce-far", "ts-same-data", "ts-more-data", "ts-rich-sim"]
-        assert all(0.0 <= r.far_fer <= 1.0 for r in rep.rows)
-        assert all(r.changed_factor for r in rep.rows)
-        assert "out of scope" in rep.note
+        assert list(rep) == ["seed", *LADDER_STAGES, "majority-class"]
+        assert rep["seed"] == 0
+        assert all(list(rep[arm]) == ["far_fer"] and 0.0 <= rep[arm]["far_fer"] <= 1.0
+                   for arm in [*LADDER_STAGES, "majority-class"])
 
     def test_checkpoints_and_reports_written(self, report):
         cfg, rep = report
         out = Path(cfg.out_dir)
-        for r in rep.rows:  # file names, relative to ladder.json
-            assert r.checkpoint == f"{r.stage}.ckpt" and (out / r.checkpoint).exists()
-        assert (out / "ladder.txt").exists()
-        assert (out / "ladder.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["report.json", *(f"{stage}.ckpt" for stage in LADDER_STAGES)])
+        assert json.loads((out / "report.json").read_text()) == rep
 
     def test_stage_metrics_reproducible(self, report):
         # re-running a single stage from its config reproduces the row metric
@@ -514,12 +515,12 @@ class TestLadder:
         test_pairs = pipeline.synth_pair_items(
             task, FarFieldConfig(seed=cfg.seed + 3), cfg.test_count, start_index=10_000
         )
-        teacher = netcore.load_checkpoint(Path(cfg.out_dir) / rep.rows[0].checkpoint)
+        teacher = netcore.load_checkpoint(Path(cfg.out_dir) / "close-talk.ckpt")
         base = TrainConfig(criterion="hard_ce", learning_rate=cfg.learning_rate,
                            epochs=cfg.epochs, seed=cfg.seed)
         ts_same, _ = pipeline.adapt(teacher, train_pairs[: cfg.train_count], base)
         fer = pipeline.frame_error_rate(ts_same, test_pairs)
-        assert fer == pytest.approx(rep.rows[2].far_fer, abs=1e-12)
+        assert fer == pytest.approx(rep["ts-same-data"]["far_fer"], abs=1e-12)
 
 
 def _ncpu():
@@ -676,23 +677,30 @@ class TestRunSeeds:
         table = pipeline.run_seeds(TINY_LADDER, [1, 0], tmp_path)
         direct = [pipeline.ablation_ladder(replace(TINY_LADDER, seed=s)) for s in (1, 0)]
         assert table.seeds == [1, 0]
-        assert table.rows == [{**{r.stage: r.far_fer for r in rep.rows},
-                               "majority-class": rep.majority_fer} for rep in direct]
+        assert table.rows == [{arm: rep[arm]["far_fer"] for arm in
+                               [*LADDER_STAGES, "majority-class"]} for rep in direct]
         assert table.medians()["ts-more-data"] == float(np.median(
-            [rep.rows[3].far_fer for rep in direct]))
+            [rep["ts-more-data"]["far_fer"] for rep in direct]))
         assert (tmp_path / "summary.json").read_text() == table.to_json() + "\n"
         assert json.loads(table.to_json())["seeds"] == [1, 0]
-        for s in (0, 1):
-            assert (tmp_path / f"seed{s}" / "ladder.json").exists()
+        for s, row in zip(table.seeds, table.rows):
+            saved = json.loads((tmp_path / f"seed{s}" / "report.json").read_text())
+            assert saved["seed"] == s
+            assert {arm: v["far_fer"] for arm, v in saved.items() if arm != "seed"} == row
         lines = table.format_text().splitlines()
         assert len(lines) == 2 + 2 + 1 and lines[-1].startswith("median")
 
-    def test_compression_rows_equal_direct_runs(self):
-        table = pipeline.run_seeds(TINY_COMPRESSION, range(2))
+    def test_compression_rows_equal_direct_runs(self, tmp_path):
+        table = pipeline.run_seeds(TINY_COMPRESSION, range(2), tmp_path)
         direct = [pipeline.kws_compression_experiment(replace(TINY_COMPRESSION, seed=s))
                   for s in range(2)]
-        assert table.rows == [{name: r[name]["fa"] for name in
-                               ("teacher", "hard_student", "distilled_student")} for r in direct]
+        arms = ("teacher", "hard_student", "distilled_student")
+        assert table.rows == [{name: r[name]["fa"] for name in arms} for r in direct]
+        for s, row in zip(table.seeds, table.rows):
+            saved = json.loads((tmp_path / f"seed{s}" / "report.json").read_text())
+            assert saved["seed"] == s and saved["target_ca"] == TINY_COMPRESSION.target_ca
+            assert {arm: saved[arm]["fa"] for arm in saved if arm not in
+                    ("seed", "target_ca")} == row
 
     @pytest.mark.parametrize("seeds", [[], [0, 0], [0, -1]])
     def test_bad_seed_list_rejected(self, seeds, tmp_path):
@@ -745,7 +753,7 @@ def test_ladder_seeds_independent_of_workers(tmp_path):
         files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
                  if p.is_file() and p.name != "provenance.json"}
         runs.append((proc.stdout, files))
-    assert {"summary.json", "seed0/ladder.json", "seed1/ts-rich-sim.ckpt"} <= set(runs[0][1])
+    assert {"summary.json", "seed0/report.json", "seed1/ts-rich-sim.ckpt"} <= set(runs[0][1])
     assert runs[0] == runs[1]
 
 
