@@ -4,8 +4,8 @@ through a 2048-tap image-method RIR and turned into log-Mel frames.
 
     PYTHONPATH=src python -m pytest microbench
 
-The room is drawn from the `FarFieldConfig` defaults (order-4 image method,
-2048 taps).  BLAS is pinned to one thread (see conftest.py).
+The room is drawn from the `FarFieldConfig` defaults (order-4 image method)
+and has `pipeline.IR_LENGTH` (2048) taps.  BLAS is pinned to one thread (see conftest.py).
 """
 
 import numpy as np
@@ -32,9 +32,9 @@ def test_generate_rir(benchmark, room):
 
 def test_convolve(benchmark, utterance, room):
     rir = simkit.generate_rir(room)
-    assert len(rir) == FAR.ir_length
+    assert len(rir) == pipeline.IR_LENGTH
     benchmark(simkit.convolve, utterance, rir)
 
 
 def test_log_mel(benchmark, utterance):
-    benchmark(featkit.log_mel, utterance, pipeline._am_task_spec(0).fbank_config())
+    benchmark(featkit.log_mel, utterance, pipeline._am_task_spec(0).n_mels)

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth, simulate, featurize, train, distill, adapt, spot, eval,
-compress, ladder.  Each takes a JSON config file plus dotted --set overrides;
-every run writes a provenance record (config snapshot, seed, version) into its
-output directory so it can be re-run bit-identically.
+compress, ladder.  Each but eval takes a JSON config file plus dotted --set
+overrides; every run writes a provenance record (config snapshot, seed,
+version) into its output directory so it can be re-run bit-identically.
 
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure.
 """
@@ -144,7 +144,7 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_featurize(args, cfg):
-    spec = _build(SynthTaskSpec, cfg, "task", args.seed)
+    spec = _build(SynthTaskSpec, cfg, "task")
     out = _prepare_out_dir(args.out, args.force)
     manifest = pipeline.read_manifest(args.manifest)
     result = pipeline.featurize_corpus(manifest, spec, out, workers=args.workers)
@@ -162,6 +162,9 @@ def _fit(args, cfg, input_dim: int, fit):
     tc = _build(TrainConfig, cfg, "train", args.seed)
     if args.command != "train":  # distill and adapt train soft_ce whatever is set
         tc = dataclasses.replace(tc, criterion="soft_ce")
+    elif tc.criterion == "soft_ce":
+        raise ConfigError("train.criterion=soft_ce needs teacher posteriors, which no manifest "
+                          "carries; distill and adapt train soft_ce")
     out = _prepare_out_dir(args.out, args.force)
     items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
     try:
@@ -217,7 +220,7 @@ def cmd_spot(args, cfg):
     return EXIT_OK
 
 
-def cmd_eval(args, cfg):
+def cmd_eval(args, _cfg):
     try:
         if args.threshold is None:
             kws.check_target_ca(args.target_ca)
@@ -273,13 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True, seeds=False):
+    def common(p, needs_out=True, seed=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted config override, repeatable")
-        if seeds:
-            p.add_argument("--seeds", type=int, nargs="+", help="seeds to run (default: config's)")
-        else:
+        if seed:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if needs_out:
             p.add_argument("--out", required=True, help="output directory")
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("featurize", help="extract feature archives for a manifest")
-    common(p)
+    common(p, seed=False)
     workers(p)
     p.add_argument("--manifest", required=True)
     p.set_defaults(fn=cmd_featurize)
@@ -326,27 +327,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_adapt)
 
     p = sub.add_parser("spot", help="run the keyword spotter on one WAV")
-    common(p, needs_out=False)
+    common(p, needs_out=False, seed=False)
     p.add_argument("--model", required=True, help="model checkpoint")
     p.add_argument("--input", required=True, help="input WAV (16 kHz mono PCM)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(fn=cmd_spot)
 
     p = sub.add_parser("eval", help="CA/FA report from a score file")
-    common(p, needs_out=False)
     p.add_argument("--scores", required=True)
     p.add_argument("--target-ca", type=float, default=0.96)
     p.add_argument("--threshold", type=float, default=None,
                    help="evaluate at a fixed threshold instead of the CA target")
     p.add_argument("--roc", default=None, help="write a threshold/CA/FA table here")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, config=None, set=[])  # eval reads no config
 
     p = sub.add_parser("compress", help="run the KWS model-compression experiment")
-    common(p, seeds=True)
+    common(p, seed=False)
+    p.add_argument("--seeds", type=int, nargs="+", help="seeds to run (default: config's)")
     p.set_defaults(fn=cmd_experiment, experiment=pipeline.KwsCompressionConfig)
 
     p = sub.add_parser("ladder", help="run the single-factor-change experiment ladder")
-    common(p, seeds=True)
+    common(p, seed=False)
+    p.add_argument("--seeds", type=int, nargs="+", help="seeds to run (default: config's)")
     p.set_defaults(fn=cmd_experiment, experiment=pipeline.LadderConfig)
 
     return parser

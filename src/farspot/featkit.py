@@ -1,10 +1,11 @@
 """Log-Mel filterbank front-end and frame stacking.
 
-Analysis follows the common recipe: pre-emphasis 0.97, Hann window, power
-spectrum over the smallest power-of-two FFT that holds the window, HTK-style
-triangular Mel filters, log floored at 1e-10.  Frame stacking concatenates
-`context` consecutive frames every `step` frames, repeating the final frame
-past the right edge so every input frame lands in some output.
+Analysis follows the common recipe: 16 kHz audio, pre-emphasis 0.97, a
+25 ms Hann window every 10 ms, power spectrum over the smallest power-of-two
+FFT that holds the window, HTK-style triangular Mel filters, log floored at
+1e-10.  Frame stacking concatenates `context` consecutive frames every
+`step` frames, repeating the final frame past the right edge so every input
+frame lands in some output.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .simkit import Waveform
+from .simkit import REQUIRED_RATE, Waveform
 
 
 PREEMPHASIS = 0.97
 FLOOR = 1e-10
+WINDOW = 400  # samples: 25 ms at 16 kHz
+HOP = 160  # samples: 10 ms
 
 
 class FeatureError(ValueError):
@@ -48,19 +51,6 @@ class FeatureSequence:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
-
-
-@dataclass
-class FbankConfig:
-    n_mels: int = 80
-    window_ms: float = 25.0
-    hop_ms: float = 10.0
-
-    def __post_init__(self):
-        if self.n_mels < 1:
-            raise FeatureError("n_mels must be >= 1")
-        if not (self.window_ms >= self.hop_ms > 0):
-            raise FeatureError("need window_ms >= hop_ms > 0")
 
 
 def hz_to_mel(f):
@@ -98,28 +88,28 @@ def mel_filterbank(n_mels: int, fft_size: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def log_mel(w: Waveform, cfg: FbankConfig) -> FeatureSequence:
-    """Log-Mel filterbank energies, T = floor((len(w) - win) / hop) + 1 frames."""
-    if w.sample_rate != 16000:
+def log_mel(w: Waveform, n_mels: int) -> FeatureSequence:
+    """Log-Mel filterbank energies, T = (len(w) - WINDOW) // HOP + 1 frames."""
+    if n_mels < 1:
+        raise FeatureError("n_mels must be >= 1")
+    if w.sample_rate != REQUIRED_RATE:
         raise FeatureError(f"front-end expects 16 kHz audio, got {w.sample_rate}")
-    win = int(round(cfg.window_ms * w.sample_rate / 1000.0))
-    hop = int(round(cfg.hop_ms * w.sample_rate / 1000.0))
-    if len(w) < win:
-        raise FeatureError(f"waveform ({len(w)} samples) shorter than one window ({win})")
+    if len(w) < WINDOW:
+        raise FeatureError(f"waveform ({len(w)} samples) shorter than one window ({WINDOW})")
 
     x = w.samples
     pre = np.concatenate([[x[0]], x[1:] - PREEMPHASIS * x[:-1]])
 
-    n_frames = (len(x) - win) // hop + 1
-    fft_size = 1 << int(np.ceil(np.log2(win)))
-    window = np.hanning(win)
-    fb = mel_filterbank(cfg.n_mels, fft_size, w.sample_rate)
+    n_frames = (len(x) - WINDOW) // HOP + 1
+    fft_size = 1 << int(np.ceil(np.log2(WINDOW)))
+    window = np.hanning(WINDOW)
+    fb = mel_filterbank(n_mels, fft_size, w.sample_rate)
 
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
+    idx = np.arange(WINDOW)[None, :] + HOP * np.arange(n_frames)[:, None]
     frames = pre[idx] * window
     spec = np.abs(np.fft.rfft(frames, n=fft_size, axis=1)) ** 2
     energies = spec @ fb.T
-    return FeatureSequence(np.log(np.maximum(energies, FLOOR)), cfg.hop_ms)
+    return FeatureSequence(np.log(np.maximum(energies, FLOOR)), 1000.0 * HOP / REQUIRED_RATE)
 
 
 def stack_frames(f: FeatureSequence, context: int, step: int) -> FeatureSequence:

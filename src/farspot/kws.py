@@ -238,10 +238,6 @@ class EvalReport:
         ]
         if self.fa_per_hour is not None:
             lines.append(f"FA per hour      {self.fa_per_hour:.4f}")
-        if self.roc:
-            lines.append("ROC (threshold CA FA):")
-            for th, ca, fa in self.roc:
-                lines.append(f"  {th:.6f} {ca:.4f} {fa:.4f}")
         return "\n".join(lines)
 
 

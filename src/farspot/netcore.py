@@ -497,18 +497,18 @@ def forward(net: Network, frames: np.ndarray) -> Posteriorgram:
 # ---------------------------------------------------------------------------
 # Reference model specs for the wake-word task (5-symbol output alphabet).
 
-def large_kws_spec(input_dim: int = 640, output_dim: int = 5) -> ModelSpec:
+def large_kws_spec() -> ModelSpec:
     """5 LSTM layers of 1024 cells projected to 512; ~24.16M parameters."""
     return ModelSpec(
-        input_dim=input_dim, layers=5, hidden=1024, projection=512,
-        output_dim=output_dim, peepholes=True,
+        input_dim=640, layers=5, hidden=1024, projection=512,
+        output_dim=5, peepholes=True,
     )
 
 
 SMALL_KWS_SVD_RANK = 106  # budget-tuned so the factored model lands at ~0.89M
 
 
-def small_kws_spec(input_dim: int = 640, output_dim: int = 5) -> ModelSpec:
+def small_kws_spec() -> ModelSpec:
     """3 LSTM layers of 256 cells projected to 128, input/recurrent weights
     factored at a uniform rank; ~0.89M parameters (~1/27 of the large spec)."""
     ranks = {}
@@ -516,8 +516,8 @@ def small_kws_spec(input_dim: int = 640, output_dim: int = 5) -> ModelSpec:
         ranks[f"l{i}.wx"] = SMALL_KWS_SVD_RANK
         ranks[f"l{i}.wr"] = SMALL_KWS_SVD_RANK
     return ModelSpec(
-        input_dim=input_dim, layers=3, hidden=256, projection=128,
-        output_dim=output_dim, peepholes=True, svd_rank=tuple(sorted(ranks.items())),
+        input_dim=640, layers=3, hidden=256, projection=128,
+        output_dim=5, peepholes=True, svd_rank=tuple(sorted(ranks.items())),
     )
 
 

@@ -26,9 +26,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import criteria, featkit, kws, netcore, simkit
-from .featkit import FbankConfig, FeatureSequence
+from .featkit import FeatureSequence
 from .netcore import ModelSpec, Network
-from .simkit import RoomSpec, Waveform
+from .simkit import REQUIRED_RATE, RoomSpec, Waveform
 
 
 class PipelineError(ValueError):
@@ -70,6 +70,15 @@ KWS_OUTPUT_DIM = 5
 KEYWORD_MODEL = kws.KeywordModel(
     keyword_units=(HEY, CORTANA), silence=SILENCE, garbage=GARBAGE, blank=BLANK
 )
+
+# What every task shares: keyword tone pairs (Hz), tone amplitude, and (low,
+# high) ranges of tone and silence durations (s) and of fillers an utterance.
+HEY_FREQS = (500.0, 1550.0)
+CORTANA_FREQS = (950.0, 2250.0)
+AMPLITUDE = 0.25
+SEGMENT_DUR_RANGE = (0.07, 0.16)
+N_FILLER_RANGE = (2, 6)
+SILENCE_PAD_RANGE = (0.05, 0.15)
 
 
 # ---------------------------------------------------------------------------
@@ -164,59 +173,34 @@ class SynthTaskSpec:
     """Parametric tone-segment task with ground truth by construction."""
 
     seed: int = 0
-    sample_rate: int = 16000
-    hey_freqs: tuple[float, float] = (500.0, 1550.0)
-    cortana_freqs: tuple[float, float] = (950.0, 2250.0)
     filler_freqs: tuple[tuple[float, float], ...] = (
         (700.0, 1900.0),
         (1200.0, 2600.0),
         (500.0, 2250.0),  # shares one tone with each keyword unit
         (850.0, 1400.0),
     )
-    amplitude: float = 0.25
     amp_jitter: float = 0.3
     freq_jitter: float = 0.02
-    segment_dur_range: tuple[float, float] = (0.07, 0.16)
-    n_filler_range: tuple[int, int] = (2, 6)
-    silence_pad_range: tuple[float, float] = (0.05, 0.15)
     positive_ratio: float = 0.5
     noise_snr_range: tuple[float, float] = (8.0, 20.0)
     n_mels: int = 20
-    window_ms: float = 25.0
-    hop_ms: float = 10.0
     stack_context: int = 8
     stack_step: int = 3
 
     def __post_init__(self):
         _check_ints(self, 0, "seed")
-        _check_ints(self, 1, "sample_rate", "n_mels", "stack_context", "stack_step")
-        _check_real(self, "sample_rate", lambda v: v == 16000, "16000, the front end's rate")
-        nyquist = self.sample_rate / 2
-        for name, tones in (("hey_freqs", (self.hey_freqs,)),
-                            ("cortana_freqs", (self.cortana_freqs,)),
-                            ("filler_freqs", self.filler_freqs)):
-            if not (isinstance(tones, (tuple, list)) and tones and all(
-                    isinstance(fs, (tuple, list)) and fs
-                    and all(_is_real(f) and 0 < f < nyquist for f in fs) for fs in tones)):
-                raise PipelineError(f"{name} must hold tone frequencies in (0, {nyquist:g}) Hz, "
-                                    f"got {getattr(self, name)!r}")
-        _check_real(self, "amplitude", lambda v: 0 < v < math.inf, "finite and > 0")
+        _check_ints(self, 1, "n_mels", "stack_context", "stack_step")
+        nyquist = REQUIRED_RATE / 2
+        tones = self.filler_freqs
+        if not (isinstance(tones, (tuple, list)) and tones and all(
+                isinstance(fs, (tuple, list)) and fs
+                and all(_is_real(f) and 0 < f < nyquist for f in fs) for fs in tones)):
+            raise PipelineError(f"filler_freqs must hold tone frequencies in (0, {nyquist:g}) Hz, "
+                                f"got {tones!r}")
         for name in ("amp_jitter", "freq_jitter"):
             _check_real(self, name, lambda v: 0 <= v < 1, "in [0, 1)")
-        for name in ("segment_dur_range", "silence_pad_range"):
-            _check_range(self, name, lambda v: 0 < v < math.inf, "finite and > 0 (seconds)")
-        _check_range(self, "n_filler_range",
-                     lambda v: isinstance(v, numbers.Integral) and v >= 0, "an int >= 0")
         _check_real(self, "positive_ratio", lambda v: 0 <= v <= 1, "in [0, 1]")
         _check_range(self, "noise_snr_range", math.isfinite, "finite (dB)")
-        # a hop of at least one sample, and a window of at least one hop
-        _check_real(self, "hop_ms", lambda v: 1000 / self.sample_rate <= v < math.inf,
-                    f"finite and >= {1000 / self.sample_rate:g} (one sample)")
-        _check_real(self, "window_ms", lambda v: self.hop_ms <= v < math.inf,
-                    "finite and >= hop_ms")
-
-    def fbank_config(self) -> FbankConfig:
-        return FbankConfig(n_mels=self.n_mels, window_ms=self.window_ms, hop_ms=self.hop_ms)
 
 
 @dataclass
@@ -237,14 +221,14 @@ class TrainItem:
         return self.feats.shape[0]
 
 
-def _tone_segment(freqs, dur, amp, rng, sample_rate):
-    n = int(round(dur * sample_rate))
-    t = np.arange(n) / sample_rate
+def _tone_segment(freqs, dur, amp, rng):
+    n = int(round(dur * REQUIRED_RATE))
+    t = np.arange(n) / REQUIRED_RATE
     x = np.zeros(n)
     for f in freqs:
         x += np.sin(2.0 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
     x *= amp / max(len(freqs), 1)
-    ramp = min(int(0.005 * sample_rate), n // 2)
+    ramp = min(int(0.005 * REQUIRED_RATE), n // 2)
     if ramp > 0:
         env = np.ones(n)
         env[:ramp] = 0.5 * (1 - np.cos(np.pi * np.arange(ramp) / ramp))
@@ -255,12 +239,12 @@ def _tone_segment(freqs, dur, amp, rng, sample_rate):
 
 def _utterance_plan(spec: SynthTaskSpec, rng, is_positive: bool):
     """List of (class, freqs or None) segments for one utterance."""
-    n_filler = int(rng.integers(spec.n_filler_range[0], spec.n_filler_range[1] + 1))
+    n_filler = int(rng.integers(N_FILLER_RANGE[0], N_FILLER_RANGE[1] + 1))
     segs = [(GARBAGE, spec.filler_freqs[int(rng.integers(len(spec.filler_freqs)))])
             for _ in range(n_filler)]
     if is_positive:
         at = int(rng.integers(0, n_filler + 1))
-        segs[at:at] = [(HEY, spec.hey_freqs), (CORTANA, spec.cortana_freqs)]
+        segs[at:at] = [(HEY, HEY_FREQS), (CORTANA, CORTANA_FREQS)]
     return [(SILENCE, None)] + segs + [(SILENCE, None)]
 
 
@@ -277,13 +261,13 @@ def synth_utterance(spec: SynthTaskSpec, index: int):
     pieces, classes = [], []
     for cls, freqs in plan:
         if cls == SILENCE:
-            dur = rng.uniform(*spec.silence_pad_range)
-            seg = np.zeros(int(round(dur * spec.sample_rate)))
+            dur = rng.uniform(*SILENCE_PAD_RANGE)
+            seg = np.zeros(int(round(dur * REQUIRED_RATE)))
         else:
-            dur = rng.uniform(*spec.segment_dur_range)
-            amp = spec.amplitude * rng.uniform(1 - spec.amp_jitter, 1 + spec.amp_jitter)
+            dur = rng.uniform(*SEGMENT_DUR_RANGE)
+            amp = AMPLITUDE * rng.uniform(1 - spec.amp_jitter, 1 + spec.amp_jitter)
             jit = 1.0 + rng.uniform(-spec.freq_jitter, spec.freq_jitter)
-            seg = _tone_segment([f * jit for f in freqs], dur, amp, rng, spec.sample_rate)
+            seg = _tone_segment([f * jit for f in freqs], dur, amp, rng)
         pieces.append(seg)
         classes.append(np.full(len(seg), cls, dtype=np.int64))
 
@@ -300,23 +284,21 @@ def synth_utterance(spec: SynthTaskSpec, index: int):
     for cls, _ in plan:
         if not symbols or symbols[-1] != cls:
             symbols.append(cls)
-    return Waveform(x, spec.sample_rate), _frame_labels(sample_classes, spec), symbols, is_positive
+    return Waveform(x, REQUIRED_RATE), _frame_labels(sample_classes, spec), symbols, is_positive
 
 
 def _frame_labels(sample_classes: np.ndarray, spec: SynthTaskSpec) -> np.ndarray:
     """Label of each stacked feature frame: the class at the center sample of
     the stacked frame's center analysis frame."""
-    win = int(round(spec.window_ms * spec.sample_rate / 1000.0))
-    hop = int(round(spec.hop_ms * spec.sample_rate / 1000.0))
-    t = (len(sample_classes) - win) // hop + 1
-    raw = np.minimum(hop * np.arange(t) + win // 2, len(sample_classes) - 1)
+    t = (len(sample_classes) - featkit.WINDOW) // featkit.HOP + 1
+    raw = np.minimum(featkit.HOP * np.arange(t) + featkit.WINDOW // 2, len(sample_classes) - 1)
     stacked = np.minimum(spec.stack_step * np.arange(-(-t // spec.stack_step))
                          + spec.stack_context // 2, t - 1)
     return sample_classes[raw[stacked]]
 
 
 def featurize_waveform(w: Waveform, spec: SynthTaskSpec) -> FeatureSequence:
-    return featkit.stack_frames(featkit.log_mel(w, spec.fbank_config()),
+    return featkit.stack_frames(featkit.log_mel(w, spec.n_mels),
                                 spec.stack_context, spec.stack_step)
 
 
@@ -335,13 +317,13 @@ def _synth_item(spec: SynthTaskSpec, i: int, far_cfg: FarFieldConfig | None = No
         symbols=symbols,
         is_positive=pos,
         source_feats=None if far is None else clean,
-        duration_sec=len(w) / spec.sample_rate,
+        duration_sec=len(w) / w.sample_rate,
     )
 
 
-def synth_items(spec: SynthTaskSpec, count: int, start_index: int = 0) -> list[TrainItem]:
+def synth_items(spec: SynthTaskSpec, count: int) -> list[TrainItem]:
     """In-memory corpus of clean utterances with features and ground truth."""
-    return [_synth_item(spec, i) for i in range(start_index, start_index + count)]
+    return [_synth_item(spec, i) for i in range(count)]
 
 
 def _pmap(fn, jobs, workers: int):
@@ -458,7 +440,7 @@ def _load_features(path: str, spec: SynthTaskSpec) -> tuple[np.ndarray, float | 
     if path.endswith(".fsfa"):
         return featkit.read_features(path).frames, None
     w = simkit.read_wav(path)
-    return featurize_waveform(w, spec).frames, len(w) / spec.sample_rate
+    return featurize_waveform(w, spec).frames, len(w) / w.sample_rate
 
 
 def items_from_manifest(m: Manifest, spec: SynthTaskSpec) -> list[TrainItem]:
@@ -497,34 +479,28 @@ def featurize_corpus(
 # ---------------------------------------------------------------------------
 # Far-field simulation of a synthetic corpus
 
+# Room sizes (m) are drawn per axis between these corners; RIRs have IR_LENGTH taps.
+ROOM_DIM_LOW = (3.5, 3.0, 2.4)
+ROOM_DIM_HIGH = (8.0, 6.0, 3.2)
+IR_LENGTH = 2048
+
+
 @dataclass
 class FarFieldConfig:
     """Per-utterance random rooms and additive noise for far-field variants."""
 
-    room_dim_low: tuple[float, float, float] = (3.5, 3.0, 2.4)
-    room_dim_high: tuple[float, float, float] = (8.0, 6.0, 3.2)
     reflection_range: tuple[float, float] = (0.55, 0.85)
     max_order: int = 4
-    ir_length: int = 2048
     snr_range: tuple[float, float] = (5.0, 15.0)
     seed: int = 100
 
     def __post_init__(self):
-        # a room must hold the source and the mic 0.3 m from every wall and
-        # 0.5 m apart, as sample_room draws them
-        dims = (self.room_dim_low, self.room_dim_high)
-        if not (all(isinstance(d, (tuple, list)) and len(d) == 3
-                    and all(_is_real(x) and 1 <= x < math.inf for x in d) for d in dims)
-                and all(a <= b for a, b in zip(*dims))):
-            raise PipelineError("room_dim_low and room_dim_high must be 3 finite sizes >= 1 m, "
-                                f"low <= high in each, got {dims[0]!r} and {dims[1]!r}")
         _check_range(self, "reflection_range", lambda v: 0 <= v <= 1, "in [0, 1]")
         _check_ints(self, 0, "max_order", "seed")
-        _check_ints(self, 1, "ir_length")
         _check_range(self, "snr_range", math.isfinite, "finite (dB)")
 
     def sample_room(self, rng, sample_rate: int) -> RoomSpec:
-        dims = rng.uniform(self.room_dim_low, self.room_dim_high)
+        dims = rng.uniform(ROOM_DIM_LOW, ROOM_DIM_HIGH)
         margin = 0.3
         src = rng.uniform(margin, dims - margin)
         mic = rng.uniform(margin, dims - margin)
@@ -536,7 +512,7 @@ class FarFieldConfig:
             mic_position=mic,
             wall_reflection=rng.uniform(*self.reflection_range),
             max_order=self.max_order,
-            ir_length=self.ir_length,
+            ir_length=IR_LENGTH,
             sample_rate=sample_rate,
         )
 
@@ -663,12 +639,17 @@ def check_feature_dim(items: list[TrainItem], input_dim: int) -> None:
                                     f"the model takes {input_dim}-dim frames")
 
 
-def _check_items(items: list[TrainItem], cfg: TrainConfig, input_dim: int) -> None:
-    needs = _CRITERIA[cfg.criterion].needs
+_PER_FRAME = ("frame_labels", "teacher_rows")  # TrainItem fields with a row per frame
+
+
+def _check_items(items: list[TrainItem], criterion: str, input_dim: int) -> None:
     for it in items:
-        for name, what in needs.items():
-            if getattr(it, name) is None:
-                raise PipelineError(f"{it.utt_id}: {cfg.criterion} needs {what}")
+        for name, what in _CRITERIA[criterion].needs.items():
+            v = getattr(it, name)
+            if v is None:
+                raise PipelineError(f"{it.utt_id}: {criterion} needs {what}")
+            if name in _PER_FRAME and len(v) != it.num_frames:
+                raise PipelineError(f"{it.utt_id}: {len(v)} {what} for {it.num_frames} frames")
     check_feature_dim(items, input_dim)
 
 
@@ -716,7 +697,7 @@ def train(
     per-epoch mean per-frame loss."""
     if not items:
         raise PipelineError("empty training set")
-    _check_items(items, cfg, net.spec.input_dim)
+    _check_items(items, cfg.criterion, net.spec.input_dim)
 
     net = net.copy()
     velocity = np.zeros_like(net.parameters)
@@ -813,12 +794,7 @@ def frame_error_rate(net: Network, items: list[TrainItem]) -> float:
     """Fraction of frames whose argmax posterior disagrees with the label."""
     if not items:
         raise PipelineError("frame error rate of no utterances")
-    for it in items:
-        if it.frame_labels is None:
-            raise PipelineError(f"{it.utt_id}: frame labels required for FER")
-        if len(it.frame_labels) != it.num_frames:
-            raise PipelineError(f"{it.utt_id}: {len(it.frame_labels)} frame labels "
-                                f"for {it.num_frames} frames")
+    _check_items(items, "hard_ce", net.spec.input_dim)  # one label per frame
     wrong = sum(int(np.sum(np.argmax(logits, axis=1) != it.frame_labels))
                 for it, logits in zip(items, _infer(net, items)))
     return wrong / sum(it.num_frames for it in items)

@@ -57,6 +57,20 @@ class TestParser:
             cli.run(["synth", "--frobnicate"])
         assert e.value.code == 2
 
+    # flags that nothing read: the features, the spot and the report do not
+    # depend on a seed, and eval reads no config
+    @pytest.mark.parametrize("argv", [
+        ["featurize", "--manifest", "m.tsv", "--out", "o", "--seed", "5"],
+        ["spot", "--model", "m.ckpt", "--input", "x.wav", "--seed", "5"],
+        ["eval", "--scores", "s.scores", "--seed", "5"],
+        ["eval", "--scores", "s.scores", "--config", "c.json"],
+        ["eval", "--scores", "s.scores", "--set", "task.n_mels=10"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.run(argv)
+        assert e.value.code == 2
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as e:
             cli.run(["--version"])
@@ -294,7 +308,7 @@ class TestEndToEnd:
         out = capsys.readouterr().out
         assert "CA" in out and "FA" in out
 
-    def test_eval_roc_table(self, workspace, tmp_path):
+    def test_eval_roc_table(self, workspace, tmp_path, capsys):
         from farspot import kws
 
         scores = tmp_path / "dev.scores"
@@ -304,6 +318,7 @@ class TestEndToEnd:
                       "--roc", str(roc)])
         assert rc == EXIT_OK
         assert roc.exists() and len(roc.read_text().splitlines()) > 2
+        assert "ROC" not in capsys.readouterr().out  # the table goes to --roc only
 
 
     @pytest.mark.parametrize("flag, value", [("--target-ca", "1.5"), ("--target-ca", "0"),
@@ -391,6 +406,18 @@ class TestRuntimeErrors:
         assert rc == EXIT_CONFIG
         assert "takes 24-dim" in capsys.readouterr().err
 
+    def test_labels_at_another_stacking_name_the_utterance(self, tmp_path, capsys):
+        corpus = _synth(tmp_path, count=2)  # labelled at stacking 4/2
+        cfg = {"task": {**TASK["task"], "stack_step": 3},
+               "model": {"input_dim": 48, "layers": 1, "hidden": 4,
+                         "projection": 0, "output_dim": 5, "peepholes": False}}
+        out = tmp_path / "o"
+        rc = cli.run(["train", "--config", _write_cfg(tmp_path, cfg),
+                      "--manifest", str(corpus / "manifest.tsv"), "--out", str(out)])
+        assert rc == EXIT_RUNTIME
+        assert "utt000000: " in capsys.readouterr().err
+        assert not (out / "checkpoints").exists()
+
     def test_bad_train_value_is_config_error(self, tmp_path):
         corpus = _synth(tmp_path, count=2)
         cfg = dict(TASK)
@@ -402,17 +429,22 @@ class TestRuntimeErrors:
                       "--out", str(tmp_path / "o2")])
         assert rc == EXIT_CONFIG
 
-    # label_delay, soft_weight and blank are unknown keys, and ts_adapt is no
-    # criterion; the ids of the train section's cases omit "train."
+    # label_delay, soft_weight and blank are unknown keys, ts_adapt is no
+    # criterion, and soft_ce needs teacher posteriors, which no manifest
+    # carries.  The task keys from window_ms on name module constants, not
+    # fields, so they are unknown keys even at the constants' values.  The ids
+    # of the train section's cases omit "train."
     @pytest.mark.parametrize("override", [
         "train.learning_rate=NaN", "train.momentum=NaN", "train.grad_clip=-1",
         "train.grad_clip=0", "train.grad_clip=Infinity", "train.lr_decay=0",
         "train.label_delay=-5", "train.soft_weight=0.5", "train.blank=9",
         "train.batch_size=0", "train.batch_size=-3", "train.epochs=2.5", "train.seed=-1",
-        "train.criterion=ts_adapt",
+        "train.criterion=ts_adapt", "train.criterion=soft_ce",
         "model.hidden=2.5", "model.foo=1", "model.layers=true",
         "task.n_mels=0", "task.positive_ratio=2", "task.window_ms=-1", "task.hop_ms=0",
-        "task.sample_rate=8000",
+        "task.sample_rate=8000", "task.hey_freqs=[500,1550]", "task.cortana_freqs=[950,2250]",
+        "task.amplitude=0.25", "task.segment_dur_range=[0.07,0.16]",
+        "task.n_filler_range=[2,6]", "task.silence_pad_range=[0.05,0.15]",
     ], ids=lambda override: override.removeprefix("train."))
     def test_bad_train_override_is_config_error(self, workspace, tmp_path, override):
         _, corpus, _, trained = workspace
@@ -424,9 +456,11 @@ class TestRuntimeErrors:
         assert rc == EXIT_CONFIG
         assert not out.exists()
 
+    # ir_length and the room_dim keys name module constants: unknown keys
     @pytest.mark.parametrize("override", [
         "max_order=2.5", "max_order=-1", "ir_length=0", "reflection_range=[2,3]",
-        "snr_range=[NaN,1]",
+        "snr_range=[NaN,1]", "room_dim_low=[3.5,3,2.4]", "room_dim_high=[8,6,3.2]",
+        "ir_length=2048",
     ])
     def test_bad_farfield_override_is_config_error(self, workspace, tmp_path, override):
         _, corpus, _, _ = workspace
