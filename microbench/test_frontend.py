@@ -22,8 +22,8 @@ def utterance():
 
 
 @pytest.fixture(scope="module")
-def room(utterance):
-    return FAR.sample_room(np.random.default_rng(0), utterance.sample_rate)
+def room():
+    return FAR.sample_room(np.random.default_rng(0))
 
 
 def test_generate_rir(benchmark, room):

@@ -153,24 +153,23 @@ def cmd_featurize(args, cfg):
     return EXIT_OK
 
 
-def _fit(args, cfg, input_dim: int, fit):
-    """Shared body of train/distill/adapt.  input_dim is the frame width the
-    model takes; fit(items, train_config, out_dir) returns the trained
-    network and its per-epoch loss log.  provenance.json records the
-    TrainConfig that trained under "train_config"."""
+def _fit(args, cfg, check, fit):
+    """Shared body of train/distill/adapt.  check(items, train_config) runs fit's
+    checks of the items before --out is made, so a failure exits 3 and writes
+    nothing; fit(items, train_config, out_dir) returns the trained network and its
+    loss per epoch.  provenance.json records the TrainConfig that trained."""
     spec = _build(SynthTaskSpec, cfg, "task")
     tc = _build(TrainConfig, cfg, "train", args.seed)
     if args.command != "train":  # distill and adapt train soft_ce whatever is set
         tc = dataclasses.replace(tc, criterion="soft_ce")
-    elif tc.criterion == "soft_ce":
-        raise ConfigError("train.criterion=soft_ce needs teacher posteriors, which no manifest "
-                          "carries; distill and adapt train soft_ce")
-    out = _prepare_out_dir(args.out, args.force)
     items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
+    if not items:
+        raise ConfigError(f"{args.manifest} lists no utterances")
     try:
-        pipeline.check_feature_dim(items, input_dim)
+        check(items, tc)
     except pipeline.PipelineError as e:
-        raise ConfigError(f"features do not fit the model: {e}")
+        raise ConfigError(f"the manifest's items do not fit: {e}")
+    out = _prepare_out_dir(args.out, args.force)
     net, log = fit(items, tc, out)
     netcore.save_checkpoint(net, out / "final.ckpt")
     (out / "loss_log.json").write_text(json.dumps(log) + "\n")
@@ -182,22 +181,25 @@ def _fit(args, cfg, input_dim: int, fit):
 
 def cmd_train(args, cfg):
     model_spec = _model_spec(cfg)
-    return _fit(args, cfg, model_spec.input_dim, lambda items, tc, out: pipeline.train(
-        netcore.init_network(model_spec, np.random.default_rng(tc.seed)), items, tc,
-        checkpoint_dir=out / "checkpoints"))
+    return _fit(args, cfg, lambda items, tc: pipeline._check_items(items, tc.criterion, model_spec),
+                lambda items, tc, out: pipeline.train(
+                    netcore.init_network(model_spec, np.random.default_rng(tc.seed)), items, tc,
+                    checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_distill(args, cfg):
     student_spec = _model_spec(cfg, "student")
     teacher = netcore.load_checkpoint(args.teacher)
-    return _fit(args, cfg, teacher.spec.input_dim, lambda items, tc, out: pipeline.distill(
-        teacher, student_spec, items, tc, checkpoint_dir=out / "checkpoints"))
+    return _fit(args, cfg, lambda items, _: pipeline._check_distill(teacher, student_spec, items),
+                lambda items, tc, out: pipeline.distill(
+                    teacher, student_spec, items, tc, checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_adapt(args, cfg):
     teacher = netcore.load_checkpoint(args.teacher)
-    return _fit(args, cfg, teacher.spec.input_dim, lambda items, tc, out: pipeline.adapt(
-        teacher, items, tc, checkpoint_dir=out / "checkpoints"))
+    return _fit(args, cfg, lambda items, _: pipeline._check_pairs(teacher, items),
+                lambda items, tc, out: pipeline.adapt(
+                    teacher, items, tc, checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_spot(args, cfg):

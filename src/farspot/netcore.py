@@ -128,9 +128,11 @@ class ModelSpec:
         if self.svd_rank is not None:
             if not isinstance(self.svd_rank, tuple):
                 object.__setattr__(self, "svd_rank", tuple(sorted(dict(self.svd_rank).items())))
+            shapes = {name: shape for name, shape in _dense_blocks(self) if len(shape) == 2}
             for block, k in self.svd_rank:
-                if not _is_int(k) or k < 1:
-                    raise NetworkError(f"svd rank of {block} must be an int >= 1, got {k!r}")
+                if not (_is_int(k) and 1 <= k <= min(shapes.get(block, (0,)))):
+                    raise NetworkError(f"svd rank {k!r} of {block}: not an int from 1 to the "
+                                       f"smaller side of a weight matrix ({shapes.get(block)})")
 
     @property
     def recurrent_size(self) -> int:
@@ -191,8 +193,6 @@ def layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
             out.append((name, shape))
         else:
             m, n = shape
-            if k > min(m, n):
-                raise NetworkError(f"rank {k} exceeds dimensions of block {name} {shape}")
             out.append((f"{name}.u", (m, k)))
             out.append((f"{name}.v", (k, n)))
     return out

@@ -67,6 +67,7 @@ def _check_range(cfg, name: str, ok: Callable[[float], bool], what: str) -> None
 # Output alphabet of the wake-word task.
 HEY, CORTANA, SILENCE, GARBAGE, BLANK = 0, 1, 2, 3, 4
 KWS_OUTPUT_DIM = 5
+KWS_LAYERS = 2  # LSTM layers of the compression study's teacher and students
 KEYWORD_MODEL = kws.KeywordModel(
     keyword_units=(HEY, CORTANA), silence=SILENCE, garbage=GARBAGE, blank=BLANK
 )
@@ -79,6 +80,8 @@ AMPLITUDE = 0.25
 SEGMENT_DUR_RANGE = (0.07, 0.16)
 N_FILLER_RANGE = (2, 6)
 SILENCE_PAD_RANGE = (0.05, 0.15)
+MAX_SNR_DB = 100.0  # bounds SNR ranges: 16-bit PCM spans 96 dB; far past it gains overflow
+_SNR_OK = (lambda v: abs(v) <= MAX_SNR_DB, f"within +/-{MAX_SNR_DB:g} dB")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ class SynthTaskSpec:
         for name in ("amp_jitter", "freq_jitter"):
             _check_real(self, name, lambda v: 0 <= v < 1, "in [0, 1)")
         _check_real(self, "positive_ratio", lambda v: 0 <= v <= 1, "in [0, 1]")
-        _check_range(self, "noise_snr_range", math.isfinite, "finite (dB)")
+        _check_range(self, "noise_snr_range", *_SNR_OK)
 
 
 @dataclass
@@ -284,7 +287,7 @@ def synth_utterance(spec: SynthTaskSpec, index: int):
     for cls, _ in plan:
         if not symbols or symbols[-1] != cls:
             symbols.append(cls)
-    return Waveform(x, REQUIRED_RATE), _frame_labels(sample_classes, spec), symbols, is_positive
+    return Waveform(x), _frame_labels(sample_classes, spec), symbols, is_positive
 
 
 def _frame_labels(sample_classes: np.ndarray, spec: SynthTaskSpec) -> np.ndarray:
@@ -317,7 +320,7 @@ def _synth_item(spec: SynthTaskSpec, i: int, far_cfg: FarFieldConfig | None = No
         symbols=symbols,
         is_positive=pos,
         source_feats=None if far is None else clean,
-        duration_sec=len(w) / w.sample_rate,
+        duration_sec=len(w) / REQUIRED_RATE,
     )
 
 
@@ -440,7 +443,7 @@ def _load_features(path: str, spec: SynthTaskSpec) -> tuple[np.ndarray, float | 
     if path.endswith(".fsfa"):
         return featkit.read_features(path).frames, None
     w = simkit.read_wav(path)
-    return featurize_waveform(w, spec).frames, len(w) / w.sample_rate
+    return featurize_waveform(w, spec).frames, len(w) / REQUIRED_RATE
 
 
 def items_from_manifest(m: Manifest, spec: SynthTaskSpec) -> list[TrainItem]:
@@ -497,9 +500,9 @@ class FarFieldConfig:
     def __post_init__(self):
         _check_range(self, "reflection_range", lambda v: 0 <= v <= 1, "in [0, 1]")
         _check_ints(self, 0, "max_order", "seed")
-        _check_range(self, "snr_range", math.isfinite, "finite (dB)")
+        _check_range(self, "snr_range", *_SNR_OK)
 
-    def sample_room(self, rng, sample_rate: int) -> RoomSpec:
+    def sample_room(self, rng) -> RoomSpec:
         dims = rng.uniform(ROOM_DIM_LOW, ROOM_DIM_HIGH)
         margin = 0.3
         src = rng.uniform(margin, dims - margin)
@@ -513,14 +516,13 @@ class FarFieldConfig:
             wall_reflection=rng.uniform(*self.reflection_range),
             max_order=self.max_order,
             ir_length=IR_LENGTH,
-            sample_rate=sample_rate,
         )
 
 
 def farfield_waveform(w: Waveform, cfg: FarFieldConfig, index: int) -> Waveform:
     rng = np.random.default_rng([cfg.seed, index])
-    room = cfg.sample_room(rng, w.sample_rate)
-    noise = Waveform(rng.standard_normal(len(w)) * 0.05, w.sample_rate)
+    room = cfg.sample_room(rng)
+    noise = Waveform(rng.standard_normal(len(w)) * 0.05)
     snr = rng.uniform(*cfg.snr_range)
     return simkit.simulate_single_channel(w, room, noise, snr, rng=rng)
 
@@ -553,15 +555,17 @@ def simulate_corpus(
 # ---------------------------------------------------------------------------
 # Training
 
+MOMENTUM = 0.9
+GRAD_CLIP = 5.0  # gradients with a larger L2 norm are scaled down to it
+
+
 @dataclass
 class TrainConfig:
     criterion: str = "hard_ce"  # hard_ce | soft_ce | ctc; distill and adapt train soft_ce
     learning_rate: float = 0.05
-    momentum: float = 0.9
     batch_size: int = 16
     epochs: int = 5
     seed: int = 0
-    grad_clip: float = 5.0
     lr_decay: float = 0.85  # per-epoch step decay
 
     def __post_init__(self):
@@ -570,8 +574,6 @@ class TrainConfig:
         _check_ints(self, 1, "batch_size", "epochs")
         _check_ints(self, 0, "seed")
         _check_real(self, "learning_rate", lambda v: 0 <= v < math.inf, "finite and >= 0")
-        _check_real(self, "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
-        _check_real(self, "grad_clip", lambda v: 0 < v < math.inf, "finite and > 0")
         _check_real(self, "lr_decay", lambda v: 0 < v <= 1, "in (0, 1]")
 
 
@@ -642,7 +644,10 @@ def check_feature_dim(items: list[TrainItem], input_dim: int) -> None:
 _PER_FRAME = ("frame_labels", "teacher_rows")  # TrainItem fields with a row per frame
 
 
-def _check_items(items: list[TrainItem], criterion: str, input_dim: int) -> None:
+def _check_items(items: list[TrainItem], criterion: str, spec: ModelSpec) -> None:
+    """Raise PipelineError, naming the utterance, unless every item carries
+    what criterion needs, in range of spec's outputs, and spec's input width."""
+    n = spec.output_dim
     for it in items:
         for name, what in _CRITERIA[criterion].needs.items():
             v = getattr(it, name)
@@ -650,7 +655,13 @@ def _check_items(items: list[TrainItem], criterion: str, input_dim: int) -> None
                 raise PipelineError(f"{it.utt_id}: {criterion} needs {what}")
             if name in _PER_FRAME and len(v) != it.num_frames:
                 raise PipelineError(f"{it.utt_id}: {len(v)} {what} for {it.num_frames} frames")
-    check_feature_dim(items, input_dim)
+            if name == "frame_labels" and not 0 <= np.min(v) <= np.max(v) < n:
+                raise PipelineError(f"{it.utt_id}: frame labels outside [0, {n})")
+            if name == "symbols" and not (BLANK < n and all(0 <= x < n and x != BLANK for x in v)
+                                          and criteria.ctc_min_frames(v) <= it.num_frames):
+                raise PipelineError(f"{it.utt_id}: symbols {v} are no CTC transcript of "
+                                    f"{it.num_frames} frames for {n} outputs, blank {BLANK}")
+    check_feature_dim(items, spec.input_dim)
 
 
 def _batches(items: list[TrainItem], batch_size: int):
@@ -697,7 +708,7 @@ def train(
     per-epoch mean per-frame loss."""
     if not items:
         raise PipelineError("empty training set")
-    _check_items(items, cfg.criterion, net.spec.input_dim)
+    _check_items(items, cfg.criterion, net.spec)
 
     net = net.copy()
     velocity = np.zeros_like(net.parameters)
@@ -720,11 +731,13 @@ def train(
                     f"non-finite loss ({loss}) or gradient norm ({norm}) in epoch {epoch}, "
                     f"batch {bi}: utterances {[it.utt_id for it in batches[bi]]}"
                 )
-            if norm > cfg.grad_clip:
-                grad = grad * (cfg.grad_clip / norm)
-            velocity = cfg.momentum * velocity - lr * grad
+            if norm > GRAD_CLIP:
+                grad = grad * (GRAD_CLIP / norm)
+            velocity = MOMENTUM * velocity - lr * grad
             net.parameters += velocity
             epoch_loss += loss
+        if not np.all(np.isfinite(net.parameters)):  # before the checkpoint, as for the loss
+            raise PipelineError(f"non-finite parameters after epoch {epoch}")
         log.append(epoch_loss / len(batches))
         if checkpoint_dir is not None:
             netcore.save_checkpoint(net, checkpoint_dir / f"epoch{epoch:03d}.ckpt")
@@ -745,16 +758,30 @@ def distill(
     checkpoint_dir: str | Path | None = None,
 ) -> tuple[Network, list[float]]:
     """Train a fresh student on teacher soft labels; no transcripts needed."""
-    if teacher.spec.output_dim != student_spec.output_dim:
-        raise PipelineError(
-            f"teacher output dim {teacher.spec.output_dim} != "
-            f"student output dim {student_spec.output_dim}"
-        )
-    check_feature_dim(items, teacher.spec.input_dim)
+    _check_distill(teacher, student_spec, items)
     items = compute_teacher_posteriors(teacher, items)
     cfg = replace(cfg, criterion="soft_ce")
     student = netcore.init_network(student_spec, np.random.default_rng(cfg.seed))
     return train(student, items, cfg, checkpoint_dir=checkpoint_dir)
+
+
+def _check_distill(teacher: Network, student_spec: ModelSpec, items: list[TrainItem]) -> None:
+    """Raise PipelineError unless the items' features fit teacher and student."""
+    if teacher.spec.output_dim != student_spec.output_dim:
+        raise PipelineError(f"teacher output dim {teacher.spec.output_dim} != "
+                            f"student output dim {student_spec.output_dim}")
+    for spec in (teacher.spec, student_spec):
+        check_feature_dim(items, spec.input_dim)
+
+
+def _check_pairs(teacher: Network, paired_items: list[TrainItem]) -> None:
+    """Raise PipelineError unless every item has source features that match it."""
+    for it in paired_items:
+        if it.source_feats is None:
+            raise PipelineError(f"{it.utt_id}: adapt needs paired source features")
+        if it.source_feats.shape[0] != it.num_frames:
+            raise PipelineError(f"{it.utt_id}: paired frame counts differ")
+    check_feature_dim(paired_items, teacher.spec.input_dim)
 
 
 def adapt(
@@ -769,12 +796,7 @@ def adapt(
     so that its posteriors on target features track the frozen teacher's on
     source features, which are computed once, on the batches train forms.
     """
-    for it in paired_items:
-        if it.source_feats is None:
-            raise PipelineError(f"{it.utt_id}: adapt needs paired source features")
-        if it.source_feats.shape[0] != it.num_frames:
-            raise PipelineError(f"{it.utt_id}: paired frame counts differ")
-    check_feature_dim(paired_items, teacher.spec.input_dim)
+    _check_pairs(teacher, paired_items)
     # Not compute_teacher_posteriors: its batch-invariant products differ from
     # these in the last bits, and the adapted checkpoints depend on every bit.
     items = []
@@ -794,7 +816,7 @@ def frame_error_rate(net: Network, items: list[TrainItem]) -> float:
     """Fraction of frames whose argmax posterior disagrees with the label."""
     if not items:
         raise PipelineError("frame error rate of no utterances")
-    _check_items(items, "hard_ce", net.spec.input_dim)  # one label per frame
+    _check_items(items, "hard_ce", net.spec)  # one label per frame
     wrong = sum(int(np.sum(np.argmax(logits, axis=1) != it.frame_labels))
                 for it, logits in zip(items, _infer(net, items)))
     return wrong / sum(it.num_frames for it in items)
@@ -845,9 +867,7 @@ class KwsCompressionConfig:
     train_count: int = 2000
     test_count: int = 1000
     target_ca: float = 0.96
-    teacher_layers: int = 2
     teacher_hidden: int = 48
-    student_layers: int = 2
     student_hidden: int = 16
     teacher_epochs: int = 6
     student_epochs: int = 8
@@ -857,8 +877,8 @@ class KwsCompressionConfig:
 
     def __post_init__(self):
         _check_ints(self, 0, "seed")
-        _check_ints(self, 1, "train_count", "test_count", "teacher_layers", "teacher_hidden",
-                    "student_layers", "student_hidden", "teacher_epochs", "student_epochs")
+        _check_ints(self, 1, "train_count", "test_count", "teacher_hidden", "student_hidden",
+                    "teacher_epochs", "student_epochs")
         _check_real(self, "learning_rate", lambda v: 0 < v < math.inf, "finite and > 0")
         _check_real(self, "lr_decay", lambda v: 0 < v <= 1, "in (0, 1]")
         kws.check_target_ca(self.target_ca)
@@ -877,11 +897,11 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
     input_dim = train_items[0].feats.shape[1]
 
     teacher_spec = ModelSpec(
-        input_dim=input_dim, layers=cfg.teacher_layers, hidden=cfg.teacher_hidden,
+        input_dim=input_dim, layers=KWS_LAYERS, hidden=cfg.teacher_hidden,
         projection=0, output_dim=KWS_OUTPUT_DIM, peepholes=False,
     )
     student_spec = ModelSpec(
-        input_dim=input_dim, layers=cfg.student_layers, hidden=cfg.student_hidden,
+        input_dim=input_dim, layers=KWS_LAYERS, hidden=cfg.student_hidden,
         projection=0, output_dim=KWS_OUTPUT_DIM, peepholes=False,
     )
 
@@ -958,13 +978,11 @@ class LadderConfig:
     teacher_epochs: int = 6
     learning_rate: float = 0.08
     hidden: int = 32
-    layers: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
         _check_ints(self, 0, "seed", "extra_count")
-        _check_ints(self, 1, "train_count", "test_count", "epochs", "teacher_epochs",
-                    "layers", "hidden")
+        _check_ints(self, 1, "train_count", "test_count", "epochs", "teacher_epochs", "hidden")
         _check_real(self, "learning_rate", lambda v: 0 < v < math.inf, "finite and > 0")
 
 
@@ -998,7 +1016,7 @@ def ablation_ladder(cfg: LadderConfig) -> dict:
 
     spec = ModelSpec(
         input_dim=train_pairs[0].feats.shape[1],
-        layers=cfg.layers,
+        layers=1,
         hidden=cfg.hidden,
         projection=0,
         output_dim=BLANK,  # the task classes, which precede blank

@@ -4,7 +4,7 @@ Far-field speech is synthesized by convolving close-talk speech with a room
 impulse response (RIR) and adding noise at a requested SNR.
 
 Conventions:
-    * audio is mono float64 in nominal range [-1, 1] at an explicit sample rate
+    * audio is mono float64 in nominal range [-1, 1] at REQUIRED_RATE (16 kHz)
     * wall reflection coefficients are pressure coefficients in [0, 1]
     * SNR is the RMS power ratio of the (reverberant) speech component to the
       total scaled noise component, measured over the full utterance
@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-SPEED_OF_SOUND = 343.0
+SPEED_OF_SOUND = 343.0  # m/s
+REQUIRED_RATE = 16000  # Hz: every waveform, impulse response and WAV file
 
 # Length of the windowed-sinc fractional-delay kernel (odd; +/-40 samples).
 FRAC_DELAY_TAPS = 81
@@ -30,18 +31,14 @@ class SimulationError(ValueError):
 
 @dataclass
 class Waveform:
-    """Mono audio signal with an explicit sample rate."""
+    """Mono audio signal at REQUIRED_RATE."""
 
     samples: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise SimulationError("waveform must be 1-D")
-        if int(self.sample_rate) <= 0:
-            raise SimulationError("sample_rate must be positive")
-        self.sample_rate = int(self.sample_rate)
         if not np.all(np.isfinite(self.samples)):
             raise SimulationError("waveform contains non-finite samples")
 
@@ -59,7 +56,6 @@ class ImpulseResponse:
     """Finite impulse response."""
 
     taps: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -67,7 +63,6 @@ class ImpulseResponse:
             raise SimulationError("impulse response must be non-empty and 1-D")
         if not np.all(np.isfinite(self.taps)):
             raise SimulationError("impulse response contains non-finite taps")
-        self.sample_rate = int(self.sample_rate)
 
     def __len__(self):
         return len(self.taps)
@@ -76,11 +71,11 @@ class ImpulseResponse:
         return float(np.sum(self.taps**2))
 
 
-def unit_impulse(sample_rate: int, delay: int = 0) -> ImpulseResponse:
+def unit_impulse(delay: int = 0) -> ImpulseResponse:
     """Kronecker delta at `delay` samples."""
     taps = np.zeros(delay + 1)
     taps[delay] = 1.0
-    return ImpulseResponse(taps, sample_rate)
+    return ImpulseResponse(taps)
 
 
 @dataclass
@@ -96,9 +91,7 @@ class RoomSpec:
     mic_position: np.ndarray
     wall_reflection: np.ndarray = 0.0
     max_order: int = 0
-    speed_of_sound: float = SPEED_OF_SOUND
     ir_length: int = 4096
-    sample_rate: int = 16000
 
     def __post_init__(self):
         self.dimensions = np.asarray(self.dimensions, dtype=np.float64)
@@ -130,7 +123,7 @@ class RoomSpec:
         return float(np.linalg.norm(self.source_position - self.mic_position))
 
     def direct_delay_samples(self) -> int:
-        return int(round(self.direct_distance() / self.speed_of_sound * self.sample_rate))
+        return int(round(self.direct_distance() / SPEED_OF_SOUND * REQUIRED_RATE))
 
 
 def _image_sources(room: RoomSpec):
@@ -171,7 +164,7 @@ def generate_rir(room: RoomSpec, fractional: bool = True) -> ImpulseResponse:
     receives the full amplitude.
     """
     dist, amp = _image_sources(room)
-    delays = dist / room.speed_of_sound * room.sample_rate
+    delays = dist / SPEED_OF_SOUND * REQUIRED_RATE
     h = np.zeros(room.ir_length)
 
     if fractional:
@@ -189,7 +182,7 @@ def generate_rir(room: RoomSpec, fractional: bool = True) -> ImpulseResponse:
         centers = np.round(delays).astype(int)
         valid = centers < room.ir_length
         np.add.at(h, centers[valid], amp[valid])
-    return ImpulseResponse(h, room.sample_rate)
+    return ImpulseResponse(h)
 
 
 def _fast_len(n: int) -> int:
@@ -212,18 +205,14 @@ def convolve(x: Waveform, h: ImpulseResponse) -> Waveform:
     to a 5-smooth size: the steps, and so the bits, of `fftconvolve`, so
     corpora made with it are unchanged.
     """
-    if x.sample_rate != h.sample_rate:
-        raise SimulationError(
-            f"sample-rate mismatch: waveform {x.sample_rate} vs IR {h.sample_rate}"
-        )
     if len(x) == 0:
-        return Waveform(np.zeros(0), x.sample_rate)
+        return Waveform(np.zeros(0))
     if len(x) == 1 or len(h) == 1:
-        return Waveform(x.samples * h.taps, x.sample_rate)
+        return Waveform(x.samples * h.taps)
     size = len(x) + len(h) - 1
     n = _fast_len(size)
     y = np.fft.irfft(np.fft.rfft(x.samples, n) * np.fft.rfft(h.taps, n), n)[:size]
-    return Waveform(y, x.sample_rate)
+    return Waveform(y)
 
 
 def _loop_to_length(noise: np.ndarray, n: int, rng: np.random.Generator | None) -> np.ndarray:
@@ -248,10 +237,8 @@ def mix_at_snr(
     `rng` (offset 0 when rng is None).  snr_db = +inf returns the speech
     unchanged.
     """
-    if speech.sample_rate != noise.sample_rate:
-        raise SimulationError("sample-rate mismatch between speech and noise")
     if np.isinf(snr_db) and snr_db > 0:
-        return Waveform(speech.samples.copy(), speech.sample_rate)
+        return Waveform(speech.samples.copy())
     s_rms = speech.rms()
     if s_rms == 0.0:
         raise SimulationError("speech has zero energy; SNR undefined")
@@ -260,18 +247,16 @@ def mix_at_snr(
     if n_rms == 0.0:
         raise SimulationError("noise has zero energy at finite SNR")
     gain = s_rms / n_rms * 10.0 ** (-snr_db / 20.0)
-    return Waveform(speech.samples + gain * n, speech.sample_rate)
+    return Waveform(speech.samples + gain * n)
 
 
 def _reverberate(s: Waveform, room: RoomSpec) -> Waveform:
     """s through the room's image-method IR, trimmed back to len(s) with the
     direct-path delay discarded, so close-talk / far-field pairs stay
     frame-synchronous."""
-    if s.sample_rate != room.sample_rate:
-        raise SimulationError("speech sample rate differs from room sample rate")
     delay = room.direct_delay_samples()
     rev = convolve(s, generate_rir(room)).samples[delay : delay + len(s)]
-    return Waveform(np.pad(rev, (0, len(s) - len(rev))), s.sample_rate)
+    return Waveform(np.pad(rev, (0, len(s) - len(rev))))
 
 
 def simulate_single_channel(
@@ -292,7 +277,7 @@ def simulate_single_channel(
     if rev.rms() == 0.0:
         # All-zero speech: SNR scaling is undefined, pass the noise through
         # at unit gain so the caller still gets the noise floor.
-        return Waveform(_loop_to_length(noise.samples, len(s), rng), s.sample_rate)
+        return Waveform(_loop_to_length(noise.samples, len(s), rng))
     return mix_at_snr(rev, noise, snr_db, rng=rng)
 
 
@@ -302,9 +287,7 @@ def measure_snr(speech: Waveform, noise: Waveform) -> float:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O: mono 16-bit PCM at 16 kHz only.
-
-REQUIRED_RATE = 16000
+# WAV I/O: mono 16-bit PCM at REQUIRED_RATE only.
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -319,12 +302,10 @@ def read_wav(path: str | Path) -> Waveform:
             )
         raw = f.readframes(f.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, REQUIRED_RATE)
+    return Waveform(samples)
 
 
 def write_wav(path: str | Path, w: Waveform) -> None:
-    if w.sample_rate != REQUIRED_RATE:
-        raise SimulationError(f"only {REQUIRED_RATE} Hz WAV output is supported")
     pcm = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)

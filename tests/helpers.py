@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from farspot import criteria, kws, netcore
+from farspot import criteria, kws, netcore, pipeline
 from farspot.netcore import GradientSink, Network, NetworkError
 
 
@@ -399,9 +399,9 @@ def reference_adapt(teacher, paired_items, cfg, checkpoint_dir=None):
             loss = total_loss / total_frames
 
             norm = np.linalg.norm(grad)
-            if norm > cfg.grad_clip:
-                grad = grad * (cfg.grad_clip / norm)
-            velocity = cfg.momentum * velocity - lr * grad
+            if norm > pipeline.GRAD_CLIP:
+                grad = grad * (pipeline.GRAD_CLIP / norm)
+            velocity = pipeline.MOMENTUM * velocity - lr * grad
             net.parameters += velocity
             epoch_loss += loss
         log.append(epoch_loss / len(batches))

@@ -3,11 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from farspot import cli, netcore, pipeline
+from farspot import cli, netcore, pipeline, simkit
 from farspot.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME
 
 TASK = {"task": {"n_mels": 12, "stack_context": 4, "stack_step": 2}}
@@ -373,6 +377,10 @@ class TestExperiments:
         ["ladder", "--set", "ladder.learning_rate=NaN"],
         ["ladder", "--set", "ladder.out_dir=elsewhere"],
         ["ladder", "--set", "ladder.output_dim=9"],
+        # pipeline.KWS_LAYERS and the ladder's one layer, at their values
+        ["compress", "--set", "compress.teacher_layers=2"],
+        ["compress", "--set", "compress.student_layers=2"],
+        ["ladder", "--set", "ladder.layers=1"],
     ])
     def test_bad_experiment_config_is_config_error(self, tmp_path, argv):
         out = tmp_path / "o"
@@ -414,9 +422,46 @@ class TestRuntimeErrors:
         out = tmp_path / "o"
         rc = cli.run(["train", "--config", _write_cfg(tmp_path, cfg),
                       "--manifest", str(corpus / "manifest.tsv"), "--out", str(out)])
-        assert rc == EXIT_RUNTIME
-        assert "utt000000: " in capsys.readouterr().err
-        assert not (out / "checkpoints").exists()
+        assert rc == EXIT_CONFIG
+        assert "utt000000: 44 frame labels for 30 frames" in capsys.readouterr().err
+        assert not out.exists()
+
+    # items that the model or the teacher cannot train on: each is named
+    # before --out is made
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--set", "model.output_dim=3", "--set", "train.criterion=hard_ce"],
+         "frame labels outside [0, 3)"),
+        (["train", "--set", "model.output_dim=4"], "for 4 outputs, blank 4"),
+        (["distill", "--set", "student.input_dim=24"], "takes 24-dim"),
+        (["distill", "--set", "student.output_dim=4"], "student output dim 4"),
+        (["adapt"], "adapt needs paired source features"),
+    ], ids=["hard_ce-labels", "ctc-blank", "distill-input", "distill-output", "adapt-unpaired"])
+    def test_items_that_do_not_fit_are_config_errors(self, workspace, tmp_path, capsys,
+                                                    argv, message):
+        _, corpus, _, trained = workspace  # a 48 -> 5 ctc model of the clean corpus
+        cfg = json.loads((trained / "provenance.json").read_text())["config"]
+        cfg["student"] = {**cfg["model"], "hidden": 4}
+        out = tmp_path / "o"
+        teacher = [] if argv[0] == "train" else ["--teacher", str(trained / "final.ckpt")]
+        rc = cli.run([*argv, *teacher, "--config", _write_cfg(tmp_path, cfg),
+                      "--manifest", str(corpus / "manifest.tsv"), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
+    def test_empty_manifest_is_config_error(self, workspace, tmp_path, command):
+        _, _, _, trained = workspace
+        cfg = json.loads((trained / "provenance.json").read_text())["config"]
+        cfg["student"] = cfg["model"]
+        empty = tmp_path / "empty.tsv"
+        pipeline.write_manifest(empty, pipeline.Manifest([]))
+        out = tmp_path / "o"
+        teacher = [] if command == "train" else ["--teacher", str(trained / "final.ckpt")]
+        rc = cli.run([command, *teacher, "--config", _write_cfg(tmp_path, cfg),
+                      "--manifest", str(empty), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
 
     def test_bad_train_value_is_config_error(self, tmp_path):
         corpus = _synth(tmp_path, count=2)
@@ -431,12 +476,13 @@ class TestRuntimeErrors:
 
     # label_delay, soft_weight and blank are unknown keys, ts_adapt is no
     # criterion, and soft_ce needs teacher posteriors, which no manifest
-    # carries.  The task keys from window_ms on name module constants, not
-    # fields, so they are unknown keys even at the constants' values.  The ids
-    # of the train section's cases omit "train."
+    # carries.  momentum, grad_clip and the task keys from window_ms on name
+    # module constants, not fields, so they are unknown keys even at the
+    # constants' values.  The ids of the train section's cases omit "train."
     @pytest.mark.parametrize("override", [
         "train.learning_rate=NaN", "train.momentum=NaN", "train.grad_clip=-1",
         "train.grad_clip=0", "train.grad_clip=Infinity", "train.lr_decay=0",
+        "train.momentum=0.9", "train.grad_clip=5.0",
         "train.label_delay=-5", "train.soft_weight=0.5", "train.blank=9",
         "train.batch_size=0", "train.batch_size=-3", "train.epochs=2.5", "train.seed=-1",
         "train.criterion=ts_adapt", "train.criterion=soft_ce",
@@ -460,7 +506,7 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize("override", [
         "max_order=2.5", "max_order=-1", "ir_length=0", "reflection_range=[2,3]",
         "snr_range=[NaN,1]", "room_dim_low=[3.5,3,2.4]", "room_dim_high=[8,6,3.2]",
-        "ir_length=2048",
+        "ir_length=2048", "snr_range=[-7000,0]",
     ])
     def test_bad_farfield_override_is_config_error(self, workspace, tmp_path, override):
         _, corpus, _, _ = workspace
@@ -469,3 +515,116 @@ class TestRuntimeErrors:
                       "--set", f"farfield.{override}", "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert not out.exists()
+
+
+# Every key of a section that --set reaches: mostly a value in its range
+# (sizes bounded, so that each run stays small), else a value of any kind.
+_BAD = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-2, 0),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.lists(st.integers(-1, 3), max_size=3))
+
+
+def _pair(low, high):
+    x = st.one_of(st.floats(low, high), st.floats(low, high), st.floats())
+    return st.tuples(x, x).map(sorted)
+
+
+_SECTIONS = {
+    "task": {"seed": st.integers(0, 3), "amp_jitter": st.floats(0.0, 0.99),
+             "freq_jitter": st.floats(0.0, 0.99), "positive_ratio": st.floats(0.0, 1.0),
+             "noise_snr_range": _pair(-100.0, 100.0),
+             "filler_freqs": st.lists(st.lists(st.floats(1.0, 7999.0), min_size=1, max_size=2),
+                                      min_size=1, max_size=3),
+             "n_mels": st.integers(1, 16), "stack_context": st.integers(1, 6),
+             "stack_step": st.integers(1, 6)},
+    "model": {"input_dim": st.sampled_from([48, 24, 12]), "layers": st.integers(1, 2),
+              "hidden": st.integers(1, 16), "projection": st.integers(0, 16),
+              "output_dim": st.integers(1, 8), "peepholes": st.booleans(),
+              "svd_rank": st.dictionaries(st.sampled_from(["l0.wx", "l0.wr", "out.w", "l0.bias",
+                                                           "l1.wx"]),
+                                          st.integers(1, 12), max_size=2)},
+    "train": {"criterion": st.sampled_from(["hard_ce", "ctc", "soft_ce"]),
+              "learning_rate": st.floats(0.0, 2.0) | st.floats(0.0, allow_infinity=False),
+              "batch_size": st.integers(1, 8), "epochs": st.integers(1, 2),
+              "seed": st.integers(0, 3), "lr_decay": st.floats(1e-3, 1.0)},
+    "farfield": {"reflection_range": _pair(0.0, 1.0), "max_order": st.integers(0, 6),
+                 "snr_range": _pair(-100.0, 100.0), "seed": st.integers(0, 3)},
+}
+# compress and ladder only build their configs, so their sizes are unbounded
+_EXPERIMENT_CONFIGS = {"compress": pipeline.KwsCompressionConfig,
+                       "ladder": pipeline.LadderConfig}
+_SECTIONS.update({section: {f.name: st.integers() | st.floats() for f in dataclasses.fields(cls)
+                            if f.name != "out_dir"}
+                  for section, cls in _EXPERIMENT_CONFIGS.items()})
+
+
+def _overrides(section):
+    """One to three keys of the section; five values in six are of the key's
+    own strategy (st.one_of merges equal branches, so it cannot weight them)."""
+    keys = _SECTIONS[section]
+    return st.lists(st.sampled_from(list(keys)), min_size=1, max_size=3, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({
+            k: st.sampled_from([keys[k]] * 5 + [_BAD]).flatmap(lambda v: v) for k in names}))
+
+
+def _set_args(section, overrides):
+    return [a for k, v in overrides.items() for a in ("--set", f"{section}.{k}={json.dumps(v)}")]
+
+
+class TestSetOverrides:
+    """Each --set either runs, leaving outputs that load, or exits 3 and
+    writes nothing.  The one runtime failure a check cannot foresee is a
+    learning rate at which training diverges: it stops on non-finite values."""
+
+    @staticmethod
+    def _check(rc, out, err, load):
+        if rc == EXIT_OK:
+            load(out)
+        elif rc == EXIT_RUNTIME:
+            assert "non-finite" in err, err
+        else:
+            assert rc == EXIT_CONFIG, err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["task", "model", "train"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # large learning rates overflow
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_section(self, workspace, tmp_path, capsys, section, data):
+        _, corpus, _, trained = workspace
+        overrides = data.draw(_overrides(section))
+        cfg = json.loads((trained / "provenance.json").read_text())["config"]
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
+        rc = cli.run(["train", "--config", _write_cfg(tmp_path, cfg),
+                      "--manifest", str(corpus / "manifest.tsv"), "--out", str(out),
+                      *_set_args(section, overrides)])
+        self._check(rc, out, capsys.readouterr().err,
+                    lambda out: netcore.load_checkpoint(out / "final.ckpt"))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_farfield_section(self, workspace, tmp_path, capsys, data):
+        _, corpus, _, _ = workspace
+        overrides = data.draw(_overrides("farfield"))
+        out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
+        rc = cli.run(["simulate", "--manifest", str(corpus / "manifest.tsv"),
+                      "--out", str(out), *_set_args("farfield", overrides)])
+
+        def load(out):
+            for r in pipeline.read_manifest(out / "manifest.tsv").records:
+                simkit.read_wav(r.path)
+        self._check(rc, out, capsys.readouterr().err, load)
+
+    @pytest.mark.parametrize("section", list(_EXPERIMENT_CONFIGS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_experiment_section_builds_or_is_config_error(self, section, data):
+        overrides = data.draw(_overrides(section))
+        cfg = cli._apply_overrides({}, _set_args(section, overrides)[1::2])
+        cls = _EXPERIMENT_CONFIGS[section]
+        try:
+            assert isinstance(cli._build(cls, cfg, section), cls)
+        except cli.ConfigError:
+            pass

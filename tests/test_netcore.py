@@ -80,6 +80,11 @@ class TestSpecAndLayout:
         with pytest.raises(NetworkError):
             param_count(_tiny_spec(svd_rank=(("l0.wx", 99),)))
 
+    @pytest.mark.parametrize("block", ["l0.bias", "l9.wx", "out"])
+    def test_rank_of_no_weight_matrix_rejected(self, block):
+        with pytest.raises(NetworkError, match=f"of {block}: .* weight matrix \\(None\\)"):
+            _tiny_spec(svd_rank=((block, 1),))
+
     def test_spec_round_trips_through_dict(self):
         spec = _tiny_spec(projection=2, peepholes=True, svd_rank=(("l0.wx", 2),))
         assert ModelSpec.from_dict(spec.to_dict()) == spec

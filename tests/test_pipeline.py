@@ -128,6 +128,7 @@ class TestSynthesis:
         (SynthTaskSpec, "freq_jitter", 1.0),
         (SynthTaskSpec, "noise_snr_range", (8.0, float("inf"))),
         (FarFieldConfig, "seed", True),
+        (FarFieldConfig, "snr_range", (-7000.0, 0.0)),  # its noise gain overflows
     ])
     def test_bad_task_or_farfield_field_rejected(self, cls, field, value):
         with pytest.raises(PipelineError, match=field):
@@ -260,6 +261,19 @@ class TestTraining:
                            checkpoint_dir=tmp_path)
         assert not list(tmp_path.glob("epoch*.ckpt"))
 
+    def test_non_finite_update_stops_training_before_checkpoint(self, tmp_path):
+        # the loss and the clipped gradient are finite, but one step at the
+        # largest float learning rate takes a weight past the float range
+        it = pipeline.TrainItem("u", np.full((6, 1), 3.0), frame_labels=np.zeros(6, dtype=int))
+        net = netcore.init_network(_tiny_model(1, output_dim=2, hidden=1),
+                                   np.random.default_rng(0))
+        net.block("out.w")[...] = [[-5.0], [5.0]]
+        with np.errstate(over="ignore"), pytest.raises(PipelineError,
+                                                       match="non-finite parameters after epoch 0"):
+            pipeline.train(net, [it], TrainConfig(learning_rate=sys.float_info.max, epochs=1),
+                           checkpoint_dir=tmp_path)
+        assert not list(tmp_path.glob("epoch*.ckpt"))
+
     def test_empty_training_set_rejected(self):
         net = netcore.init_network(_tiny_model(4), np.random.default_rng(0))
         with pytest.raises(PipelineError):
@@ -328,7 +342,7 @@ class TestDistillAndAdapt:
         teacher = netcore.init_network(spec, np.random.default_rng(2))
         items = pipeline.compute_teacher_posteriors(teacher, items)
         if criterion != "adapt":
-            pipeline._check_items(items, criterion, spec.input_dim)
+            pipeline._check_items(items, criterion, spec)
         items[1] = replace(items[1], **{field: None})
         with pytest.raises(PipelineError, match=f"{items[1].utt_id}: {criterion} needs {what}"):
             if criterion == "adapt":
@@ -724,7 +738,7 @@ class TestRunSeeds:
         (TINY_COMPRESSION, "student_hidden", True), (TINY_COMPRESSION, "seed", -1),
         (TINY_COMPRESSION, "learning_rate", float("nan")), (TINY_COMPRESSION, "lr_decay", 0.0),
         (TINY_LADDER, "test_count", 0), (TINY_LADDER, "extra_count", -1),
-        (TINY_LADDER, "layers", 0), (TINY_LADDER, "learning_rate", float("inf")),
+        (TINY_LADDER, "hidden", 0), (TINY_LADDER, "learning_rate", float("inf")),
     ])
     def test_bad_experiment_config_rejected(self, cfg, field, value):
         with pytest.raises(PipelineError, match=field):

@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +58,7 @@ class TestGenerateRir:
         room = _basic_room(ir_length=256)
         ir = simkit.generate_rir(room, fractional=False)
         d = room.direct_distance()
-        expected_delay = int(round(d / room.speed_of_sound * room.sample_rate))
+        expected_delay = int(round(d / simkit.SPEED_OF_SOUND * simkit.REQUIRED_RATE))
         assert expected_delay == 107
         nz = np.nonzero(ir.taps)[0]
         assert list(nz) == [107]
@@ -125,7 +127,7 @@ class TestGenerateRir:
         h = simkit.generate_rir(room, fractional=False).taps
         edc = np.cumsum(h[::-1] ** 2)[::-1]
         edc_db = 10 * np.log10(np.maximum(edc / edc[0], 1e-30))
-        t = np.arange(len(h)) / room.sample_rate
+        t = np.arange(len(h)) / simkit.REQUIRED_RATE
         i1 = int(np.argmax(edc_db <= -15.0))
         i2 = int(np.argmax(edc_db <= -35.0))
         slope = (edc_db[i2] - edc_db[i1]) / (t[i2] - t[i1])
@@ -140,13 +142,13 @@ class TestGenerateRir:
 
 class TestConvolve:
     def test_identity(self):
-        x = Waveform(np.sin(np.arange(400) * 0.01), 16000)
-        y = simkit.convolve(x, unit_impulse(16000))
+        x = Waveform(np.sin(np.arange(400) * 0.01))
+        y = simkit.convolve(x, unit_impulse())
         assert np.allclose(y.samples, x.samples, atol=1e-12)
 
     def test_pure_delay(self):
-        x = Waveform(np.arange(10.0), 16000)
-        y = simkit.convolve(x, unit_impulse(16000, delay=3))
+        x = Waveform(np.arange(10.0))
+        y = simkit.convolve(x, unit_impulse(delay=3))
         assert len(y) == 13
         assert np.allclose(y.samples[3:], np.arange(10.0), atol=1e-12)
         assert np.allclose(y.samples[:3], 0.0, atol=1e-12)
@@ -159,13 +161,13 @@ class TestConvolve:
                        (1, 50), (50, 1), (1, 1)]:
             x = rng.standard_normal(nx)
             h = rng.standard_normal(nh)
-            y = simkit.convolve(Waveform(x, 16000), ImpulseResponse(h, 16000))
+            y = simkit.convolve(Waveform(x), ImpulseResponse(h))
             assert len(y) == nx + nh - 1
             assert np.allclose(y.samples, naive_convolve(x, h), atol=1e-10), (nx, nh)
 
     def test_empty_waveform_gives_empty_output(self):
-        y = simkit.convolve(Waveform(np.zeros(0), 16000), ImpulseResponse(np.ones(5), 16000))
-        assert len(y) == 0 and y.sample_rate == 16000
+        y = simkit.convolve(Waveform(np.zeros(0)), ImpulseResponse(np.ones(5)))
+        assert len(y) == 0
 
     def test_fft_size_is_smallest_5_smooth_length(self):
         def smooth(m):
@@ -180,21 +182,17 @@ class TestConvolve:
                 n_fft += 1
             assert simkit._fast_len(n) == n_fft, n
 
-    def test_sample_rate_mismatch_rejected(self):
-        with pytest.raises(SimulationError):
-            simkit.convolve(Waveform(np.ones(8), 16000), ImpulseResponse([1.0], 8000))
-
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(64)
         b = rng.standard_normal(64)
-        h = ImpulseResponse(rng.standard_normal(17), 16000)
-        lhs = simkit.convolve(Waveform(a + 2.0 * b, 16000), h).samples
+        h = ImpulseResponse(rng.standard_normal(17))
+        lhs = simkit.convolve(Waveform(a + 2.0 * b), h).samples
         rhs = (
-            simkit.convolve(Waveform(a, 16000), h).samples
-            + 2.0 * simkit.convolve(Waveform(b, 16000), h).samples
+            simkit.convolve(Waveform(a), h).samples
+            + 2.0 * simkit.convolve(Waveform(b), h).samples
         )
         assert np.allclose(lhs, rhs, atol=1e-10)
 
@@ -202,14 +200,14 @@ class TestConvolve:
 class TestMixAtSnr:
     def test_gain_on_unit_power_signals(self):
         # both signals have RMS exactly 1, so the gain is 10^(-snr/20)
-        speech = Waveform(np.tile([1.0, -1.0], 100), 16000)
-        noise = Waveform(np.tile([-1.0, 1.0], 100), 16000)
+        speech = Waveform(np.tile([1.0, -1.0], 100))
+        noise = Waveform(np.tile([-1.0, 1.0], 100))
         mixed = simkit.mix_at_snr(speech, noise, 20.0)
         assert np.allclose(mixed.samples, speech.samples + 0.1 * noise.samples)
 
     def test_infinite_snr_returns_speech(self):
-        speech = Waveform(np.sin(np.arange(100) * 0.1), 16000)
-        noise = Waveform(np.ones(100), 16000)
+        speech = Waveform(np.sin(np.arange(100) * 0.1))
+        noise = Waveform(np.ones(100))
         mixed = simkit.mix_at_snr(speech, noise, np.inf)
         assert np.array_equal(mixed.samples, speech.samples)
 
@@ -217,29 +215,29 @@ class TestMixAtSnr:
     @settings(max_examples=40, deadline=None)
     def test_remeasured_snr(self, snr, seed):
         rng = np.random.default_rng(seed)
-        speech = Waveform(rng.standard_normal(2000), 16000)
-        noise = Waveform(rng.standard_normal(700), 16000)  # forces looping
+        speech = Waveform(rng.standard_normal(2000))
+        noise = Waveform(rng.standard_normal(700))  # forces looping
         mixed = simkit.mix_at_snr(speech, noise, snr, rng=rng)
-        scaled_noise = Waveform(mixed.samples - speech.samples, 16000)
+        scaled_noise = Waveform(mixed.samples - speech.samples)
         assert simkit.measure_snr(speech, scaled_noise) == pytest.approx(snr, abs=0.01)
 
     def test_zero_noise_rejected(self):
-        speech = Waveform(np.ones(50), 16000)
+        speech = Waveform(np.ones(50))
         with pytest.raises(SimulationError):
-            simkit.mix_at_snr(speech, Waveform(np.zeros(50), 16000), 10.0)
+            simkit.mix_at_snr(speech, Waveform(np.zeros(50)), 10.0)
 
     def test_zero_speech_rejected(self):
-        noise = Waveform(np.ones(50), 16000)
+        noise = Waveform(np.ones(50))
         with pytest.raises(SimulationError):
-            simkit.mix_at_snr(Waveform(np.zeros(50), 16000), noise, 10.0)
+            simkit.mix_at_snr(Waveform(np.zeros(50)), noise, 10.0)
 
 
 class TestSimulateSingleChannel:
     def test_matches_manual_composition(self):
         room = _basic_room(wall_reflection=0.7, max_order=2, ir_length=1024)
         rng_s = np.random.default_rng(11)
-        s = Waveform(rng_s.standard_normal(3000) * 0.1, 16000)
-        noise = Waveform(rng_s.standard_normal(1000) * 0.1, 16000)
+        s = Waveform(rng_s.standard_normal(3000) * 0.1)
+        noise = Waveform(rng_s.standard_normal(1000) * 0.1)
 
         y = simkit.simulate_single_channel(
             s, room, noise, 12.0, rng=np.random.default_rng(5)
@@ -248,7 +246,7 @@ class TestSimulateSingleChannel:
         rir = simkit.generate_rir(room)
         rev_full = naive_convolve(s.samples, rir.taps)
         delay = room.direct_delay_samples()
-        rev = Waveform(rev_full[delay : delay + len(s)], 16000)
+        rev = Waveform(rev_full[delay : delay + len(s)])
         expected = simkit.mix_at_snr(rev, noise, 12.0, rng=np.random.default_rng(5))
         assert np.allclose(y.samples, expected.samples, atol=1e-9)
 
@@ -258,32 +256,31 @@ class TestSimulateSingleChannel:
         room = _basic_room(ir_length=1024)
         s = np.zeros(2000)
         s[900] = 1.0
-        y = simkit.simulate_single_channel(Waveform(s, 16000), room, None, np.inf)
+        y = simkit.simulate_single_channel(Waveform(s), room, None, np.inf)
         assert len(y) == 2000
         assert abs(int(np.argmax(np.abs(y.samples))) - 900) <= 1
 
     def test_zero_speech_passes_noise_at_unit_gain(self):
         room = _basic_room(ir_length=1024)
-        noise = Waveform(np.ones(100), 16000)
-        y = simkit.simulate_single_channel(Waveform(np.zeros(300), 16000), room, noise, 10.0)
+        noise = Waveform(np.ones(100))
+        y = simkit.simulate_single_channel(Waveform(np.zeros(300)), room, noise, 10.0)
         assert np.allclose(y.samples, 1.0)
 
 
 class TestWavIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        w = Waveform(np.clip(rng.standard_normal(1234) * 0.2, -1, 1), 16000)
+        w = Waveform(np.clip(rng.standard_normal(1234) * 0.2, -1, 1))
         p = tmp_path / "x.wav"
         simkit.write_wav(p, w)
+        with wave.open(str(p), "rb") as f:
+            assert f.getframerate() == 16000
         back = simkit.read_wav(p)
-        assert back.sample_rate == 16000
         assert len(back) == len(w)
         # 16-bit quantization error is at most one LSB
         assert np.max(np.abs(back.samples - w.samples)) <= 1.0 / 32768.0
 
     def test_wrong_rate_rejected_on_read(self, tmp_path):
-        import wave
-
         p = tmp_path / "bad.wav"
         with wave.open(str(p), "wb") as f:
             f.setnchannels(1)
@@ -292,7 +289,3 @@ class TestWavIO:
             f.writeframes(b"\x00\x00" * 100)
         with pytest.raises(SimulationError):
             simkit.read_wav(p)
-
-    def test_wrong_rate_rejected_on_write(self, tmp_path):
-        with pytest.raises(SimulationError):
-            simkit.write_wav(tmp_path / "y.wav", Waveform(np.zeros(10), 8000))
