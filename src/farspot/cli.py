@@ -5,7 +5,11 @@ compress, ladder.  Each but eval takes a JSON config file plus dotted --set
 overrides; every run writes a provenance record (config snapshot, seed,
 version) into its output directory so it can be re-run bit-identically.
 
-Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure.
+Exit codes: 0 success; 2 usage error; 3 the config, manifest or items were
+rejected and nothing was written; 4 the run failed.  The pipeline's own
+checks decide exit 3 (a `pipeline.PipelineError`): each writer checks its
+inputs before its first write, which creates the output directory.  A
+`pipeline.RunError` (training diverged, a worker died) exits 4.
 """
 
 from __future__ import annotations
@@ -95,10 +99,10 @@ def _build(cls, cfg: dict, section: str | None = None, seed: int | None = None):
 
 
 def _prepare_out_dir(path: str, force: bool) -> Path:
+    """Refuse a non-empty output directory; the pipeline's first write makes it."""
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -153,22 +157,16 @@ def cmd_featurize(args, cfg):
     return EXIT_OK
 
 
-def _fit(args, cfg, check, fit):
-    """Shared body of train/distill/adapt.  check(items, train_config) runs fit's
-    checks of the items before --out is made, so a failure exits 3 and writes
-    nothing; fit(items, train_config, out_dir) returns the trained network and its
-    loss per epoch.  provenance.json records the TrainConfig that trained."""
+def _fit(args, cfg, fit):
+    """Shared body of train/distill/adapt.  fit(items, train_config, out_dir)
+    checks the items, trains with checkpoints in out_dir/checkpoints and returns
+    the trained network and its loss per epoch.  provenance.json records the
+    TrainConfig that trained."""
     spec = _build(SynthTaskSpec, cfg, "task")
     tc = _build(TrainConfig, cfg, "train", args.seed)
     if args.command != "train":  # distill and adapt train soft_ce whatever is set
         tc = dataclasses.replace(tc, criterion="soft_ce")
     items = pipeline.items_from_manifest(pipeline.read_manifest(args.manifest), spec)
-    if not items:
-        raise ConfigError(f"{args.manifest} lists no utterances")
-    try:
-        check(items, tc)
-    except pipeline.PipelineError as e:
-        raise ConfigError(f"the manifest's items do not fit: {e}")
     out = _prepare_out_dir(args.out, args.force)
     net, log = fit(items, tc, out)
     netcore.save_checkpoint(net, out / "final.ckpt")
@@ -181,25 +179,22 @@ def _fit(args, cfg, check, fit):
 
 def cmd_train(args, cfg):
     model_spec = _model_spec(cfg)
-    return _fit(args, cfg, lambda items, tc: pipeline._check_items(items, tc.criterion, model_spec),
-                lambda items, tc, out: pipeline.train(
-                    netcore.init_network(model_spec, np.random.default_rng(tc.seed)), items, tc,
-                    checkpoint_dir=out / "checkpoints"))
+    return _fit(args, cfg, lambda items, tc, out: pipeline.train(
+        netcore.init_network(model_spec, np.random.default_rng(tc.seed)), items, tc,
+        checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_distill(args, cfg):
     student_spec = _model_spec(cfg, "student")
     teacher = netcore.load_checkpoint(args.teacher)
-    return _fit(args, cfg, lambda items, _: pipeline._check_distill(teacher, student_spec, items),
-                lambda items, tc, out: pipeline.distill(
-                    teacher, student_spec, items, tc, checkpoint_dir=out / "checkpoints"))
+    return _fit(args, cfg, lambda items, tc, out: pipeline.distill(
+        teacher, student_spec, items, tc, checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_adapt(args, cfg):
     teacher = netcore.load_checkpoint(args.teacher)
-    return _fit(args, cfg, lambda items, _: pipeline._check_pairs(teacher, items),
-                lambda items, tc, out: pipeline.adapt(
-                    teacher, items, tc, checkpoint_dir=out / "checkpoints"))
+    return _fit(args, cfg, lambda items, tc, out: pipeline.adapt(
+        teacher, items, tc, checkpoint_dir=out / "checkpoints"))
 
 
 def cmd_spot(args, cfg):
@@ -253,16 +248,12 @@ def cmd_eval(args, _cfg):
 
 
 def cmd_experiment(args, cfg):
-    # one config per seed, so that a bad seed is a config error
-    configs = [_build(args.experiment, cfg, args.command, s) for s in args.seeds or [None]]
+    config = _build(args.experiment, cfg, args.command)
     if "out_dir" in cfg.get(args.command, {}):  # run_seeds would replace it
         raise ConfigError(f"{args.command}.out_dir: --out names the output directory")
-    seeds = [c.seed for c in configs]
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError(f"--seeds repeats a seed: {seeds}")
     out = _prepare_out_dir(args.out, args.force)
-    table = pipeline.run_seeds(configs[0], seeds, out)
-    _write_provenance(out, args, cfg, seeds=seeds, workers=table.workers, threads={
+    table = pipeline.run_seeds(config, args.seeds or [config.seed], out)
+    _write_provenance(out, args, cfg, seeds=table.seeds, workers=table.workers, threads={
         var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
     print(table.format_text())
     return EXIT_OK
@@ -360,18 +351,12 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(_load_config(args.config), args.set)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.fn(args, cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.fn(args, _apply_overrides(_load_config(args.config), args.set))
     except Exception as e:  # noqa: BLE001 - map any failure to a diagnostic
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        rejected = (isinstance(e, (ConfigError, pipeline.PipelineError))
+                    and not isinstance(e, pipeline.RunError))
+        print(f"{'config error' if rejected else 'error'}: {e}", file=sys.stderr)
+        return EXIT_CONFIG if rejected else EXIT_RUNTIME
 
 
 def main() -> None:

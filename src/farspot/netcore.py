@@ -125,14 +125,22 @@ class ModelSpec:
             raise NetworkError("input_dim must be >= 1")
         if not 0 <= self.projection <= self.hidden:
             raise NetworkError("projection must be in [0, hidden]")
-        if self.svd_rank is not None:
-            if not isinstance(self.svd_rank, tuple):
-                object.__setattr__(self, "svd_rank", tuple(sorted(dict(self.svd_rank).items())))
+        if self.svd_rank is not None:  # a dict or (name, rank) pairs -> sorted pairs
+            ranks = self.svd_rank
+            pairs = list(ranks.items()) if isinstance(ranks, dict) else ranks
+            if not (isinstance(pairs, (tuple, list)) and all(
+                    isinstance(p, (tuple, list)) and len(p) == 2 and isinstance(p[0], str)
+                    for p in pairs)):
+                raise NetworkError(f"svd_rank must be (block, rank) pairs, got {ranks!r}")
+            names = [block for block, _ in pairs]
+            if len(set(names)) < len(names):
+                raise NetworkError(f"svd_rank names a block twice: {ranks!r}")
             shapes = {name: shape for name, shape in _dense_blocks(self) if len(shape) == 2}
-            for block, k in self.svd_rank:
+            for block, k in pairs:
                 if not (_is_int(k) and 1 <= k <= min(shapes.get(block, (0,)))):
                     raise NetworkError(f"svd rank {k!r} of {block}: not an int from 1 to the "
                                        f"smaller side of a weight matrix ({shapes.get(block)})")
+            object.__setattr__(self, "svd_rank", tuple(sorted(map(tuple, pairs))) or None)
 
     @property
     def recurrent_size(self) -> int:
@@ -156,11 +164,6 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        if d.get("svd_rank"):
-            d["svd_rank"] = tuple(sorted(d["svd_rank"].items()))
-        else:
-            d["svd_rank"] = None
         return cls(**d)
 
 

@@ -32,7 +32,11 @@ from .simkit import REQUIRED_RATE, RoomSpec, Waveform
 
 
 class PipelineError(ValueError):
-    pass
+    """Input rejected before anything is written."""
+
+
+class RunError(PipelineError):
+    """A run that failed after writing began: training diverged or a worker died."""
 
 
 def _check_ints(cfg, low: int, *names: str) -> None:
@@ -338,7 +342,7 @@ def _pmap(fn, jobs, workers: int):
     unpickles them.  Forking lets fn and the jobs be closures over large
     arrays, which the workers share copy-on-write instead of receiving
     pickled.  An exception raised by a job is raised here with its own type;
-    a worker that dies without a result raises PipelineError.  Called inside
+    a worker that dies without a result raises RunError.  Called inside
     a worker, it runs the jobs inline: one level of processes per run.
     """
     jobs = list(jobs)
@@ -360,8 +364,8 @@ def _pmap(fn, jobs, workers: int):
                 ok, value = recv.recv()
             except EOFError:
                 p.join()
-                raise PipelineError(f"_pmap worker {w} died with exit code {p.exitcode} "
-                                    f"before returning its results") from None
+                raise RunError(f"_pmap worker {w} died with exit code {p.exitcode} "
+                               f"before returning its results") from None
             if not ok:
                 raise value
             results[w::workers] = value
@@ -409,6 +413,8 @@ def _call(job):
 def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
     """Run job_fn((*job, out_dir)) for every job; each writes one utterance's
     file into out_dir and returns its record.  Writes out_dir/manifest.tsv."""
+    if workers < 1:
+        raise PipelineError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     m = Manifest(_pmap(job_fn, [(*job, out_dir) for job in jobs], workers))
@@ -435,6 +441,8 @@ def synth_corpus(
     spec: SynthTaskSpec, count: int, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Write WAV files and a manifest; deterministic under spec.seed."""
+    if count < 1:
+        raise PipelineError(f"count must be >= 1, got {count}")
     return _corpus(_synth_corpus_one, [(spec, i) for i in range(count)], out_dir, workers)
 
 
@@ -632,13 +640,15 @@ _CRITERIA = {
 
 def check_feature_dim(items: list[TrainItem], input_dim: int) -> None:
     """Raise PipelineError unless every item's features, and its paired
-    source features if any, are (frames, input_dim) matrices."""
+    source features if any, are (frames, input_dim) matrices with frames > 0."""
     for it in items:
         for name in ("feats", "source_feats"):
             x = getattr(it, name)
             if x is not None and (x.ndim != 2 or x.shape[1] != input_dim):
                 raise PipelineError(f"{it.utt_id}: {name} have shape {x.shape}, "
                                     f"the model takes {input_dim}-dim frames")
+            if x is not None and not len(x):
+                raise PipelineError(f"{it.utt_id}: {name} have no frames")
 
 
 _PER_FRAME = ("frame_labels", "teacher_rows")  # TrainItem fields with a row per frame
@@ -647,6 +657,7 @@ _PER_FRAME = ("frame_labels", "teacher_rows")  # TrainItem fields with a row per
 def _check_items(items: list[TrainItem], criterion: str, spec: ModelSpec) -> None:
     """Raise PipelineError, naming the utterance, unless every item carries
     what criterion needs, in range of spec's outputs, and spec's input width."""
+    check_feature_dim(items, spec.input_dim)
     n = spec.output_dim
     for it in items:
         for name, what in _CRITERIA[criterion].needs.items():
@@ -661,7 +672,6 @@ def _check_items(items: list[TrainItem], criterion: str, spec: ModelSpec) -> Non
                                           and criteria.ctc_min_frames(v) <= it.num_frames):
                 raise PipelineError(f"{it.utt_id}: symbols {v} are no CTC transcript of "
                                     f"{it.num_frames} frames for {n} outputs, blank {BLANK}")
-    check_feature_dim(items, spec.input_dim)
 
 
 def _batches(items: list[TrainItem], batch_size: int):
@@ -727,7 +737,7 @@ def train(
             loss, grad = _batch_loss_and_grad(net, batches[bi], cfg)
             norm = np.linalg.norm(grad)
             if not (np.isfinite(loss) and np.isfinite(norm)):
-                raise PipelineError(
+                raise RunError(
                     f"non-finite loss ({loss}) or gradient norm ({norm}) in epoch {epoch}, "
                     f"batch {bi}: utterances {[it.utt_id for it in batches[bi]]}"
                 )
@@ -737,7 +747,7 @@ def train(
             net.parameters += velocity
             epoch_loss += loss
         if not np.all(np.isfinite(net.parameters)):  # before the checkpoint, as for the loss
-            raise PipelineError(f"non-finite parameters after epoch {epoch}")
+            raise RunError(f"non-finite parameters after epoch {epoch}")
         log.append(epoch_loss / len(batches))
         if checkpoint_dir is not None:
             netcore.save_checkpoint(net, checkpoint_dir / f"epoch{epoch:03d}.ckpt")
@@ -758,30 +768,15 @@ def distill(
     checkpoint_dir: str | Path | None = None,
 ) -> tuple[Network, list[float]]:
     """Train a fresh student on teacher soft labels; no transcripts needed."""
-    _check_distill(teacher, student_spec, items)
-    items = compute_teacher_posteriors(teacher, items)
-    cfg = replace(cfg, criterion="soft_ce")
-    student = netcore.init_network(student_spec, np.random.default_rng(cfg.seed))
-    return train(student, items, cfg, checkpoint_dir=checkpoint_dir)
-
-
-def _check_distill(teacher: Network, student_spec: ModelSpec, items: list[TrainItem]) -> None:
-    """Raise PipelineError unless the items' features fit teacher and student."""
     if teacher.spec.output_dim != student_spec.output_dim:
         raise PipelineError(f"teacher output dim {teacher.spec.output_dim} != "
                             f"student output dim {student_spec.output_dim}")
     for spec in (teacher.spec, student_spec):
         check_feature_dim(items, spec.input_dim)
-
-
-def _check_pairs(teacher: Network, paired_items: list[TrainItem]) -> None:
-    """Raise PipelineError unless every item has source features that match it."""
-    for it in paired_items:
-        if it.source_feats is None:
-            raise PipelineError(f"{it.utt_id}: adapt needs paired source features")
-        if it.source_feats.shape[0] != it.num_frames:
-            raise PipelineError(f"{it.utt_id}: paired frame counts differ")
-    check_feature_dim(paired_items, teacher.spec.input_dim)
+    items = compute_teacher_posteriors(teacher, items)
+    cfg = replace(cfg, criterion="soft_ce")
+    student = netcore.init_network(student_spec, np.random.default_rng(cfg.seed))
+    return train(student, items, cfg, checkpoint_dir=checkpoint_dir)
 
 
 def adapt(
@@ -796,7 +791,12 @@ def adapt(
     so that its posteriors on target features track the frozen teacher's on
     source features, which are computed once, on the batches train forms.
     """
-    _check_pairs(teacher, paired_items)
+    for it in paired_items:
+        if it.source_feats is None:
+            raise PipelineError(f"{it.utt_id}: adapt needs paired source features")
+        if it.source_feats.shape[0] != it.num_frames:
+            raise PipelineError(f"{it.utt_id}: paired frame counts differ")
+    check_feature_dim(paired_items, teacher.spec.input_dim)
     # Not compute_teacher_posteriors: its batch-invariant products differ from
     # these in the last bits, and the adapted checkpoints depend on every bit.
     items = []

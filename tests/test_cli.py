@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from farspot import cli, netcore, pipeline, simkit
+from farspot import cli, featkit, netcore, pipeline, simkit
 from farspot.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME
 
 TASK = {"task": {"n_mels": 12, "stack_context": 4, "stack_step": 2}}
@@ -125,6 +125,17 @@ class TestConfigHandling:
         cfg = _write_cfg(tmp_path, {"task": {"stack_context": 0, "stack_step": 0}})
         rc = cli.run(["synth", "--config", cfg, "--count", "1", "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+    # synth_corpus rejects the count, and every corpus writer the worker count
+    @pytest.mark.parametrize("flag, value", [("--count", "-3"), ("--count", "0"),
+                                             ("--workers", "0"), ("--workers", "-5")])
+    def test_bad_corpus_size_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        argv = ["synth", "--config", _write_cfg(tmp_path, TASK), "--count", "2",
+                "--out", str(out), flag, value]
+        assert cli.run(argv) == EXIT_CONFIG
+        assert f"{flag[2:]} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_override_rejected(self, tmp_path):
         rc = cli.run(["synth", "--set", "noequalsign",
@@ -463,6 +474,50 @@ class TestRuntimeErrors:
         assert rc == EXIT_CONFIG
         assert not out.exists()
 
+    @staticmethod
+    def _run(command, trained, tmp_path, manifest, *extra):
+        """farspot <command> on manifest with the workspace model's config
+        (and student), and its checkpoint as the teacher of distill and adapt."""
+        cfg = json.loads((trained / "provenance.json").read_text())["config"]
+        cfg["student"] = cfg["model"]
+        teacher = ["--teacher", str(trained / "final.ckpt")] if command in ("distill",
+                                                                            "adapt") else []
+        return cli.run([command, *teacher, "--config", _write_cfg(tmp_path, cfg),
+                        "--manifest", str(manifest), "--out", str(tmp_path / "o"), *extra])
+
+    # read_manifest rejects a line of five fields before anything is written
+    @pytest.mark.parametrize("command", ["simulate", "featurize", "train", "distill", "adapt"])
+    def test_malformed_manifest_is_config_error(self, workspace, tmp_path, capsys, command):
+        _, _, _, trained = workspace
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("utt000000\tutt000000.wav\t-\t-\t-\n")
+        assert self._run(command, trained, tmp_path, bad) == EXIT_CONFIG
+        assert "bad.tsv:1: expected 6 tab-separated fields" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # an archive of (0, 48) frames, paired with itself: named before any write
+    @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
+    def test_utterance_without_frames_is_config_error(self, workspace, tmp_path, capsys,
+                                                      command):
+        _, _, _, trained = workspace
+        empty = tmp_path / "u0.fsfa"
+        featkit.write_features(empty, featkit.FeatureSequence(np.zeros((0, 48)), 30.0))
+        manifest = tmp_path / "m.tsv"
+        pipeline.write_manifest(manifest, pipeline.Manifest([pipeline.ManifestRecord(
+            "u0", str(empty), symbols=[pipeline.HEY], pair_path=str(empty))]))
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert "u0: feats have no frames" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # training that diverges fails after its first write: pipeline.RunError
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the update overflows
+    def test_diverging_train_is_runtime_error(self, workspace, tmp_path, capsys):
+        _, corpus, _, trained = workspace
+        rc = self._run("train", trained, tmp_path, corpus / "manifest.tsv",
+                       "--set", "train.learning_rate=1e308", "--set", "train.epochs=3")
+        assert rc == EXIT_RUNTIME
+        assert "non-finite" in capsys.readouterr().err
+
     def test_bad_train_value_is_config_error(self, tmp_path):
         corpus = _synth(tmp_path, count=2)
         cfg = dict(TASK)
@@ -491,6 +546,7 @@ class TestRuntimeErrors:
         "task.sample_rate=8000", "task.hey_freqs=[500,1550]", "task.cortana_freqs=[950,2250]",
         "task.amplitude=0.25", "task.segment_dur_range=[0.07,0.16]",
         "task.n_filler_range=[2,6]", "task.silence_pad_range=[0.05,0.15]",
+        'model.svd_rank=[["l0.wx",2],["l0.wx",3]]',
     ], ids=lambda override: override.removeprefix("train."))
     def test_bad_train_override_is_config_error(self, workspace, tmp_path, override):
         _, corpus, _, trained = workspace

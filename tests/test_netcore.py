@@ -85,6 +85,23 @@ class TestSpecAndLayout:
         with pytest.raises(NetworkError, match=f"of {block}: .* weight matrix \\(None\\)"):
             _tiny_spec(svd_rank=((block, 1),))
 
+    # a dict, pairs as lists or tuples, in any order: one sorted tuple of pairs
+    @pytest.mark.parametrize("svd_rank", [
+        {"l0.wx": 2, "l0.wr": 3}, [["l0.wx", 2], ["l0.wr", 3]], (["l0.wr", 3], ["l0.wx", 2]),
+        (("l0.wx", 2), ("l0.wr", 3)), {}, (), None])
+    def test_every_svd_rank_form_is_normalized(self, svd_rank):
+        spec = _tiny_spec(svd_rank=svd_rank)
+        assert spec.svd_rank == ((("l0.wr", 3), ("l0.wx", 2)) if svd_rank else None)
+        assert ModelSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("svd_rank, message", [
+        ([["l0.wx", 2], ["l0.wx", 3]], "names a block twice"),
+        ([["l0.wx", 2, 3]], r"must be \(block, rank\) pairs"),
+        (5, r"must be \(block, rank\) pairs")])
+    def test_svd_rank_of_a_block_twice_or_of_no_pairs_rejected(self, svd_rank, message):
+        with pytest.raises(NetworkError, match=message):
+            _tiny_spec(svd_rank=svd_rank)
+
     def test_spec_round_trips_through_dict(self):
         spec = _tiny_spec(projection=2, peepholes=True, svd_rank=(("l0.wx", 2),))
         assert ModelSpec.from_dict(spec.to_dict()) == spec

@@ -23,6 +23,7 @@ from farspot.pipeline import (
     Manifest,
     ManifestRecord,
     PipelineError,
+    RunError,
     SynthTaskSpec,
     TrainConfig,
 )
@@ -152,6 +153,14 @@ class TestSynthesis:
                 assert np.allclose(got.feats, want.feats, atol=0.1)
                 assert np.array_equal(got.frame_labels, want.frame_labels)
 
+    @pytest.mark.parametrize("count, workers, message", [
+        (0, 1, "count must be >= 1, got 0"), (-3, 1, "count must be >= 1, got -3"),
+        (2, 0, "workers must be >= 1, got 0"), (2, -5, "workers must be >= 1, got -5")])
+    def test_bad_corpus_size_rejected_before_writing(self, tmp_path, count, workers, message):
+        with pytest.raises(PipelineError, match=message):
+            pipeline.synth_corpus(_small_task(), count, tmp_path / "o", workers=workers)
+        assert not (tmp_path / "o").exists()
+
     def test_featurized_corpus_loads_from_archives(self, tmp_path):
         spec = _small_task()
         m = pipeline.synth_corpus(spec, 3, tmp_path / "wav")
@@ -256,7 +265,7 @@ class TestTraining:
         feats[0, 0] = np.inf
         items[1] = replace(items[1], feats=feats)
         net = netcore.init_network(_tiny_model(feats.shape[1]), np.random.default_rng(0))
-        with pytest.raises(PipelineError, match=f"epoch 0, batch .*{items[1].utt_id}"):
+        with pytest.raises(RunError, match=f"epoch 0, batch .*{items[1].utt_id}"):
             pipeline.train(net, items, TrainConfig(epochs=2, batch_size=1),
                            checkpoint_dir=tmp_path)
         assert not list(tmp_path.glob("epoch*.ckpt"))
@@ -268,7 +277,7 @@ class TestTraining:
         net = netcore.init_network(_tiny_model(1, output_dim=2, hidden=1),
                                    np.random.default_rng(0))
         net.block("out.w")[...] = [[-5.0], [5.0]]
-        with np.errstate(over="ignore"), pytest.raises(PipelineError,
+        with np.errstate(over="ignore"), pytest.raises(RunError,
                                                        match="non-finite parameters after epoch 0"):
             pipeline.train(net, [it], TrainConfig(learning_rate=sys.float_info.max, epochs=1),
                            checkpoint_dir=tmp_path)
@@ -382,6 +391,20 @@ class TestDistillAndAdapt:
         teacher = netcore.init_network(_tiny_model(24), np.random.default_rng(6))
         with pytest.raises(PipelineError, match="takes 24-dim"):
             pipeline.distill(teacher, _tiny_model(24), items, TrainConfig())
+
+    @pytest.mark.parametrize("fit", ["train", "distill", "adapt"])
+    def test_utterance_without_frames_rejected_before_checkpoints(self, tmp_path, fit):
+        items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
+        empty = np.zeros((0, items[0].feats.shape[1]))
+        items[1] = replace(items[1], feats=empty, frame_labels=np.zeros(0, dtype=int),
+                           source_feats=empty)
+        spec = _tiny_model(empty.shape[1])
+        teacher = netcore.init_network(spec, np.random.default_rng(6))
+        args = {"train": (teacher, items), "distill": (teacher, spec, items),
+                "adapt": (teacher, items)}[fit]
+        with pytest.raises(PipelineError, match=f"{items[1].utt_id}: feats have no frames"):
+            getattr(pipeline, fit)(*args, TrainConfig(), checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
 
     def test_adapt_unpaired_items_rejected(self):
         items = pipeline.synth_items(_small_task(), 2)
@@ -614,7 +637,7 @@ class TestPmap:
                 os._exit(7)
             return i
 
-        with pytest.raises(PipelineError, match="died with exit code 7"):
+        with pytest.raises(RunError, match="died with exit code 7"):
             pipeline._pmap(job, range(4), 2)
         self._assert_reaped(int(p.stem) for p in tmp_path.glob("*.pid"))
 
