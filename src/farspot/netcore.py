@@ -132,8 +132,7 @@ class ModelSpec:
                     isinstance(p, (tuple, list)) and len(p) == 2 and isinstance(p[0], str)
                     for p in pairs)):
                 raise NetworkError(f"svd_rank must be (block, rank) pairs, got {ranks!r}")
-            names = [block for block, _ in pairs]
-            if len(set(names)) < len(names):
+            if len({block for block, _ in pairs}) < len(pairs):
                 raise NetworkError(f"svd_rank names a block twice: {ranks!r}")
             shapes = {name: shape for name, shape in _dense_blocks(self) if len(shape) == 2}
             for block, k in pairs:
