@@ -13,8 +13,9 @@ import pytest
 from farspot import netcore
 
 # name: (T, B, hidden, input_dim, time_major_input).  A deeper layer reads the
-# previous layer's (T, B, r) output through a (B, T, r) view, and the layout
-# of its input decides how the weight gradient is summed.
+# previous layer's (T, B, r) output through a (B, T, r) view; the weight
+# gradient is summed the same way for either layout, but its per-frame
+# products read strided rows from a batch-major input.
 SHAPES = {
     "kws_teacher_l0": (38, 16, 48, 160, False),
     "kws_teacher_l1": (38, 16, 48, 48, True),

@@ -87,11 +87,12 @@ def hard_ce_loss(labels, student_logits: np.ndarray):
 # CTC
 
 def _logsumexp2(a, b):
+    """log(exp(a) + exp(b)), -inf where both are; the caller silences the
+    log(0) of those entries with np.errstate."""
     m = np.maximum(a, b)
     zero = m == -np.inf
     safe = np.where(zero, 0.0, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = safe + np.log(np.exp(a - safe) + np.exp(b - safe))
+    out = safe + np.log(np.exp(a - safe) + np.exp(b - safe))
     return np.where(zero, -np.inf, out)
 
 
@@ -159,34 +160,37 @@ def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
     can_skip[:, 2:] = (ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])
 
     neg = -np.inf
-    alpha = np.full((b, t, s), neg)
-    alpha[:, 0, :2] = np.where(valid[:, :2], emit[:, 0, :2], neg)
-    step = np.full((b, s), neg)
-    skip = np.full((b, s), neg)
-    for ti in range(1, t):
-        prev = alpha[:, ti - 1]
-        step[:, 1:] = prev[:, :-1]
-        skip[:, 2:] = np.where(can_skip[:, 2:], prev[:, :-2], neg)
-        alpha[:, ti] = _logsumexp2(_logsumexp2(prev, step), skip) + emit[:, ti]
+    # log(0) of state pairs that are both -inf, in _logsumexp2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.full((b, t, s), neg)
+        alpha[:, 0, :2] = np.where(valid[:, :2], emit[:, 0, :2], neg)
+        step = np.full((b, s), neg)
+        skip = np.full((b, s), neg)
+        for ti in range(1, t):
+            prev = alpha[:, ti - 1]
+            step[:, 1:] = prev[:, :-1]
+            skip[:, 2:] = np.where(can_skip[:, 2:], prev[:, :-2], neg)
+            alpha[:, ti] = _logsumexp2(_logsumexp2(prev, step), skip) + emit[:, ti]
 
-    utt = np.arange(b)
-    last = lengths - 1
-    final = alpha[utt, last]  # (B, S)
-    total = final[utt, s_len - 1]
-    total = np.where(s_len > 1, _logsumexp2(total, final[utt, np.maximum(s_len - 2, 0)]), total)
+        utt = np.arange(b)
+        last = lengths - 1
+        final = alpha[utt, last]  # (B, S)
+        total = final[utt, s_len - 1]
+        pair = _logsumexp2(total, final[utt, np.maximum(s_len - 2, 0)])
+        total = np.where(s_len > 1, pair, total)
 
-    # beta starts at each utterance's last frame; later frames stay -inf
-    start = np.where(valid & (np.arange(s) >= s_len[:, None] - 2), emit[utt, last], neg)
-    beta = np.full((b, t, s), neg)
-    beta[:, t - 1] = np.where((last == t - 1)[:, None], start, neg)
-    step = np.full((b, s), neg)
-    skip = np.full((b, s), neg)
-    for ti in range(t - 2, -1, -1):
-        nxt = beta[:, ti + 1]
-        step[:, :-1] = nxt[:, 1:]
-        skip[:, :-2] = np.where(can_skip[:, 2:], nxt[:, 2:], neg)
-        cur = _logsumexp2(_logsumexp2(nxt, step), skip) + emit[:, ti]
-        beta[:, ti] = np.where((last == ti)[:, None], start, cur)
+        # beta starts at each utterance's last frame; later frames stay -inf
+        start = np.where(valid & (np.arange(s) >= s_len[:, None] - 2), emit[utt, last], neg)
+        beta = np.full((b, t, s), neg)
+        beta[:, t - 1] = np.where((last == t - 1)[:, None], start, neg)
+        step = np.full((b, s), neg)
+        skip = np.full((b, s), neg)
+        for ti in range(t - 2, -1, -1):
+            nxt = beta[:, ti + 1]
+            step[:, :-1] = nxt[:, 1:]
+            skip[:, :-2] = np.where(can_skip[:, 2:], nxt[:, 2:], neg)
+            cur = _logsumexp2(_logsumexp2(nxt, step), skip) + emit[:, ti]
+            beta[:, ti] = np.where((last == ti)[:, None], start, cur)
 
     # paths through (t, s): alpha * beta / emit; normalize by total probability
     with np.errstate(invalid="ignore"):

@@ -28,15 +28,16 @@ Recurrence (c = cell, m = hidden, r = recurrent output):
     r_t           = proj @ m_t        (or m_t when projection = 0)
 
 Summation order.  A checkpoint's bits depend on the order of every gradient
-sum, and `np.einsum` sums in the memory order of its operands.
-The LSTM weight gradients are summed over (batch b, frame t) as follows:
-    l{i}.wx          b-major when the layer input is a contiguous (B, T, d)
-                     batch (layer 0), through a b-major copy of dz; t-major
-                     when it is the (B, T, r) view of the (T, B, r) output of
-                     the layer below
-    l{i}.wr          t-major
-`backward_batch` must match the plain per-frame BPTT of tests/helpers.py bit
-for bit.
+sum.  Each weight gradient (out.w, l{i}.wx, l{i}.wr) is summed by
+`_frame_sum`: one (z, B) @ (B, k) BLAS product per frame, added into one
+(z, k) accumulator in frame order.  BLAS sums each product over the batch
+whatever the thread count, and the frame order is fixed, so the bits depend
+neither on the operands' memory layout nor on the number of BLAS threads.
+l{i}.proj is summed the same way inside the BPTT loop, from the last frame
+down.
+The forward takes every product against a C-contiguous copy of the
+transposed weight, made once per call.  `forward_batch` and `backward_batch`
+must match the plain per-frame kernels of tests/helpers.py bit for bit.
 
 Batch invariance.  BLAS picks its kernel, and so the rounding of a product,
 by the operands' shapes: an (M, k) @ (k, n) product with M = 1 runs as a
@@ -288,6 +289,20 @@ def _sigmoid_(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
+def _frame_sum(dz: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum over t of dz[t].T @ v[t], for frame-major (T, B, z) dz and
+    (T, B, k) v: one BLAS product per frame into one (z, k) accumulator,
+    added in frame order (see "Summation order")."""
+    acc = np.zeros((dz.shape[2], v.shape[2]))
+    prod = np.empty_like(acc)
+    # a non-finite gradient is the caller's to report (pipeline.train raises
+    # RunError), not a RuntimeWarning's
+    with np.errstate(invalid="ignore", over="ignore"):
+        for dz_t, v_t in zip(dz, v):
+            acc += np.matmul(dz_t.T, v_t, out=prod)
+    return acc
+
+
 def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=None):
     """Run the network over a padded batch.
 
@@ -309,42 +324,45 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
         if len(lengths) != b or not all(0 <= n <= t for n in lengths):
             raise NetworkError(f"lengths {lengths} do not fit a batch of shape {x.shape}")
 
-    def seq_product(seq, w):  # (B, T, k) @ w.T
+    def transposed(name):  # C-contiguous (k, z) copy of a (z, k) weight
+        return np.ascontiguousarray(net.weight(name).T)
+
+    def seq_product(seq, w_t):  # (B, T, k) @ (k, z)
         if lengths is None:
-            return seq @ w.T
-        out = np.zeros((b, t, w.shape[0]))
+            return seq @ w_t
+        out = np.zeros((b, t, w_t.shape[1]))
         for j, n in enumerate(lengths):
-            out[j, :n] = seq[j : j + 1, :n] @ w.T
+            out[j, :n] = seq[j : j + 1, :n] @ w_t
         return out
 
-    def frame_product(v, w):  # (B, k) @ w.T
-        return v @ w.T if lengths is None else (v[:, None] @ w.T)[:, 0]
+    def frame_product(v, w_t):  # (B, k) @ (k, z)
+        return v @ w_t if lengths is None else (v[:, None] @ w_t)[:, 0]
 
     cache = {"layers": []} if want_cache else None
     seq = x
     for li in range(spec.layers):
-        wx = net.weight(f"l{li}.wx")
-        wr = net.weight(f"l{li}.wr")
+        wx_t = transposed(f"l{li}.wx")
+        wr_t = transposed(f"l{li}.wr")
         bias = net.block(f"l{li}.bias")
         peep = net.block(f"l{li}.peep") if spec.peepholes else None
-        proj = net.weight(f"l{li}.proj") if spec.projection > 0 else None
+        proj_t = transposed(f"l{li}.proj") if spec.projection > 0 else None
 
         # per frame, the gates [i, f, g, o] as four contiguous (B, h) blocks:
         # pre-activations, then activations in place; g's block is scratch
         # and tanh(z_g) goes to gg
         act = np.ascontiguousarray(
-            (seq_product(seq, wx) + bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
+            (seq_product(seq, wx_t) + bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
         gg = np.empty((t, b, h))
         cc = np.empty((t, b, h))
         mm = np.empty((t, b, h))
-        rr = np.empty((t, b, r_size)) if proj is not None else mm
+        rr = np.empty((t, b, r_size)) if proj_t is not None else mm
         tanh_c = np.empty((b, h))
 
         c_prev = np.zeros((b, h))
         r_prev = np.zeros((b, r_size))
         for ti in range(t):
             z = act[ti]
-            z += frame_product(r_prev, wr).reshape(b, 4, h).transpose(1, 0, 2)
+            z += frame_product(r_prev, wr_t).reshape(b, 4, h).transpose(1, 0, 2)
             np.tanh(z[2], out=gg[ti])
             if peep is None:
                 _sigmoid_(z)  # i, f and o in one pass
@@ -359,8 +377,8 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
                 o_t += peep[2 * h :] * c_t
                 _sigmoid_(o_t)
             np.multiply(o_t, np.tanh(c_t, out=tanh_c), out=mm[ti])
-            if proj is not None:
-                rr[ti] = frame_product(mm[ti], proj)
+            if proj_t is not None:
+                rr[ti] = frame_product(mm[ti], proj_t)
             c_prev, r_prev = c_t, rr[ti]
 
         if want_cache:
@@ -370,7 +388,7 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
             })
         seq = np.transpose(rr, (1, 0, 2))  # (B, T, r)
 
-    logits = seq_product(seq, net.weight("out.w")) + net.block("out.b")
+    logits = seq_product(seq, transposed("out.w")) + net.block("out.b")
     if lengths is not None:
         for j, n in enumerate(lengths):
             logits[j, n:] = 0.0
@@ -394,8 +412,8 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
     h = spec.hidden
     sink = GradientSink(net)
 
-    top = cache["top"]
-    sink.add_weight_grad("out.w", np.einsum("btn,btr->nr", dlogits, top))
+    sink.add_weight_grad("out.w", _frame_sum(dlogits.transpose(1, 0, 2),
+                                             cache["top"].transpose(1, 0, 2)))
     sink.view("out.b")[...] += dlogits.sum(axis=(0, 1))
     dseq = dlogits @ net.weight("out.w")  # (B, T, r_top)
 
@@ -459,20 +477,12 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
             dz = dz_all[ti]
             np.copyto(dz.reshape(b, 4, h), dz_gates.transpose(1, 0, 2))
             dr_rec = dz @ wr
-        # free the whole-sequence factors before the contractions' temporaries
+        # free the whole-sequence factors before the next layer's
         del tanh_c, d_tanh_c, d_gi, d_gf, d_go, d_gg
 
-        x_in = lc["in"]  # (B, T, d)
-        if x_in.flags.c_contiguous:
-            # einsum sums a batch-major input over (b, t); so does this
-            # batch-major copy of dz, only faster
-            dwx = np.einsum("btz,btd->zd", np.ascontiguousarray(dz_all.transpose(1, 0, 2)), x_in)
-        else:
-            dwx = np.einsum("tbz,btd->zd", dz_all, x_in)
-        sink.add_weight_grad(f"l{li}.wx", dwx)
-        r_prev_seq = np.zeros_like(rr)
-        r_prev_seq[1:] = rr[:-1]
-        sink.add_weight_grad(f"l{li}.wr", np.einsum("tbz,tbr->zr", dz_all, r_prev_seq))
+        # frame 0's recurrent input is zero, so wr's sum starts at frame 1
+        sink.add_weight_grad(f"l{li}.wx", _frame_sum(dz_all, lc["in"].transpose(1, 0, 2)))
+        sink.add_weight_grad(f"l{li}.wr", _frame_sum(dz_all[1:], rr[:-1]))
         sink.view(f"l{li}.bias")[...] += dz_all.sum(axis=(0, 1))
         if peep is not None:
             sink.view(f"l{li}.peep")[...] += dpeep

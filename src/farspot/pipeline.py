@@ -422,6 +422,14 @@ def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
     return m
 
 
+def _check_input_wavs(m: Manifest) -> None:
+    """Raise PipelineError naming the first record whose input WAV is not a
+    file, before _corpus makes the output directory."""
+    for r in m.records:
+        if not Path(r.path).is_file():
+            raise PipelineError(f"{r.utt_id}: input WAV {r.path} not found")
+
+
 def _synth_corpus_one(job) -> ManifestRecord:
     spec, i, out_dir = job
     w, labels, symbols, pos = synth_utterance(spec, i)
@@ -484,6 +492,7 @@ def featurize_corpus(
     m: Manifest, spec: SynthTaskSpec, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Convert a WAV manifest into a feature-archive manifest."""
+    _check_input_wavs(m)
     return _corpus(_featurize_corpus_one, [(r, spec) for r in m.records], out_dir, workers)
 
 
@@ -556,6 +565,7 @@ def simulate_corpus(
     m: Manifest, far_cfg: FarFieldConfig, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Far-field WAVs for every record; pair_path points at the clean input."""
+    _check_input_wavs(m)
     return _corpus(_simulate_corpus_one, [(r, i, far_cfg) for i, r in enumerate(m.records)],
                    out_dir, workers)
 
@@ -735,7 +745,9 @@ def train(
         epoch_loss = 0.0
         for bi in order:
             loss, grad = _batch_loss_and_grad(net, batches[bi], cfg)
-            norm = np.linalg.norm(grad)
+            # not np.linalg.norm: BLAS's dot product splits a long vector
+            # among its threads, so its last bits follow the thread count
+            norm = np.sqrt(np.sum(grad * grad))
             if not (np.isfinite(loss) and np.isfinite(norm)):
                 raise RunError(
                     f"non-finite loss ({loss}) or gradient norm ({norm}) in epoch {epoch}, "

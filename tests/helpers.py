@@ -1,8 +1,11 @@
 """Shared test oracles: brute-force references kept deliberately independent
 of the library implementations they check."""
 
+import hashlib
 import itertools
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -131,12 +134,29 @@ def viterbi_oracle(rows: np.ndarray, units, silence, garbage, blank, exact: bool
 # ---------------------------------------------------------------------------
 # Reference LSTM kernels: the straightforward per-frame forward pass and BPTT
 # that `netcore.forward_batch`/`backward_batch` must reproduce bit for bit.
-# The weight-gradient contractions' summation order depends on the memory
-# layout of their operands, so this copy is kept as written, not tidied.
+# Every forward product is taken against a C-contiguous copy of the
+# transposed weight, and every weight gradient is a sum of one product per
+# frame in frame order.  BLAS rounds by the operands' shapes and layouts, so
+# this copy is kept as written, not tidied.
 
 def ncpu() -> int:
     """CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def run_at_one_blas_thread_per_cpu(script: str) -> str:
+    """Run a python script in a process of its own whose BLAS has one thread
+    per CPU (BLAS reads its thread count at start-up), with src/ and tests/
+    importable; return its stdout."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(ncpu()),
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests),
+                                          os.environ.get("PYTHONPATH", "")])}
+    env.pop("OMP_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def check_batch_invariance(spec, lengths, seed):
@@ -165,6 +185,47 @@ def check_batch_invariance_at_kws_teacher_shape():
                            seed=4)
 
 
+def kernel_digests() -> dict[str, str]:
+    """sha256 of the `forward_batch` logits and the `backward_batch` gradient
+    of one padded batch of 16 at the KWS teacher's shape (2 x 48 cells,
+    160-dim input, T=38) and at the adaptation AM's (1 x 32, 20-dim, T=108)."""
+    shapes = {
+        "kws_teacher": (netcore.ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5,
+                                          peepholes=False), 38),
+        "am": (netcore.ModelSpec(input_dim=20, layers=1, hidden=32, output_dim=4,
+                                 peepholes=False), 108),
+    }
+    digests = {}
+    for name, (spec, t) in shapes.items():
+        rng = np.random.default_rng(6)
+        net = netcore.init_network(spec, rng)
+        lengths = [t - (5 * j) % (t // 2) for j in range(16)]
+        x = np.zeros((16, t, spec.input_dim))
+        dlogits = np.zeros((16, t, spec.output_dim))
+        for j, n in enumerate(lengths):
+            x[j, :n] = rng.standard_normal((n, spec.input_dim))
+            dlogits[j, :n] = rng.standard_normal((n, spec.output_dim))
+        logits, cache = netcore.forward_batch(net, x)
+        grad = netcore.backward_batch(net, cache, dlogits)
+        digests[name] = hashlib.sha256(logits.tobytes() + grad.tobytes()).hexdigest()
+    return digests
+
+
+def train_digest() -> str:
+    """sha256 of the parameters after 2 epochs of `pipeline.train` on 12
+    random items: a 17,333-parameter network, long enough for BLAS to split
+    a dot product of the gradient among its threads, with weights so large
+    that every step's gradient norm is above the clip."""
+    rng = np.random.default_rng(9)
+    items = [pipeline.TrainItem(f"u{j}", rng.standard_normal((20 + j, 40)),
+                                frame_labels=rng.integers(0, 5, 20 + j)) for j in range(12)]
+    spec = netcore.ModelSpec(input_dim=40, layers=1, hidden=48, output_dim=5, peepholes=False)
+    net = netcore.init_network(spec, rng)
+    net.parameters[...] = rng.normal(0.0, 2.0, net.parameters.shape)
+    net, _ = pipeline.train(net, items, pipeline.TrainConfig(epochs=2, batch_size=4))
+    return hashlib.sha256(net.parameters.tobytes()).hexdigest()
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -188,13 +249,14 @@ def reference_forward_batch(net: Network, x: np.ndarray, want_cache: bool = True
     cache = {"x": x, "layers": []} if want_cache else None
     seq = x.astype(dtype, copy=False)
     for li in range(spec.layers):
-        wx = net.weight(f"l{li}.wx")
-        wr = net.weight(f"l{li}.wr")
+        wx_t = np.ascontiguousarray(net.weight(f"l{li}.wx").T)
+        wr_t = np.ascontiguousarray(net.weight(f"l{li}.wr").T)
         bias = net.block(f"l{li}.bias")
         peep = net.block(f"l{li}.peep") if spec.peepholes else None
-        proj = net.weight(f"l{li}.proj") if spec.projection > 0 else None
+        proj_t = (np.ascontiguousarray(net.weight(f"l{li}.proj").T)
+                  if spec.projection > 0 else None)
 
-        xpart = seq @ wx.T + bias  # (B, T, 4h)
+        xpart = seq @ wx_t + bias  # (B, T, 4h)
         gi = np.zeros((t, b, h), dtype=dtype)
         gf = np.zeros((t, b, h), dtype=dtype)
         gg = np.zeros((t, b, h), dtype=dtype)
@@ -206,7 +268,7 @@ def reference_forward_batch(net: Network, x: np.ndarray, want_cache: bool = True
         c_prev = np.zeros((b, h), dtype=dtype)
         r_prev = np.zeros((b, r_size), dtype=dtype)
         for ti in range(t):
-            z = xpart[:, ti] + r_prev @ wr.T
+            z = xpart[:, ti] + r_prev @ wr_t
             zi, zf, zg, zo = z[:, :h], z[:, h : 2 * h], z[:, 2 * h : 3 * h], z[:, 3 * h :]
             if peep is not None:
                 i_t = _sigmoid(zi + peep[:h] * c_prev)
@@ -221,7 +283,7 @@ def reference_forward_batch(net: Network, x: np.ndarray, want_cache: bool = True
             else:
                 o_t = _sigmoid(zo)
             m_t = o_t * np.tanh(c_t)
-            r_t = m_t @ proj.T if proj is not None else m_t
+            r_t = m_t @ proj_t if proj_t is not None else m_t
             gi[ti], gf[ti], gg[ti], go[ti] = i_t, f_t, g_t, o_t
             cc[ti], mm[ti], rr[ti] = c_t, m_t, r_t
             c_prev, r_prev = c_t, r_t
@@ -232,7 +294,7 @@ def reference_forward_batch(net: Network, x: np.ndarray, want_cache: bool = True
             )
         seq = np.transpose(rr, (1, 0, 2))  # (B, T, r)
 
-    logits = seq @ net.weight("out.w").T + net.block("out.b")
+    logits = seq @ np.ascontiguousarray(net.weight("out.w").T) + net.block("out.b")
     if want_cache:
         cache["top"] = seq
         cache["logits"] = logits
@@ -254,7 +316,10 @@ def reference_backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> 
     sink = GradientSink(net)
 
     top = cache["top"]
-    sink.add_weight_grad("out.w", np.einsum("btn,btr->nr", dlogits, top))
+    dw = np.zeros((dlogits.shape[2], top.shape[2]))
+    for ti in range(t):
+        dw += dlogits[:, ti].T @ top[:, ti]
+    sink.add_weight_grad("out.w", dw)
     sink.view("out.b")[...] += dlogits.sum(axis=(0, 1))
     dseq = dlogits @ net.weight("out.w")  # (B, T, r_top)
 
@@ -304,10 +369,14 @@ def reference_backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> 
             dr_rec = dz @ wr
 
         x_in = lc["in"]  # (B, T, d)
-        sink.add_weight_grad(f"l{li}.wx", np.einsum("tbz,btd->zd", dz_all, x_in))
-        r_prev_seq = np.zeros_like(rr)
-        r_prev_seq[1:] = rr[:-1]
-        sink.add_weight_grad(f"l{li}.wr", np.einsum("tbz,tbr->zr", dz_all, r_prev_seq))
+        dwx = np.zeros((4 * h, x_in.shape[2]))
+        dwr = np.zeros((4 * h, rr.shape[2]))
+        for ti in range(t):
+            dwx += dz_all[ti].T @ x_in[:, ti]
+            if ti > 0:  # frame 0's recurrent input is zero
+                dwr += dz_all[ti].T @ rr[ti - 1]
+        sink.add_weight_grad(f"l{li}.wx", dwx)
+        sink.add_weight_grad(f"l{li}.wr", dwr)
         sink.view(f"l{li}.bias")[...] += dz_all.sum(axis=(0, 1))
         if peep is not None:
             sink.view(f"l{li}.peep")[...] += dpeep
@@ -398,7 +467,7 @@ def reference_adapt(teacher, paired_items, cfg, checkpoint_dir=None):
             grad = netcore.backward_batch(net, cache, dlogits)
             loss = total_loss / total_frames
 
-            norm = np.linalg.norm(grad)
+            norm = np.sqrt(np.sum(grad * grad))
             if norm > pipeline.GRAD_CLIP:
                 grad = grad * (pipeline.GRAD_CLIP / norm)
             velocity = pipeline.MOMENTUM * velocity - lr * grad

@@ -495,6 +495,18 @@ class TestRuntimeErrors:
         assert "bad.tsv:1: expected 6 tab-separated fields" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # a WAV that is not there, after one that is: named before any write
+    @pytest.mark.parametrize("command", ["simulate", "featurize"])
+    def test_missing_input_wav_is_config_error(self, workspace, tmp_path, capsys, command):
+        _, corpus, _, trained = workspace
+        first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
+        missing = dataclasses.replace(first, utt_id="u1", path=str(tmp_path / "u1.wav"))
+        manifest = tmp_path / "m.tsv"
+        pipeline.write_manifest(manifest, pipeline.Manifest([first, missing]))
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert f"u1: input WAV {tmp_path / 'u1.wav'} not found" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     # an archive of (0, 48) frames, paired with itself: named before any write
     @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
     def test_utterance_without_frames_is_config_error(self, workspace, tmp_path, capsys,

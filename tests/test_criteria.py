@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,30 @@ class TestCtcBatch:
             assert losses[j] == loss_j
             assert np.array_equal(grad[j, :tj], grad_j)
             assert np.all(grad[j, tj:] == 0.0)
+
+    def test_one_errstate_around_the_recursions_changes_no_byte(self, monkeypatch):
+        # a (16, 9) lattice whose padded states hold -inf: no warning escapes
+        # the one np.errstate of ctc_loss_batch, and the bytes equal those of
+        # a _logsumexp2 that silences its own log(0)
+        rng = np.random.default_rng(21)
+        label_lists = [[int(x) for x in rng.integers(0, 4, j % 5)] for j in range(16)]
+        lengths = [criteria.ctc_min_frames(labels) + int(rng.integers(1, 6))
+                   for labels in label_lists]
+        logits = 3.0 * rng.standard_normal((16, max(lengths), 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses, grad = criteria.ctc_loss_batch(logits, lengths, label_lists, blank=4)
+
+        plain = criteria._logsumexp2
+
+        def silenced(a, b):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return plain(a, b)
+
+        monkeypatch.setattr(criteria, "_logsumexp2", silenced)
+        want_losses, want_grad = criteria.ctc_loss_batch(logits, lengths, label_lists, blank=4)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_bad_lengths_rejected(self):
         logits = np.zeros((2, 4, 3))

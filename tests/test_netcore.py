@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import struct
 import subprocess
@@ -26,9 +27,11 @@ from helpers import (
     check_batch_invariance_at_kws_teacher_shape,
     flip_bytes,
     grad_rel_err,
+    kernel_digests,
     ncpu,
     reference_backward_batch,
     reference_forward_batch,
+    run_at_one_blas_thread_per_cpu,
 )
 
 
@@ -278,9 +281,11 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 class TestKernelsMatchReference:
     """`forward_batch`/`backward_batch` against the plain per-frame kernels in
     helpers: logits and gradients must be equal byte for byte, because
-    checkpoints, scores and FAs depend on every bit.  The weight gradients'
-    summation order follows the memory layout of their operands, and that
-    layout differs between layer 0 and deeper layers, hence 1-3 layers."""
+    checkpoints, scores and FAs depend on every bit.  Each weight gradient
+    is one BLAS product per frame summed in frame order, whatever the layout
+    of the layer input: a (B, T, d) batch at layer 0, a (B, T, r) view of the
+    layer below's (T, B, r) output deeper, hence 1-3 layers and both input
+    layouts."""
 
     @staticmethod
     def _check(spec, lengths, seed, time_major_input=False):
@@ -320,6 +325,17 @@ class TestKernelsMatchReference:
     def test_bit_identical_at_kws_teacher_shape(self):
         spec = ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5, peepholes=False)
         self._check(spec, [38] * 12 + [30, 25, 20, 14], seed=3)
+
+    def test_same_bytes_at_one_blas_thread_per_cpu(self):
+        # No bit of the logits or the gradient may follow the BLAS thread
+        # count, which is the caller's.  As in TestBatchInvariance, the other
+        # side runs in a process of its own with one thread per CPU.
+        if ncpu() < 2:
+            pytest.skip("needs 2 or more CPUs")
+        out = run_at_one_blas_thread_per_cpu(
+            "import json\nfrom helpers import kernel_digests\n"
+            "print(json.dumps(kernel_digests()))\n")
+        assert json.loads(out) == kernel_digests()
 
 
 class TestBatchInvariance:

@@ -28,10 +28,13 @@ from farspot.pipeline import (
     TrainConfig,
 )
 from helpers import (
+    ncpu,
     reference_adapt,
     reference_compute_teacher_posteriors,
     reference_frame_error_rate,
     reference_score_kws,
+    run_at_one_blas_thread_per_cpu,
+    train_digest,
 )
 
 
@@ -236,6 +239,14 @@ class TestTraining:
             out, _ = pipeline.train(net, items, cfg)
             runs.append(out.parameters)
         assert np.array_equal(runs[0], runs[1])
+
+    def test_same_bits_at_one_blas_thread_per_cpu(self):
+        # the clipped steps depend on every bit of the gradient norm
+        if ncpu() < 2:
+            pytest.skip("needs 2 or more CPUs")
+        out = run_at_one_blas_thread_per_cpu("from helpers import train_digest\n"
+                                             "print(train_digest())\n")
+        assert out.strip() == train_digest()
 
     def test_checkpoints_written_per_epoch(self, tmp_path):
         items = pipeline.synth_items(_small_task(), 3)
