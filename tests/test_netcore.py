@@ -330,8 +330,6 @@ class TestKernelsMatchReference:
         # No bit of the logits or the gradient may follow the BLAS thread
         # count, which is the caller's.  As in TestBatchInvariance, the other
         # side runs in a process of its own with one thread per CPU.
-        if ncpu() < 2:
-            pytest.skip("needs 2 or more CPUs")
         out = run_at_one_blas_thread_per_cpu(
             "import json\nfrom helpers import kernel_digests\n"
             "print(json.dumps(kernel_digests()))\n")

@@ -28,7 +28,6 @@ from farspot.pipeline import (
     TrainConfig,
 )
 from helpers import (
-    ncpu,
     reference_adapt,
     reference_compute_teacher_posteriors,
     reference_frame_error_rate,
@@ -242,8 +241,6 @@ class TestTraining:
 
     def test_same_bits_at_one_blas_thread_per_cpu(self):
         # the clipped steps depend on every bit of the gradient norm
-        if ncpu() < 2:
-            pytest.skip("needs 2 or more CPUs")
         out = run_at_one_blas_thread_per_cpu("from helpers import train_digest\n"
                                              "print(train_digest())\n")
         assert out.strip() == train_digest()
