@@ -206,6 +206,7 @@ def cmd_spot(args, cfg):
     net = netcore.load_checkpoint(args.model)
     w = simkit.read_wav(args.input)
     feats = pipeline.featurize_waveform(w, spec)
+    pipeline.check_feature_dim([pipeline.TrainItem(args.input, feats.frames)], net.spec.input_dim)
     post = netcore.forward(net, feats.frames)
     det = kws.spot(post, pipeline.KEYWORD_MODEL)
     accept = kws.decide(det, args.threshold)

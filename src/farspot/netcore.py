@@ -50,8 +50,9 @@ one-utterance forward:
     recurrent and projection         (B, 1, k) @ w.T per frame, B 1-row products
 The gate math is elementwise and equal on any row, so each row of the batch
 is byte for byte the forward of that utterance alone; the tests check this
-with BLAS at one thread and at one thread per CPU.  Training keeps the
-plain batched products: its checkpoints were made with them.
+with BLAS at one thread and at one thread per CPU.  Only training uses the
+plain batched products, since its checkpoints were made with them; scoring,
+FER and the teacher rows of distillation and adaptation pass `lengths`.
 """
 
 from __future__ import annotations

@@ -94,7 +94,10 @@ _SNR_OK = (lambda v: abs(v) <= MAX_SNR_DB, f"within +/-{MAX_SNR_DB:g} dB")
 #   id  path  frame_labels  symbols  is_positive  pair_path
 #
 # frame_labels and symbols are comma-separated ints; "-" marks an absent
-# field.  Lines starting with "#" are comments.
+# field.  Lines starting with "#" are comments.  path and pair_path are
+# written relative to the manifest's directory, so a corpus tree can be moved
+# or copied; read_manifest joins a relative path onto that directory and
+# normalizes it lexically (absolute paths are kept).
 
 @dataclass
 class ManifestRecord:
@@ -131,18 +134,24 @@ _FLAGS = {"-": None, "0": False, "1": True}
 
 
 def write_manifest(path: str | Path, m: Manifest) -> None:
+    base = os.path.dirname(os.path.abspath(path))
     with open(path, "w") as fh:
         fh.write("# farspot manifest v1: id path frame_labels symbols is_positive pair_path\n")
         for r in m.records:
             pos = "-" if r.is_positive is None else str(int(r.is_positive))
-            pair = r.pair_path or "-"
+            pair = os.path.relpath(r.pair_path, base) if r.pair_path else "-"
             fh.write(
-                f"{r.utt_id}\t{r.path}\t{_fmt_ints(r.frame_labels)}\t"
+                f"{r.utt_id}\t{os.path.relpath(r.path, base)}\t{_fmt_ints(r.frame_labels)}\t"
                 f"{_fmt_ints(r.symbols)}\t{pos}\t{pair}\n"
             )
 
 
 def read_manifest(path: str | Path) -> Manifest:
+    base = os.path.dirname(path)
+
+    def resolve(p: str) -> str:
+        return os.path.normpath(os.path.join(base, p))
+
     records = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -162,11 +171,11 @@ def read_manifest(path: str | Path) -> Manifest:
             records.append(
                 ManifestRecord(
                     utt_id=utt_id,
-                    path=p,
+                    path=resolve(p),
                     frame_labels=labels,
                     symbols=symbols,
                     is_positive=_FLAGS[pos],
-                    pair_path=None if pair == "-" else pair,
+                    pair_path=None if pair == "-" else resolve(pair),
                 )
             )
     return Manifest(records)
@@ -693,6 +702,7 @@ def _batches(items: list[TrainItem], batch_size: int):
 def _infer(net: Network, items: list[TrainItem]) -> list[np.ndarray]:
     """Each item's logits (T, N), in item order, from length-bucketed batches
     of 16; byte for byte the logits of the item run alone."""
+    check_feature_dim(items, net.spec.input_dim)
     logits_of = {}
     for batch in _batches(items, 16):
         lengths = [it.num_frames for it in batch]
@@ -783,8 +793,7 @@ def distill(
     if teacher.spec.output_dim != student_spec.output_dim:
         raise PipelineError(f"teacher output dim {teacher.spec.output_dim} != "
                             f"student output dim {student_spec.output_dim}")
-    for spec in (teacher.spec, student_spec):
-        check_feature_dim(items, spec.input_dim)
+    check_feature_dim(items, student_spec.input_dim)  # before the teacher's forward
     items = compute_teacher_posteriors(teacher, items)
     cfg = replace(cfg, criterion="soft_ce")
     student = netcore.init_network(student_spec, np.random.default_rng(cfg.seed))
@@ -801,7 +810,7 @@ def adapt(
 
     The student starts as a copy of the teacher and is trained with soft CE
     so that its posteriors on target features track the frozen teacher's on
-    source features, which are computed once, on the batches train forms.
+    source features, computed once, before training, by compute_teacher_posteriors.
     """
     for it in paired_items:
         if it.source_feats is None:
@@ -809,14 +818,9 @@ def adapt(
         if it.source_feats.shape[0] != it.num_frames:
             raise PipelineError(f"{it.utt_id}: paired frame counts differ")
     check_feature_dim(paired_items, teacher.spec.input_dim)
-    # Not compute_teacher_posteriors: its batch-invariant products differ from
-    # these in the last bits, and the adapted checkpoints depend on every bit.
-    items = []
-    for batch in _batches(paired_items, cfg.batch_size):
-        x = _padded([it.source_feats for it in batch], max(it.num_frames for it in batch),
-                    teacher.spec.input_dim)
-        rows = netcore.softmax(netcore.forward_batch(teacher, x, want_cache=False)[0])
-        items += [replace(it, teacher_rows=r[: it.num_frames]) for it, r in zip(batch, rows)]
+    source = compute_teacher_posteriors(teacher, [replace(it, feats=it.source_feats)
+                                                  for it in paired_items])
+    items = [replace(it, teacher_rows=s.teacher_rows) for it, s in zip(paired_items, source)]
     return train(teacher.copy(), items, replace(cfg, criterion="soft_ce"),
                  checkpoint_dir=checkpoint_dir)
 

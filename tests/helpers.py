@@ -420,9 +420,10 @@ def reference_score_kws(net, items, km):
 
 
 # ---------------------------------------------------------------------------
-# T/S adaptation as it was with the teacher run inside the SGD loop, once per
-# batch of every epoch, kept verbatim so that pipeline.adapt, which runs the
-# teacher once before training, can be compared with it byte for byte.
+# T/S adaptation with the teacher run inside the SGD loop, once per batch of
+# every epoch, given `lengths` (each row is then the utterance's forward
+# alone); pipeline.adapt, which runs the teacher once before training, must
+# equal it byte for byte.
 
 def _padded(seqs, tmax, dim):
     x = np.zeros((len(seqs), tmax, dim))
@@ -453,7 +454,8 @@ def reference_adapt(teacher, paired_items, cfg, checkpoint_dir=None):
             logits, cache = netcore.forward_batch(net, _padded([it.feats for it in batch], tmax, d))
 
             xs = _padded([it.source_feats for it in batch], tmax, d)
-            t_logits, _ = netcore.forward_batch(teacher, xs, want_cache=False)
+            t_logits, _ = netcore.forward_batch(teacher, xs, want_cache=False,
+                                                lengths=[it.num_frames for it in batch])
             teacher_rows = netcore.softmax(t_logits)
 
             dlogits = np.zeros_like(logits)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -172,6 +174,35 @@ class TestSynth:
             name = f"utt{i:06d}.wav"
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    def test_corpus_trees_are_relocatable(self, tmp_path):
+        """Manifests hold paths relative to their own directory: the same run
+        in two directories writes the same manifests, and a copy of a corpus
+        tree trains without the original."""
+        cfg = _write_cfg(tmp_path, TASK)
+        for run in ("a", "b"):
+            root = tmp_path / run
+            steps = [["synth", "--count", "3", "--out", str(root / "clean")],
+                     ["simulate", "--manifest", str(root / "clean" / "manifest.tsv"),
+                      "--out", str(root / "far")],
+                     ["featurize", "--manifest", str(root / "far" / "manifest.tsv"),
+                      "--out", str(root / "feats")]]
+            for argv in steps:
+                assert cli.run([*argv, "--config", cfg]) == EXIT_OK
+        for step in ("clean", "far", "feats"):
+            manifest = Path(step, "manifest.tsv")
+            assert (tmp_path / "a" / manifest).read_bytes() == \
+                (tmp_path / "b" / manifest).read_bytes()
+        shutil.copytree(tmp_path / "a", tmp_path / "copy")
+        shutil.rmtree(tmp_path / "a")
+        train_cfg = {**TASK, "model": {"input_dim": 48, "layers": 1, "hidden": 4,
+                                       "projection": 0, "output_dim": 5, "peepholes": False},
+                     "train": {"criterion": "hard_ce", "epochs": 1}}
+        # the far-field archives, and the close-talk WAVs they are paired with
+        rc = cli.run(["train", "--config", _write_cfg(tmp_path, train_cfg, "train.json"),
+                      "--manifest", str(tmp_path / "copy" / "feats" / "manifest.tsv"),
+                      "--out", str(tmp_path / "trained")])
+        assert rc == EXIT_OK
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -230,6 +261,19 @@ class TestEndToEnd:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "score" in out and "segment" in out and "decision" in out
+
+    def test_spot_features_of_wrong_width_is_config_error_before_the_forward(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        _, corpus, _, trained = workspace
+        monkeypatch.setattr(netcore, "forward", lambda *a: pytest.fail("forward ran"))
+        wav = corpus / "utt000001.wav"
+        rc = cli.run(["spot", "--config", _write_cfg(tmp_path, {"task": dict(TASK["task"],
+                                                                             n_mels=10)}),
+                      "--model", str(trained / "final.ckpt"), "--input", str(wav),
+                      "--threshold", "0.5"])
+        assert rc == EXIT_CONFIG  # 10 mels stacked 4 times: 40-dim frames
+        assert re.search(rf"{re.escape(str(wav))}: feats have shape \(\d+, 40\), "
+                         r"the model takes 48-dim", capsys.readouterr().err)
 
     def test_adapt_on_simulated_pairs(self, workspace, tmp_path):
         root, _, far, trained = workspace

@@ -71,6 +71,22 @@ class TestManifests:
         assert back.records[1].is_positive is False
         assert back.records[2].is_positive is None
 
+    def test_paths_are_relative_to_the_manifest(self, tmp_path, monkeypatch):
+        m = Manifest([ManifestRecord("a", str(tmp_path / "sub" / "a.wav"),
+                                     pair_path=str(tmp_path / "clean" / "a.wav"))])
+        p = tmp_path / "sub" / "m.tsv"
+        p.parent.mkdir()
+        pipeline.write_manifest(p, m)
+        assert p.read_text().splitlines()[1].split("\t")[1::4] == ["a.wav", "../clean/a.wav"]
+        monkeypatch.chdir(tmp_path)  # relative paths resolve against sub/, not here
+        assert pipeline.read_manifest(Path("sub") / "m.tsv") == \
+            Manifest([replace(m.records[0], path="sub/a.wav", pair_path="clean/a.wav")])
+        assert pipeline.read_manifest(p) == m
+        # a path written absolute is read as it stands
+        (tmp_path / "abs.tsv").write_text("b\t/x/b.wav\t-\t-\t-\t/x/b_clean.wav\n")
+        assert pipeline.read_manifest(tmp_path / "abs.tsv").records == \
+            [ManifestRecord("b", "/x/b.wav", pair_path="/x/b_clean.wav")]
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(PipelineError):
             Manifest([ManifestRecord("a", "x"), ManifestRecord("a", "y")])
@@ -395,8 +411,14 @@ class TestDistillAndAdapt:
             pipeline.adapt(teacher, items, TrainConfig())
 
     def test_distill_feature_width_must_match_the_teacher(self):
-        items = pipeline.synth_items(_small_task(), 2)
+        items = pipeline.synth_items(_small_task(), 2)  # 48-dim stacked frames
         teacher = netcore.init_network(_tiny_model(24), np.random.default_rng(6))
+        with pytest.raises(PipelineError, match="takes 24-dim"):
+            pipeline.distill(teacher, _tiny_model(48), items, TrainConfig())
+
+    def test_distill_feature_width_must_match_the_student(self):
+        items = pipeline.synth_items(_small_task(), 2)
+        teacher = netcore.init_network(_tiny_model(48), np.random.default_rng(6))
         with pytest.raises(PipelineError, match="takes 24-dim"):
             pipeline.distill(teacher, _tiny_model(24), items, TrainConfig())
 
@@ -460,6 +482,16 @@ class TestEvaluationHelpers:
             assert 0.0 <= score <= 1.0
             assert dur is not None
 
+    # a 48-dim corpus and a 49-input model: named before any forward
+    @pytest.mark.parametrize("infer", [pipeline.score_kws, pipeline.compute_teacher_posteriors])
+    def test_inference_feature_width_must_match_the_model(self, infer):
+        items = pipeline.synth_items(_small_task(), 3)
+        net = netcore.init_network(_tiny_model(49), np.random.default_rng(7))
+        shape = items[0].feats.shape
+        with pytest.raises(PipelineError, match=rf"{items[0].utt_id}: feats have shape "
+                                                rf"\({shape[0]}, 48\), the model takes 49-dim"):
+            infer(net, items)
+
     def test_fa_at_ca_reaches_target(self):
         rng = np.random.default_rng(8)
         records = [(f"u{i}", float(rng.random()), i % 2 == 0, 1.0) for i in range(400)]
@@ -506,12 +538,14 @@ class TestBatchedInference:
 
 
 class TestAdaptMatchesReference:
-    """adapt runs the frozen teacher once per batch, before training; the
-    reference runs it inside every batch of every epoch.  The teacher sees the
-    same padded batches either way, so the adapted parameters, the loss log
+    """adapt runs the frozen teacher once, before training, through
+    compute_teacher_posteriors; the reference runs it with `lengths` inside
+    every batch of every epoch.  By batch invariance each item's teacher rows
+    are its forward alone either way, so the adapted parameters, the loss log
     and every epoch's checkpoint must be equal byte for byte."""
 
-    def test_bit_identical_to_reference(self, tmp_path):
+    @staticmethod
+    def _setup():
         items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 7)
         assert len({it.num_frames for it in items}) > 1  # batches with padding
         spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=2, hidden=8,
@@ -519,6 +553,10 @@ class TestAdaptMatchesReference:
         rng = np.random.default_rng(12)
         teacher = netcore.init_network(spec, rng)
         teacher.parameters[...] = rng.normal(0.0, 0.5, teacher.parameters.shape)
+        return items, teacher
+
+    def test_bit_identical_to_reference(self, tmp_path):
+        items, teacher = self._setup()
         cfg = TrainConfig(learning_rate=0.2, epochs=2, batch_size=3, seed=5)  # 3 batches
 
         got, got_log = pipeline.adapt(teacher, items, cfg, checkpoint_dir=tmp_path / "got")
@@ -531,6 +569,18 @@ class TestAdaptMatchesReference:
         assert sorted(p.name for p in (tmp_path / "got").iterdir()) == names
         for name in names:
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+    # the teacher rows do not depend on the batches train forms
+    @pytest.mark.parametrize("batch_size", [3, 16])
+    def test_equals_training_on_one_utterance_teacher_rows(self, batch_size):
+        items, teacher = self._setup()
+        cfg = TrainConfig(learning_rate=0.2, epochs=2, batch_size=batch_size, seed=5)
+        got, got_log = pipeline.adapt(teacher, items, cfg)
+        soft = [replace(it, teacher_rows=netcore.forward(teacher, it.source_feats).rows)
+                for it in items]
+        want, want_log = pipeline.train(teacher.copy(), soft, replace(cfg, criterion="soft_ce"))
+        assert got.parameters.tobytes() == want.parameters.tobytes()
+        assert [x.hex() for x in got_log] == [x.hex() for x in want_log]
 
 
 @pytest.fixture(scope="module")
