@@ -1,10 +1,11 @@
-"""Training criteria: each returns (scalar loss, gradient w.r.t. logits).
+"""Training criteria over a zero-padded batch: each returns the per-utterance
+losses (B,) and the gradient w.r.t. the logits (B, T, N), 0 on padding; its
+one-utterance form returns (scalar loss, gradient (T, N)).
 
 Covered losses:
-    * hard-label frame cross entropy
-    * soft-label cross entropy against teacher posteriors (distillation)
-    * CTC over blank-augmented alignments, computed in log space, for one
-      utterance or a zero-padded batch (per-utterance losses)
+    * soft-label cross entropy against teacher posteriors (distillation);
+      hard-label frame cross entropy is the same arithmetic on one-hot rows
+    * CTC over blank-augmented alignments, computed in log space
 
 Probabilities are clamped at EPS = 1e-12 before any log.
 """
@@ -50,37 +51,64 @@ def entropy(rows: np.ndarray) -> float:
     return float(-np.sum(rows * np.log(masked)))
 
 
-def soft_ce_loss(teacher: np.ndarray, student_logits: np.ndarray):
-    """Cross entropy with teacher soft labels (posterior rows, one per frame);
-    gradient is softmax - teacher.
+def _check_batch(logits, lengths, targets) -> tuple[np.ndarray, np.ndarray]:
+    """float64 logits (B, T, N) and int64 lengths (B,), each in [1, T]."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 3:
+        raise CriterionError(f"logits must be (B, T, N), got shape {logits.shape}")
+    b, t, _ = logits.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (b,) or len(targets) != b:
+        raise CriterionError(f"need one length and one target per utterance ({b})")
+    if np.any(lengths < 1) or np.any(lengths > t):
+        raise CriterionError(f"utterance lengths {lengths.tolist()} outside [1, {t}]")
+    return logits, lengths
 
-    Minimizing this is equivalent to minimizing the teacher/student KL
-    divergence, since the teacher-entropy term is constant in the student.
-    """
-    t_rows = np.asarray(teacher, dtype=np.float64)
+
+def soft_ce_loss(teacher: np.ndarray, student_logits: np.ndarray):
+    """The one-utterance batch of soft_ce_loss_batch: logits and teacher (T, N)."""
     logits = np.asarray(student_logits, dtype=np.float64)
-    if t_rows.shape != logits.shape:
-        raise CriterionError(f"shape mismatch: teacher {t_rows.shape} vs logits {logits.shape}")
+    losses, grad = soft_ce_loss_batch(logits[None], [len(logits)], [teacher])
+    return float(losses[0]), grad[0]
+
+
+def soft_ce_loss_batch(logits: np.ndarray, lengths, teacher_rows):
+    """Cross entropy with teacher soft labels over a zero-padded batch:
+    utterance j is logits[j, :lengths[j]] with teacher_rows[j] (posterior
+    rows, one per frame); the gradient is softmax - teacher.  Minimizing it
+    minimizes the teacher/student KL divergence: the teacher entropy is
+    constant in the student."""
+    logits, lengths = _check_batch(logits, lengths, teacher_rows)
+    _, t, n = logits.shape
+    target = np.zeros_like(logits)
+    for j, (tb, rows) in enumerate(zip(lengths, teacher_rows)):
+        if np.shape(rows) != (tb, n):
+            raise CriterionError(f"shape mismatch: targets {np.shape(rows)}, logits ({tb}, {n})")
+        target[j, :tb] = rows
     logp = log_softmax(logits)
-    loss = float(-np.sum(t_rows * logp))
-    grad = softmax(logits) - t_rows
-    return loss, grad
+    losses = np.array([-np.sum(target[j, :tb] * logp[j, :tb]) for j, tb in enumerate(lengths)])
+    grad = softmax(logits) - target
+    grad[np.arange(t) >= lengths[:, None]] = 0.0
+    return losses, grad
 
 
 def hard_ce_loss(labels, student_logits: np.ndarray):
-    """Frame-level cross entropy with integer labels."""
+    """The one-utterance batch of hard_ce_loss_batch: logits (T, N), T labels."""
     logits = np.asarray(student_logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    t, n = logits.shape
-    if labels.shape != (t,):
-        raise CriterionError(f"need one label per frame ({t}), got shape {labels.shape}")
-    if np.any(labels < 0) or np.any(labels >= n):
-        raise CriterionError(f"label out of range [0, {n})")
-    logp = log_softmax(logits)
-    loss = float(-np.sum(logp[np.arange(t), labels]))
-    grad = softmax(logits)
-    grad[np.arange(t), labels] -= 1.0
-    return loss, grad
+    losses, grad = hard_ce_loss_batch(logits[None], [len(logits)], [labels])
+    return float(losses[0]), grad[0]
+
+
+def hard_ce_loss_batch(logits: np.ndarray, lengths, label_lists):
+    """Frame cross entropy with integer labels, one per frame: soft CE against
+    one-hot rows, whose gradient is softmax - 0.0, and softmax - 1.0 at the label."""
+    n = np.shape(logits)[-1]
+    one_hot = []
+    for labels in map(np.asarray, label_lists):
+        if labels.ndim != 1 or np.any((labels != labels.round()) | (labels < 0) | (labels >= n)):
+            raise CriterionError(f"labels must be a list of integers in [0, {n})")
+        one_hot.append(np.eye(n)[labels.astype(np.int64)])
+    return soft_ce_loss_batch(logits, lengths, one_hot)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +150,9 @@ def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
     frames past an utterance's end, so every row equals its utterance run
     alone, bit for bit.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 3:
-        raise CriterionError(f"logits must be (B, T, N), got shape {logits.shape}")
-    b, t, n = logits.shape
-    lengths = np.asarray(lengths, dtype=np.int64)
     label_lists = [[int(x) for x in labels] for labels in label_lists]
-    if lengths.shape != (b,) or len(label_lists) != b:
-        raise CriterionError(f"need one length and one label string per utterance ({b})")
+    logits, lengths = _check_batch(logits, lengths, label_lists)
+    b, t, n = logits.shape
     if not 0 <= blank < n:
         raise CriterionError("blank index out of range")
     for tb, labels in zip(lengths, label_lists):
@@ -137,8 +160,6 @@ def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
             raise CriterionError(f"label out of range [0, {n})")
         if blank in labels:
             raise CriterionError("blank symbol may not appear in the label string")
-        if not 1 <= tb <= t:
-            raise CriterionError(f"utterance length {tb} outside [1, {t}]")
         if tb < ctc_min_frames(labels):
             raise CriterionError(
                 f"label string needs at least {ctc_min_frames(labels)} frames, got {tb}"

@@ -420,6 +420,26 @@ def reference_score_kws(net, items, km):
 
 
 # ---------------------------------------------------------------------------
+# The frame cross entropies as they were before the batched criteria, one
+# utterance (T, N) at a time.  Hard CE here sums the T label log
+# probabilities, where criteria sums T x N one-hot terms, so its loss may
+# differ in the last bits; the gradients must be equal byte for byte.
+
+def reference_hard_ce_loss(labels, logits):
+    labels = np.asarray(labels, dtype=np.int64)
+    t = len(logits)
+    loss = float(-np.sum(netcore.log_softmax(logits)[np.arange(t), labels]))
+    grad = netcore.softmax(logits)
+    grad[np.arange(t), labels] -= 1.0
+    return loss, grad
+
+
+def reference_soft_ce_loss(teacher, logits):
+    loss = float(-np.sum(teacher * netcore.log_softmax(logits)))
+    return loss, netcore.softmax(logits) - teacher
+
+
+# ---------------------------------------------------------------------------
 # T/S adaptation with the teacher run inside the SGD loop, once per batch of
 # every epoch, given `lengths` (each row is then the utterance's forward
 # alone); pipeline.adapt, which runs the teacher once before training, must

@@ -10,7 +10,13 @@ from farspot import criteria, netcore, pipeline
 from farspot.criteria import CriterionError
 from farspot.netcore import ModelSpec, init_network, softmax
 from farspot.pipeline import FarFieldConfig, PipelineError, SynthTaskSpec, TrainConfig
-from helpers import central_diff_grad, ctc_enum_loss, grad_rel_err
+from helpers import (
+    central_diff_grad,
+    ctc_enum_loss,
+    grad_rel_err,
+    reference_hard_ce_loss,
+    reference_soft_ce_loss,
+)
 
 
 def _rand_dist(rng, n):
@@ -60,8 +66,8 @@ class TestSoftCe:
         teacher[np.arange(6), labels] = 1.0
         ls, gs = criteria.soft_ce_loss(teacher, logits)
         lh, gh = criteria.hard_ce_loss(labels, logits)
-        assert ls == pytest.approx(lh, abs=1e-12)
-        assert np.allclose(gs, gh, atol=1e-12)
+        assert ls == lh
+        assert gs.tobytes() == gh.tobytes()
 
     def test_stationary_point_at_matching_posteriors(self):
         # when softmax(logits) equals the teacher, the gradient vanishes and
@@ -128,6 +134,88 @@ class TestHardCe:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(CriterionError):
             criteria.hard_ce_loss([4], np.zeros((1, 4)))
+
+
+# criterion -> (batch function, one-utterance function, the arithmetic from
+# before the batched criteria)
+_CE = {"hard_ce": (criteria.hard_ce_loss_batch, criteria.hard_ce_loss, reference_hard_ce_loss),
+       "soft_ce": (criteria.soft_ce_loss_batch, criteria.soft_ce_loss, reference_soft_ce_loss)}
+
+
+def _ce_targets(criterion, rng, lengths, n):
+    if criterion == "soft_ce":
+        return [np.stack([_rand_dist(rng, n) for _ in range(t)]) for t in lengths]
+    return [rng.integers(0, n, t) for t in lengths]
+
+
+class TestCeBatch:
+    # as for CTC, each row of a batch must be exactly (==) its utterance's
+    # one-utterance call, and the gradients those calls give must be the
+    # bytes of the arithmetic they replaced, since checkpoints depend on them
+    @pytest.mark.parametrize("criterion", ["hard_ce", "soft_ce"])
+    def test_rows_equal_single_utterance_calls(self, criterion):
+        rng = np.random.default_rng(24)
+        lengths = [9, 1, 4, 9, 2, 6]
+        logits = 3.0 * rng.standard_normal((len(lengths), max(lengths) + 2, 5))  # all padded
+        targets = _ce_targets(criterion, rng, lengths, 5)
+        batch, single, _ = _CE[criterion]
+        losses, grad = batch(logits, lengths, targets)
+        assert grad.shape == logits.shape
+        for j, (tj, target) in enumerate(zip(lengths, targets)):
+            loss_j, grad_j = single(target, logits[j, :tj])
+            assert losses[j] == loss_j
+            assert grad[j, :tj].tobytes() == grad_j.tobytes()
+            assert np.all(grad[j, tj:] == 0.0)
+
+    @pytest.mark.parametrize("criterion", ["hard_ce", "soft_ce"])
+    def test_single_utterance_calls_equal_reference(self, criterion):
+        rng = np.random.default_rng(25)
+        _, single, reference = _CE[criterion]
+        for t in range(1, 41):
+            logits = 3.0 * rng.standard_normal((t, 5))
+            target, = _ce_targets(criterion, rng, [t], 5)
+            loss, grad = single(target, logits)
+            want_loss, want_grad = reference(target, logits)
+            assert grad.tobytes() == want_grad.tobytes()
+            # hard CE now sums T x N one-hot terms, not T label terms
+            assert loss == (want_loss if criterion == "soft_ce"
+                            else pytest.approx(want_loss, rel=1e-13))
+
+    @pytest.mark.parametrize("criterion", ["hard_ce", "soft_ce"])
+    def test_training_batch_equals_reference_loop(self, criterion):
+        reference = _CE[criterion][2]
+        field = pipeline._CRITERIA[criterion].field
+        _check_training_batch(criterion, lambda it, lg: reference(getattr(it, field), lg),
+                              exact_loss=criterion == "soft_ce")
+
+    def test_whole_number_float_labels_equal_int_labels(self):
+        logits = np.random.default_rng(26).standard_normal((1, 3, 4))
+        want = criteria.hard_ce_loss_batch(logits, [3], [[0, 3, 1]])
+        got = criteria.hard_ce_loss_batch(logits, [3], [np.array([0.0, 3.0, 1.0])])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("labels", [[0, 2.7, 1], [0, np.nan, 1], [0, np.inf, 1],
+                                        [0, -1, 1], [[0, 1, 2]], [0, 1]],
+                             ids=["fraction", "nan", "inf", "negative", "2-d", "short"])
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(CriterionError):
+            criteria.hard_ce_loss_batch(np.zeros((1, 3, 4)), [3], [labels])
+
+    def test_bad_lengths_rejected(self):
+        logits = np.zeros((2, 4, 3))
+        rows = [np.full((4, 3), 1 / 3), np.full((2, 3), 1 / 3)]
+        for lengths in ([4, 5], [0, 2], [4], [4, 3]):
+            with pytest.raises(CriterionError):
+                criteria.soft_ce_loss_batch(logits, lengths, rows)
+        with pytest.raises(CriterionError):  # one target short
+            criteria.soft_ce_loss_batch(logits, [4, 2], rows[:1])
+
+    def test_utterance_without_frames_rejected(self):
+        with pytest.raises(CriterionError, match="outside"):
+            criteria.soft_ce_loss(np.zeros((0, 3)), np.zeros((0, 3)))
+        with pytest.raises(CriterionError, match="outside"):
+            criteria.hard_ce_loss([], np.zeros((0, 3)))
 
 
 class TestTsAdaptation:
@@ -338,29 +426,37 @@ class TestCtcBatch:
             criteria.ctc_loss_batch(logits, [4, 2], [[0], [1, 1]], blank=2)
 
     def test_training_batch_equals_per_utterance_loop(self):
-        # the ctc entry of the criterion table against one ctc_loss call per
-        # utterance, summed in item order, on the same padded forward pass
-        items = pipeline.synth_items(SynthTaskSpec(seed=3, n_mels=12, stack_context=4,
-                                                   stack_step=2), 5)
-        spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=1, hidden=8,
-                         projection=0, output_dim=5, peepholes=False)
-        net = init_network(spec, np.random.default_rng(22))
-        loss, grad = pipeline._batch_loss_and_grad(net, items, TrainConfig(criterion="ctc"))
+        _check_training_batch(
+            "ctc", lambda it, lg: criteria.ctc_loss(lg, it.symbols, pipeline.BLANK))
 
-        tmax = max(it.num_frames for it in items)
-        assert any(it.num_frames < tmax for it in items)
-        x = np.zeros((len(items), tmax, spec.input_dim))
-        for j, it in enumerate(items):
-            x[j, : it.num_frames] = it.feats
-        logits, cache = netcore.forward_batch(net, x)
-        dlogits = np.zeros_like(logits)
-        want_loss, frames = 0.0, 0
-        for j, it in enumerate(items):
-            t = it.num_frames
-            lj, dlogits[j, :t] = criteria.ctc_loss(logits[j, :t], it.symbols, pipeline.BLANK)
-            want_loss += lj
-            frames += t
-        dlogits /= frames
-        assert loss == want_loss / frames
-        assert np.array_equal(grad, netcore.backward_batch(net, cache, dlogits))
 
+def _check_training_batch(criterion, single, exact_loss=True):
+    """The criterion's entry of the training table against one call of
+    single(item, logits (T, N)) per utterance, summed in item order, on the
+    same padded forward pass: the gradient must be equal byte for byte."""
+    items = pipeline.synth_items(SynthTaskSpec(seed=3, n_mels=12, stack_context=4,
+                                               stack_step=2), 5)
+    spec = ModelSpec(input_dim=items[0].feats.shape[1], layers=1, hidden=8,
+                     projection=0, output_dim=5, peepholes=False)
+    net = init_network(spec, np.random.default_rng(22))
+    items = pipeline.compute_teacher_posteriors(init_network(spec, np.random.default_rng(23)),
+                                                items)
+    loss, grad = pipeline._batch_loss_and_grad(net, items, TrainConfig(criterion=criterion))
+
+    tmax = max(it.num_frames for it in items)
+    assert any(it.num_frames < tmax for it in items)
+    x = np.zeros((len(items), tmax, spec.input_dim))
+    for j, it in enumerate(items):
+        x[j, : it.num_frames] = it.feats
+    logits, cache = netcore.forward_batch(net, x)
+    dlogits = np.zeros_like(logits)
+    want_loss, frames = 0.0, 0
+    for j, it in enumerate(items):
+        t = it.num_frames
+        lj, dlogits[j, :t] = single(it, logits[j, :t])
+        want_loss += lj
+        frames += t
+    dlogits /= frames
+    assert loss == (want_loss / frames if exact_loss
+                    else pytest.approx(want_loss / frames, rel=1e-13))
+    assert grad.tobytes() == netcore.backward_batch(net, cache, dlogits).tobytes()

@@ -1,10 +1,6 @@
 import itertools
 import json
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +24,6 @@ from helpers import (
     flip_bytes,
     grad_rel_err,
     kernel_digests,
-    ncpu,
     reference_backward_batch,
     reference_forward_batch,
     run_at_one_blas_thread_per_cpu,
@@ -361,18 +356,9 @@ class TestBatchInvariance:
         # The suite runs BLAS at one thread (tests/conftest.py), and BLAS reads
         # its thread count at start-up, so this check runs in a process of
         # its own with one thread per CPU.
-        if ncpu() < 2:
-            pytest.skip("needs 2 or more CPUs")
-        tests = Path(__file__).resolve().parent
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(ncpu()),
-               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests),
-                                              os.environ.get("PYTHONPATH", "")])}
-        env.pop("OMP_NUM_THREADS", None)
-        script = ("from helpers import check_batch_invariance_at_kws_teacher_shape\n"
-                  "check_batch_invariance_at_kws_teacher_shape()\n")
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        run_at_one_blas_thread_per_cpu(
+            "from helpers import check_batch_invariance_at_kws_teacher_shape\n"
+            "check_batch_invariance_at_kws_teacher_shape()\n")
 
     @pytest.mark.parametrize("lengths", [[3, 2], [3, 4, 2], [3, -1, 2]])
     def test_bad_lengths_rejected(self, lengths):

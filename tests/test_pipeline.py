@@ -402,6 +402,34 @@ class TestDistillAndAdapt:
                            checkpoint_dir=tmp_path / "ckpt")
         assert not (tmp_path / "ckpt").exists()
 
+    def test_teacher_rows_must_have_the_model_outputs(self, tmp_path):
+        # rows of a 4-output teacher for a 5-output model used to stop train
+        # at its first batch, after the checkpoint directory was made
+        items = pipeline.synth_items(_small_task(), 2)
+        net = netcore.init_network(_tiny_model(items[0].feats.shape[1]),
+                                   np.random.default_rng(2))
+        items = pipeline.compute_teacher_posteriors(net, items)
+        items[1] = replace(items[1], teacher_rows=items[1].teacher_rows[:, :4])
+        with pytest.raises(PipelineError, match=rf"{items[1].utt_id}: teacher posteriors have "
+                                                rf"shape \({items[1].num_frames}, 4\), "
+                                                "the model has 5 outputs"):
+            pipeline.train(net, items, TrainConfig(criterion="soft_ce"),
+                           checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_frame_labels_must_be_integers(self, tmp_path):
+        # a label of 2.7 used to train as a 2; whole numbers as floats pass
+        items = pipeline.synth_items(_small_task(), 2)
+        spec = _tiny_model(items[0].feats.shape[1])
+        items = [replace(it, frame_labels=it.frame_labels.astype(float)) for it in items]
+        pipeline._check_items(items, "hard_ce", spec)
+        items[1].frame_labels[0] = 2.7
+        net = netcore.init_network(spec, np.random.default_rng(2))
+        with pytest.raises(PipelineError,
+                           match=f"{items[1].utt_id}: frame labels are not all integers"):
+            pipeline.train(net, items, TrainConfig(), checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_adapt_source_width_must_match_the_model(self):
         items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
         items[1] = replace(items[1], source_feats=items[1].source_feats[:, :24])
