@@ -6,8 +6,6 @@ Covered losses:
     * soft-label cross entropy against teacher posteriors (distillation);
       hard-label frame cross entropy is the same arithmetic on one-hot rows
     * CTC over blank-augmented alignments, computed in log space
-
-Probabilities are clamped at EPS = 1e-12 before any log.
 """
 
 from __future__ import annotations
@@ -16,50 +14,23 @@ import numpy as np
 
 from .netcore import log_softmax, softmax
 
-EPS = 1e-12
-
 
 class CriterionError(ValueError):
     pass
 
 
-def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise CriterionError(f"{name} must be a 1-D distribution")
-    if np.any(p < -1e-12):
-        raise CriterionError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise CriterionError(f"{name} is not normalized (sum = {p.sum()})")
-    return p
-
-
-def kl_divergence(p, q) -> float:
-    """sum_i p_i log(p_i / q_i), with 0 log 0 = 0 and q clamped at EPS."""
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.shape != q.shape:
-        raise CriterionError(f"length mismatch: {p.shape} vs {q.shape}")
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], EPS)))))
-
-
-def entropy(rows: np.ndarray) -> float:
-    """Summed Shannon entropy of each row, with 0 log 0 = 0."""
-    rows = np.asarray(rows, dtype=np.float64)
-    masked = np.where(rows > 0, rows, 1.0)
-    return float(-np.sum(rows * np.log(masked)))
-
-
 def _check_batch(logits, lengths, targets) -> tuple[np.ndarray, np.ndarray]:
-    """float64 logits (B, T, N) and int64 lengths (B,), each in [1, T]."""
+    """float64 logits (B, T, N) and int64 lengths (B,), integers in [1, T]."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 3:
         raise CriterionError(f"logits must be (B, T, N), got shape {logits.shape}")
     b, t, _ = logits.shape
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = np.asarray(lengths)
     if lengths.shape != (b,) or len(targets) != b:
         raise CriterionError(f"need one length and one target per utterance ({b})")
+    if lengths.dtype.kind not in "iu":
+        raise CriterionError(f"utterance lengths {lengths.tolist()} are not integers")
+    lengths = lengths.astype(np.int64)
     if np.any(lengths < 1) or np.any(lengths > t):
         raise CriterionError(f"utterance lengths {lengths.tolist()} outside [1, {t}]")
     return logits, lengths

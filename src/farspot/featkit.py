@@ -61,13 +61,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(n_mels: int) -> np.ndarray:
-    """Center frequencies (Hz) of the triangular filters; used by tests as an
-    independent oracle for the tone-response check."""
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(REQUIRED_RATE / 2.0), n_mels + 2))
-    return edges[1:-1]
-
-
 @functools.lru_cache(maxsize=8)
 def mel_filterbank(n_mels: int, fft_size: int) -> np.ndarray:
     """(n_mels, fft_size//2 + 1) triangular filter matrix, HTK-style Mel scale.

@@ -91,7 +91,7 @@ class Posteriorgram:
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2:
             raise NetworkError("posteriorgram must be 2-D")
-        if np.any(self.rows < -1e-12) or np.any(self.rows > 1 + 1e-12):
+        if not np.all((self.rows >= -1e-12) & (self.rows <= 1 + 1e-12)):  # NaN fails
             raise NetworkError("posteriors outside [0, 1]")
         if self.rows.shape[0] and np.max(np.abs(self.rows.sum(axis=1) - 1.0)) > 1e-6:
             raise NetworkError("posteriorgram rows must sum to 1")
@@ -321,8 +321,8 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
     h = spec.hidden
     r_size = spec.recurrent_size
     if lengths is not None:
-        lengths = [int(n) for n in lengths]
-        if len(lengths) != b or not all(0 <= n <= t for n in lengths):
+        lengths = list(lengths)
+        if len(lengths) != b or not all(_is_int(n) and 0 <= n <= t for n in lengths):
             raise NetworkError(f"lengths {lengths} do not fit a batch of shape {x.shape}")
 
     def transposed(name):  # C-contiguous (k, z) copy of a (z, k) weight

@@ -72,6 +72,18 @@ def _check_range(cfg, name: str, ok: Callable[[float], bool], what: str) -> None
 HEY, CORTANA, SILENCE, GARBAGE, BLANK = 0, 1, 2, 3, 4
 KWS_OUTPUT_DIM = 5
 KWS_LAYERS = 2  # LSTM layers of the compression study's teacher and students
+KWS_TEACHER_HIDDEN = 48  # LSTM cells per layer of the compression study's teacher
+KWS_STUDENT_HIDDEN = 16  # and of its two students
+KWS_TEACHER_EPOCHS = 6
+KWS_STUDENT_EPOCHS = 8
+KWS_LEARNING_RATE = 0.2  # of every compression arm, decayed by KWS_LR_DECAY per epoch
+KWS_LR_DECAY = 0.95
+# The ladder's one-layer models: LSTM cells, epochs of each stage and of the
+# close-talk teacher, and the learning rate of all of them
+LADDER_HIDDEN = 32
+LADDER_EPOCHS = 4
+LADDER_TEACHER_EPOCHS = 6
+LADDER_LEARNING_RATE = 0.08
 KEYWORD_MODEL = kws.KeywordModel(
     keyword_units=(HEY, CORTANA), silence=SILENCE, garbage=GARBAGE, blank=BLANK
 )
@@ -650,7 +662,8 @@ _PER_FRAME = ("frame_labels", "teacher_rows")  # TrainItem fields with a row per
 
 def _check_items(items: list[TrainItem], criterion: str, spec: ModelSpec) -> None:
     """Raise PipelineError, naming the utterance, unless every item carries
-    what criterion needs, in range of spec's outputs, and spec's input width."""
+    what criterion needs, in range of spec's outputs (teacher rows: a
+    netcore.Posteriorgram each), and spec's input width."""
     check_feature_dim(items, spec.input_dim)
     n = spec.output_dim
     name, what, _ = _CRITERIA[criterion]
@@ -667,6 +680,11 @@ def _check_items(items: list[TrainItem], criterion: str, spec: ModelSpec) -> Non
         if name == "teacher_rows" and np.shape(v)[1:] != (n,):
             raise PipelineError(f"{it.utt_id}: teacher posteriors have shape {np.shape(v)}, "
                                 f"the model has {n} outputs")
+        if name == "teacher_rows":
+            try:
+                netcore.Posteriorgram(v)
+            except netcore.NetworkError as e:
+                raise PipelineError(f"{it.utt_id}: teacher posteriors: {e}") from e
         if name == "symbols" and not (BLANK < n and all(0 <= x < n and x != BLANK for x in v)
                                       and criteria.ctc_min_frames(v) <= it.num_frames):
             raise PipelineError(f"{it.utt_id}: symbols {v} are no CTC transcript of "
@@ -865,20 +883,11 @@ class KwsCompressionConfig:
     train_count: int = 2000
     test_count: int = 1000
     target_ca: float = 0.96
-    teacher_hidden: int = 48
-    student_hidden: int = 16
-    teacher_epochs: int = 6
-    student_epochs: int = 8
-    learning_rate: float = 0.2
-    lr_decay: float = 0.95
     out_dir: str | None = None
 
     def __post_init__(self):
         _check_ints(self, 0, "seed")
-        _check_ints(self, 1, "train_count", "test_count", "teacher_hidden", "student_hidden",
-                    "teacher_epochs", "student_epochs")
-        _check_real(self, "learning_rate", lambda v: 0 < v < math.inf, "finite and > 0")
-        _check_real(self, "lr_decay", lambda v: 0 < v <= 1, "in (0, 1]")
+        _check_ints(self, 1, "train_count", "test_count")
         kws.check_target_ca(self.target_ca)
 
 
@@ -895,19 +904,19 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
     input_dim = train_items[0].feats.shape[1]
 
     teacher_spec = ModelSpec(
-        input_dim=input_dim, layers=KWS_LAYERS, hidden=cfg.teacher_hidden,
+        input_dim=input_dim, layers=KWS_LAYERS, hidden=KWS_TEACHER_HIDDEN,
         projection=0, output_dim=KWS_OUTPUT_DIM, peepholes=False,
     )
     student_spec = ModelSpec(
-        input_dim=input_dim, layers=KWS_LAYERS, hidden=cfg.student_hidden,
+        input_dim=input_dim, layers=KWS_LAYERS, hidden=KWS_STUDENT_HIDDEN,
         projection=0, output_dim=KWS_OUTPUT_DIM, peepholes=False,
     )
 
     ctc_cfg = TrainConfig(
-        criterion="ctc", learning_rate=cfg.learning_rate, lr_decay=cfg.lr_decay,
-        epochs=cfg.teacher_epochs, seed=cfg.seed,
+        criterion="ctc", learning_rate=KWS_LEARNING_RATE, lr_decay=KWS_LR_DECAY,
+        epochs=KWS_TEACHER_EPOCHS, seed=cfg.seed,
     )
-    student_ctc_cfg = replace(ctc_cfg, epochs=cfg.student_epochs, seed=cfg.seed + 50)
+    student_ctc_cfg = replace(ctc_cfg, epochs=KWS_STUDENT_EPOCHS, seed=cfg.seed + 50)
     workers = _blas_workers()
 
     def teacher_arm():
@@ -972,16 +981,11 @@ class LadderConfig:
     train_count: int = 60
     extra_count: int = 60  # additional pairs for the "more data" stage
     test_count: int = 40
-    epochs: int = 4
-    teacher_epochs: int = 6
-    learning_rate: float = 0.08
-    hidden: int = 32
     out_dir: str | None = None
 
     def __post_init__(self):
         _check_ints(self, 0, "seed", "extra_count")
-        _check_ints(self, 1, "train_count", "test_count", "epochs", "teacher_epochs", "hidden")
-        _check_real(self, "learning_rate", lambda v: 0 < v < math.inf, "finite and > 0")
+        _check_ints(self, 1, "train_count", "test_count")
 
 
 def _am_task_spec(seed: int) -> SynthTaskSpec:
@@ -1015,21 +1019,21 @@ def ablation_ladder(cfg: LadderConfig) -> dict:
     spec = ModelSpec(
         input_dim=train_pairs[0].feats.shape[1],
         layers=1,
-        hidden=cfg.hidden,
+        hidden=LADDER_HIDDEN,
         projection=0,
         output_dim=BLANK,  # the task classes, which precede blank
         peepholes=False,
     )
     base_cfg = TrainConfig(
-        criterion="hard_ce", learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs, seed=cfg.seed,
+        criterion="hard_ce", learning_rate=LADDER_LEARNING_RATE,
+        epochs=LADDER_EPOCHS, seed=cfg.seed,
     )
 
     # close-talk teacher, trained on the clean side
     clean_items = [replace(it, feats=it.source_feats, source_feats=None)
                    for it in train_pairs]
     teacher = netcore.init_network(spec, np.random.default_rng(cfg.seed))
-    teacher, _ = train(teacher, clean_items, replace(base_cfg, epochs=cfg.teacher_epochs))
+    teacher, _ = train(teacher, clean_items, replace(base_cfg, epochs=LADDER_TEACHER_EPOCHS))
 
     # stage -> its model; each stage changes one factor
     nets = {

@@ -67,16 +67,6 @@ class ImpulseResponse:
     def __len__(self):
         return len(self.taps)
 
-    def energy(self) -> float:
-        return float(np.sum(self.taps**2))
-
-
-def unit_impulse(delay: int = 0) -> ImpulseResponse:
-    """Kronecker delta at `delay` samples."""
-    taps = np.zeros(delay + 1)
-    taps[delay] = 1.0
-    return ImpulseResponse(taps)
-
 
 @dataclass
 class RoomSpec:
@@ -279,11 +269,6 @@ def simulate_single_channel(
         # at unit gain so the caller still gets the noise floor.
         return Waveform(_loop_to_length(noise.samples, len(s), rng))
     return mix_at_snr(rev, noise, snr_db, rng=rng)
-
-
-def measure_snr(speech: Waveform, noise: Waveform) -> float:
-    """Component SNR in dB from the two already-scaled parts of a mix."""
-    return 20.0 * np.log10(speech.rms() / noise.rms())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import strategies as st
 
 from farspot import criteria, kws, netcore, pipeline
+from farspot.criteria import CriterionError
 from farspot.netcore import GradientSink, Network, NetworkError
+from farspot.simkit import REQUIRED_RATE, ImpulseResponse, Waveform
 
 
 def grad_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -57,6 +59,60 @@ def naive_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     for i, xi in enumerate(x):
         y[i : i + len(h)] += xi * h
     return y
+
+
+def unit_impulse(delay: int = 0) -> ImpulseResponse:
+    """Kronecker delta at `delay` samples."""
+    taps = np.zeros(delay + 1)
+    taps[delay] = 1.0
+    return ImpulseResponse(taps)
+
+
+def ir_energy(ir: ImpulseResponse) -> float:
+    return float(np.sum(ir.taps**2))
+
+
+def measure_snr(speech: Waveform, noise: Waveform) -> float:
+    """Component SNR in dB from the two already-scaled parts of a mix: their
+    mean-power ratio."""
+    return float(10.0 * np.log10(np.mean(speech.samples**2) / np.mean(noise.samples**2)))
+
+
+def mel_filter_centers(n_mels: int) -> np.ndarray:
+    """Center frequencies (Hz) of n_mels triangular filters spaced evenly on
+    the HTK Mel scale, mel = 2595 log10(1 + f / 700), from 0 Hz to Nyquist."""
+    top = 2595.0 * np.log10(1.0 + REQUIRED_RATE / 2.0 / 700.0)
+    mels = np.linspace(0.0, top, n_mels + 2)[1:-1]
+    return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
+
+
+def _check_distribution(p, name: str) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise CriterionError(f"{name} must be a 1-D distribution")
+    if np.any(p < -1e-12):
+        raise CriterionError(f"{name} has negative entries")
+    if abs(p.sum() - 1.0) > 1e-6:
+        raise CriterionError(f"{name} is not normalized (sum = {p.sum()})")
+    return p
+
+
+def kl_divergence(p, q) -> float:
+    """sum_i p_i log(p_i / q_i), with 0 log 0 = 0 and q clamped at 1e-12;
+    CriterionError, as the criteria raise, on inputs that are no distribution."""
+    p = _check_distribution(p, "p")
+    q = _check_distribution(q, "q")
+    if p.shape != q.shape:
+        raise CriterionError(f"length mismatch: {p.shape} vs {q.shape}")
+    mask = p > 0
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(np.maximum(q[mask], 1e-12)))))
+
+
+def entropy(rows: np.ndarray) -> float:
+    """Summed Shannon entropy of each row, with 0 log 0 = 0."""
+    rows = np.asarray(rows, dtype=np.float64)
+    masked = np.where(rows > 0, rows, 1.0)
+    return float(-np.sum(rows * np.log(masked)))
 
 
 def _log_softmax(logits):

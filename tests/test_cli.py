@@ -402,9 +402,7 @@ class TestEndToEnd:
             in capsys.readouterr().err
 
 
-TINY_COMPRESS = ["--set", "compress.train_count=16", "--set", "compress.test_count=20",
-                 "--set", "compress.teacher_hidden=12", "--set", "compress.student_hidden=6",
-                 "--set", "compress.teacher_epochs=2", "--set", "compress.student_epochs=2"]
+TINY_COMPRESS = ["--set", "compress.train_count=16", "--set", "compress.test_count=20"]
 
 
 class TestExperiments:
@@ -440,6 +438,24 @@ class TestExperiments:
     def test_bad_experiment_config_is_config_error(self, tmp_path, argv):
         out = tmp_path / "o"
         assert cli.run([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [
+        "compress.teacher_hidden=48", "compress.student_hidden=16",
+        "compress.teacher_epochs=6", "compress.student_epochs=8",
+        "compress.learning_rate=0.2", "compress.lr_decay=0.95",
+        "ladder.epochs=4", "ladder.teacher_epochs=6", "ladder.learning_rate=0.08",
+        "ladder.hidden=32",
+    ])
+    def test_keys_now_constants_are_config_errors(self, tmp_path, capsys, key):
+        # pipeline's KWS_* and LADDER_* constants, at their values
+        section, name = key.split("=")[0].split(".")
+        out = tmp_path / "o"
+        rc = cli.run([section, "--set", key, "--set", f"{section}.train_count=8",
+                      "--set", f"{section}.test_count=6", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"unknown config keys for {_EXPERIMENT_CONFIGS[section].__name__}: ['{name}']" \
+            in capsys.readouterr().err
         assert not out.exists()
 
 

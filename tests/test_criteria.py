@@ -13,7 +13,9 @@ from farspot.pipeline import FarFieldConfig, PipelineError, SynthTaskSpec, Train
 from helpers import (
     central_diff_grad,
     ctc_enum_loss,
+    entropy,
     grad_rel_err,
+    kl_divergence,
     reference_hard_ce_loss,
     reference_soft_ce_loss,
 )
@@ -27,11 +29,11 @@ def _rand_dist(rng, n):
 class TestKlDivergence:
     def test_identical_distributions_give_zero(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert criteria.kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
+        assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_analytic_two_point_case(self):
         # KL([1, 0] || [0.5, 0.5]) = ln 2
-        assert criteria.kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0))
+        assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0))
 
     def test_direct_sum_oracle(self):
         rng = np.random.default_rng(0)
@@ -39,22 +41,22 @@ class TestKlDivergence:
             n = int(rng.integers(2, 8))
             p, q = _rand_dist(rng, n), _rand_dist(rng, n)
             expected = sum(pi * np.log(pi / qi) for pi, qi in zip(p, q))
-            assert criteria.kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
+            assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_non_negativity(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 10))
-        assert criteria.kl_divergence(_rand_dist(rng, n), _rand_dist(rng, n)) >= -1e-12
+        assert kl_divergence(_rand_dist(rng, n), _rand_dist(rng, n)) >= -1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(CriterionError):
-            criteria.kl_divergence([0.5, 0.5], [0.3, 0.3, 0.4])
+            kl_divergence([0.5, 0.5], [0.3, 0.3, 0.4])
 
     def test_unnormalized_rejected(self):
         with pytest.raises(CriterionError):
-            criteria.kl_divergence([0.5, 0.6], [0.5, 0.5])
+            kl_divergence([0.5, 0.6], [0.5, 0.5])
 
 
 class TestSoftCe:
@@ -77,7 +79,7 @@ class TestSoftCe:
         logits = np.log(teacher)
         loss, grad = criteria.soft_ce_loss(teacher, logits)
         assert np.allclose(grad, 0.0, atol=1e-12)
-        assert loss == pytest.approx(criteria.entropy(teacher), abs=1e-9)
+        assert loss == pytest.approx(entropy(teacher), abs=1e-9)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -99,8 +101,8 @@ class TestSoftCe:
         logits = rng.standard_normal((5, 6))
         loss, _ = criteria.soft_ce_loss(teacher, logits)
         student = softmax(logits)
-        kl_sum = sum(criteria.kl_divergence(teacher[t], student[t]) for t in range(5))
-        assert loss - criteria.entropy(teacher) == pytest.approx(kl_sum, abs=1e-9)
+        kl_sum = sum(kl_divergence(teacher[t], student[t]) for t in range(5))
+        assert loss - entropy(teacher) == pytest.approx(kl_sum, abs=1e-9)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(CriterionError):
@@ -210,6 +212,19 @@ class TestCeBatch:
                 criteria.soft_ce_loss_batch(logits, lengths, rows)
         with pytest.raises(CriterionError):  # one target short
             criteria.soft_ce_loss_batch(logits, [4, 2], rows[:1])
+
+    def test_non_integer_lengths_rejected(self):
+        # a length of 2.5 used to give a 2-frame loss; numpy ints pass
+        logits = np.zeros((1, 3, 2))
+        rows = [np.full((2, 2), 0.5)]
+        for lengths in ([2.5], [2.0], [True]):
+            with pytest.raises(CriterionError, match="not integers"):
+                criteria.soft_ce_loss_batch(logits, lengths, rows)
+        want = criteria.soft_ce_loss_batch(logits, [2], rows)
+        for lengths in (np.array([2]), [np.int32(2)], np.array([2], dtype=np.uint8)):
+            got = criteria.soft_ce_loss_batch(logits, lengths, rows)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_utterance_without_frames_rejected(self):
         with pytest.raises(CriterionError, match="outside"):

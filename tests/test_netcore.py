@@ -367,6 +367,18 @@ class TestBatchInvariance:
             netcore.forward_batch(net, np.zeros((3, 3, 3)), lengths=lengths)
 
 
+    def test_non_integer_lengths_rejected(self):
+        # a length of 2.5 used to run as 2, zeroing frame 2; numpy ints pass
+        net = init_network(_tiny_spec(), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((3, 3, 3))
+        for lengths in ([3, 2.5, 2], [3, 2.0, 2], [3, True, 2]):
+            with pytest.raises(NetworkError, match="lengths"):
+                netcore.forward_batch(net, x, lengths=lengths)
+        want, _ = netcore.forward_batch(net, x, lengths=[3, 1, 2])
+        got, _ = netcore.forward_batch(net, x, lengths=np.array([3, 1, 2]))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSvdCompression:
     def test_full_rank_reconstructs_weights(self):
         rng = np.random.default_rng(10)
