@@ -14,7 +14,8 @@ neither), whether that is a gain by the paired-run rule of
 perfbench/NOTES.md (at least 9 wins in 10 and a median difference larger
 than the parent's interquartile range) and whether the change stays within
 the metric's bound; per run, the metrics, the check counts and the output
-digests; and the environment that perfbench reported.
+digests; and the environment that perfbench reported, with the host's CPU
+model.
 
 Run it on an otherwise idle host: both sides share its CPUs with anything
 else that runs.
@@ -26,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -54,6 +56,17 @@ def export(rev: str, dest: Path) -> Path:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return dest
+
+
+def cpu_model() -> str:
+    """The `model name` of /proc/cpuinfo where there is one, else platform.processor()."""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -123,6 +136,7 @@ def main(argv=None) -> int:
             "change": ({"rev": "working tree", "commit": git("rev-parse", "HEAD")}
                        if args.change is None else
                        {"rev": args.change, "commit": git("rev-parse", args.change)}),
+            "host": {"cpu_model": cpu_model()},
             "command": bench["command"],
             "run_seconds": bench["run_seconds"],
             "pairs": PAIRS,

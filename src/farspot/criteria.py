@@ -12,11 +12,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netcore import log_softmax, softmax
+from .netcore import NetworkError, Posteriorgram, log_softmax, softmax
 
 
 class CriterionError(ValueError):
     pass
+
+
+def check_frame_labels(labels, frames: int, n: int) -> np.ndarray:
+    """Int64 labels, one per frame, each a whole number in [0, n)."""
+    labels = np.asarray(labels)
+    if labels.shape != (frames,):
+        raise CriterionError(f"{len(labels) if labels.ndim == 1 else labels.shape} frame labels "
+                             f"for {frames} frames")
+    if not np.all(np.isfinite(labels) & (np.round(labels) == labels)):
+        raise CriterionError("frame labels are not all integers")
+    if not np.all((labels >= 0) & (labels < n)):
+        raise CriterionError(f"frame labels outside [0, {n})")
+    return labels.astype(np.int64)
+
+
+def check_teacher_rows(rows, frames: int, n: int) -> np.ndarray:
+    """Float64 rows (frames, n), each a distribution: a netcore.Posteriorgram."""
+    if np.shape(rows)[1:] != (n,):
+        raise CriterionError(f"teacher posteriors have shape {np.shape(rows)}, "
+                             f"the model has {n} outputs")
+    if len(rows) != frames:
+        raise CriterionError(f"{len(rows)} teacher posteriors for {frames} frames")
+    try:
+        return Posteriorgram(rows).rows
+    except NetworkError as e:
+        raise CriterionError(f"teacher posteriors: {e}") from e
+
+
+def check_transcript(symbols, frames: int, n: int, blank: int) -> list[int]:
+    """The symbols as ints: a CTC transcript of `frames` frames over n outputs."""
+    s = np.asarray(symbols)
+    whole = s.ndim == 1 and np.all(np.isfinite(s) & (np.round(s) == s))
+    labels = [int(x) for x in s] if whole else []
+    if not (whole and 0 <= blank < n and all(0 <= x < n and x != blank for x in labels)
+            and ctc_min_frames(labels) <= frames):
+        raise CriterionError(f"symbols {symbols} are no CTC transcript of {frames} frames "
+                             f"for {n} outputs, blank {blank}")
+    return labels
 
 
 def _check_batch(logits, lengths, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -49,18 +87,7 @@ def soft_ce_loss_batch(logits: np.ndarray, lengths, teacher_rows):
     rows, one per frame); the gradient is softmax - teacher.  Minimizing it
     minimizes the teacher/student KL divergence: the teacher entropy is
     constant in the student."""
-    logits, lengths = _check_batch(logits, lengths, teacher_rows)
-    _, t, n = logits.shape
-    target = np.zeros_like(logits)
-    for j, (tb, rows) in enumerate(zip(lengths, teacher_rows)):
-        if np.shape(rows) != (tb, n):
-            raise CriterionError(f"shape mismatch: targets {np.shape(rows)}, logits ({tb}, {n})")
-        target[j, :tb] = rows
-    logp = log_softmax(logits)
-    losses = np.array([-np.sum(target[j, :tb] * logp[j, :tb]) for j, tb in enumerate(lengths)])
-    grad = softmax(logits) - target
-    grad[np.arange(t) >= lengths[:, None]] = 0.0
-    return losses, grad
+    return _ce_batch(logits, lengths, teacher_rows, check_teacher_rows)
 
 
 def hard_ce_loss(labels, student_logits: np.ndarray):
@@ -73,13 +100,22 @@ def hard_ce_loss(labels, student_logits: np.ndarray):
 def hard_ce_loss_batch(logits: np.ndarray, lengths, label_lists):
     """Frame cross entropy with integer labels, one per frame: soft CE against
     one-hot rows, whose gradient is softmax - 0.0, and softmax - 1.0 at the label."""
-    n = np.shape(logits)[-1]
-    one_hot = []
-    for labels in map(np.asarray, label_lists):
-        if labels.ndim != 1 or np.any((labels != labels.round()) | (labels < 0) | (labels >= n)):
-            raise CriterionError(f"labels must be a list of integers in [0, {n})")
-        one_hot.append(np.eye(n)[labels.astype(np.int64)])
-    return soft_ce_loss_batch(logits, lengths, one_hot)
+    return _ce_batch(logits, lengths, label_lists,
+                     lambda labels, tb, n: np.eye(n)[check_frame_labels(labels, tb, n)])
+
+
+def _ce_batch(logits, lengths, targets, rows_of):
+    """Both CE criteria: utterance j's rows are rows_of(targets[j], lengths[j], N)."""
+    logits, lengths = _check_batch(logits, lengths, targets)
+    _, t, n = logits.shape
+    target = np.zeros_like(logits)
+    for j, (tb, x) in enumerate(zip(lengths, targets)):
+        target[j, :tb] = rows_of(x, tb, n)
+    logp = log_softmax(logits)
+    losses = np.array([-np.sum(target[j, :tb] * logp[j, :tb]) for j, tb in enumerate(lengths)])
+    grad = softmax(logits) - target
+    grad[np.arange(t) >= lengths[:, None]] = 0.0
+    return losses, grad
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +157,9 @@ def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
     frames past an utterance's end, so every row equals its utterance run
     alone, bit for bit.
     """
-    label_lists = [[int(x) for x in labels] for labels in label_lists]
     logits, lengths = _check_batch(logits, lengths, label_lists)
     b, t, n = logits.shape
-    if not 0 <= blank < n:
-        raise CriterionError("blank index out of range")
-    for tb, labels in zip(lengths, label_lists):
-        if any(not 0 <= x < n for x in labels):
-            raise CriterionError(f"label out of range [0, {n})")
-        if blank in labels:
-            raise CriterionError("blank symbol may not appear in the label string")
-        if tb < ctc_min_frames(labels):
-            raise CriterionError(
-                f"label string needs at least {ctc_min_frames(labels)} frames, got {tb}"
-            )
+    label_lists = [check_transcript(x, tb, n, blank) for tb, x in zip(lengths, label_lists)]
 
     # blank-augmented label strings, padded with blanks to the longest
     s_len = np.array([2 * len(labels) + 1 for labels in label_lists])

@@ -445,10 +445,15 @@ def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
 
 def _check_input_wavs(m: Manifest) -> None:
     """Raise PipelineError naming the first record whose input WAV is not a
-    file, before _corpus makes the output directory."""
+    file, or has a header simkit.read_wav rejects, before _corpus makes the
+    output directory."""
     for r in m.records:
         if not Path(r.path).is_file():
             raise PipelineError(f"{r.utt_id}: input WAV {r.path} not found")
+        try:
+            simkit.check_wav(r.path)
+        except simkit.SimulationError as e:
+            raise PipelineError(f"{r.utt_id}: input WAV {e}") from e
 
 
 def _synth_corpus_one(job) -> ManifestRecord:
@@ -628,18 +633,22 @@ class _Criterion(NamedTuple):
     soft_ce, on teacher_rows computed before training."""
     field: str  # the TrainItem field that every training item must carry
     what: str  # what it holds
+    check: Callable  # (item's field, frames, outputs) -> target, or CriterionError
     # (logits (B, T, N), lengths, each item's field) -> (per-utterance losses,
-    # dloss/dlogits, 0 on padding); it finds its criteria function when
-    # called, so a wrapper set on that module (perfbench's tracer) sees it
+    # dloss/dlogits, 0 on padding); each column finds its criteria function
+    # when called, so a wrapper set on that module (perfbench's tracer) sees it
     loss: Callable
 
 
 _CRITERIA = {
     "hard_ce": _Criterion("frame_labels", "frame labels",
+                          lambda *target: criteria.check_frame_labels(*target),
                           lambda *batch: criteria.hard_ce_loss_batch(*batch)),
     "soft_ce": _Criterion("teacher_rows", "teacher posteriors",
+                          lambda *target: criteria.check_teacher_rows(*target),
                           lambda *batch: criteria.soft_ce_loss_batch(*batch)),
     "ctc": _Criterion("symbols", "a symbol transcript",
+                      lambda *target: criteria.check_transcript(*target, blank=BLANK),
                       lambda *batch: criteria.ctc_loss_batch(*batch, blank=BLANK)),
 }
 
@@ -657,38 +666,18 @@ def check_feature_dim(items: list[TrainItem], input_dim: int) -> None:
                 raise PipelineError(f"{it.utt_id}: {name} have no frames")
 
 
-_PER_FRAME = ("frame_labels", "teacher_rows")  # TrainItem fields with a row per frame
-
-
 def _check_items(items: list[TrainItem], criterion: str, spec: ModelSpec) -> None:
-    """Raise PipelineError, naming the utterance, unless every item carries
-    what criterion needs, in range of spec's outputs (teacher rows: a
-    netcore.Posteriorgram each), and spec's input width."""
+    """Raise PipelineError, naming the utterance, unless every item has spec's
+    input width and a target that criterion's check accepts for spec's outputs."""
     check_feature_dim(items, spec.input_dim)
-    n = spec.output_dim
-    name, what, _ = _CRITERIA[criterion]
+    c = _CRITERIA[criterion]
     for it in items:
-        v = getattr(it, name)
-        if v is None:
-            raise PipelineError(f"{it.utt_id}: {criterion} needs {what}")
-        if name in _PER_FRAME and len(v) != it.num_frames:
-            raise PipelineError(f"{it.utt_id}: {len(v)} {what} for {it.num_frames} frames")
-        if name == "frame_labels" and not np.all(np.round(v) == v):
-            raise PipelineError(f"{it.utt_id}: frame labels are not all integers")
-        if name == "frame_labels" and not 0 <= np.min(v) <= np.max(v) < n:
-            raise PipelineError(f"{it.utt_id}: frame labels outside [0, {n})")
-        if name == "teacher_rows" and np.shape(v)[1:] != (n,):
-            raise PipelineError(f"{it.utt_id}: teacher posteriors have shape {np.shape(v)}, "
-                                f"the model has {n} outputs")
-        if name == "teacher_rows":
-            try:
-                netcore.Posteriorgram(v)
-            except netcore.NetworkError as e:
-                raise PipelineError(f"{it.utt_id}: teacher posteriors: {e}") from e
-        if name == "symbols" and not (BLANK < n and all(0 <= x < n and x != BLANK for x in v)
-                                      and criteria.ctc_min_frames(v) <= it.num_frames):
-            raise PipelineError(f"{it.utt_id}: symbols {v} are no CTC transcript of "
-                                f"{it.num_frames} frames for {n} outputs, blank {BLANK}")
+        if getattr(it, c.field) is None:
+            raise PipelineError(f"{it.utt_id}: {criterion} needs {c.what}")
+        try:
+            c.check(getattr(it, c.field), it.num_frames, spec.output_dim)
+        except criteria.CriterionError as e:
+            raise PipelineError(f"{it.utt_id}: {e}") from e
 
 
 def _batches(items: list[TrainItem], batch_size: int):
@@ -715,9 +704,9 @@ def _batch_loss_and_grad(net: Network, batch: list[TrainItem], cfg: TrainConfig)
     tmax = max(it.num_frames for it in batch)
     logits, cache = netcore.forward_batch(
         net, _padded([it.feats for it in batch], tmax, net.spec.input_dim))
-    name, _, loss_fn = _CRITERIA[cfg.criterion]
-    losses, dlogits = loss_fn(logits, [it.num_frames for it in batch],
-                              [getattr(it, name) for it in batch])
+    c = _CRITERIA[cfg.criterion]
+    losses, dlogits = c.loss(logits, [it.num_frames for it in batch],
+                             [getattr(it, c.field) for it in batch])
     total_loss = 0.0
     for loss in losses:  # in item order, which fixes the rounding
         total_loss += loss

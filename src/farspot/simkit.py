@@ -13,6 +13,7 @@ Conventions:
 from __future__ import annotations
 
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -275,8 +276,15 @@ def simulate_single_channel(
 # WAV I/O: mono 16-bit PCM at REQUIRED_RATE only.
 
 
-def read_wav(path: str | Path) -> Waveform:
-    with wave.open(str(path), "rb") as f:
+@contextmanager
+def _open_wav(path: str | Path):
+    """path opened for reading, once its header shows a mono 16-bit PCM WAV at
+    REQUIRED_RATE; SimulationError for any other file, unparseable ones too."""
+    try:
+        f = wave.open(str(path), "rb")  # parses the header
+    except (wave.Error, EOFError) as e:
+        raise SimulationError(f"{path}: unreadable WAV header ({e or 'cut short'})") from e
+    with f:
         if f.getnchannels() != 1:
             raise SimulationError(f"{path}: expected mono WAV, got {f.getnchannels()} channels")
         if f.getsampwidth() != 2:
@@ -285,6 +293,17 @@ def read_wav(path: str | Path) -> Waveform:
             raise SimulationError(
                 f"{path}: expected {REQUIRED_RATE} Hz, got {f.getframerate()} Hz"
             )
+        yield f
+
+
+def check_wav(path: str | Path) -> None:
+    """Raise SimulationError unless read_wav accepts path's header; reads no samples."""
+    with _open_wav(path):
+        pass
+
+
+def read_wav(path: str | Path) -> Waveform:
+    with _open_wav(path) as f:
         raw = f.readframes(f.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples)

@@ -567,6 +567,21 @@ class TestRuntimeErrors:
         assert f"u1: input WAV {tmp_path / 'u1.wav'} not found" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # an 8-byte file that only starts like a WAV, after a WAV that is fine:
+    # named before any write (it used to exit 4 and leave --out behind)
+    @pytest.mark.parametrize("command", ["simulate", "featurize"])
+    def test_unparseable_input_wav_is_config_error(self, workspace, tmp_path, capsys, command):
+        _, corpus, _, trained = workspace
+        first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
+        junk = tmp_path / "u1.wav"
+        junk.write_bytes(b"RIFFjunk")
+        manifest = tmp_path / "m.tsv"
+        pipeline.write_manifest(manifest, pipeline.Manifest(
+            [first, dataclasses.replace(first, utt_id="u1", path=str(junk))]))
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert f"u1: input WAV {junk}: unreadable WAV header" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     # an archive of (0, 48) frames, paired with itself: named before any write
     @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
     def test_utterance_without_frames_is_config_error(self, workspace, tmp_path, capsys,

@@ -108,6 +108,18 @@ class TestSoftCe:
         with pytest.raises(CriterionError):
             criteria.soft_ce_loss(np.full((3, 4), 0.25), np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("fill, what", [(-3.0, "outside"), (np.nan, "outside"),
+                                            (2 / 3, "sum to 1")],
+                             ids=["negative", "nan", "sum-2"])
+    def test_rows_that_are_no_posteriors_rejected(self, fill, what):
+        # rows of -3.0 used to give a loss of -49.9, and NaN rows a NaN loss
+        rows = np.full((4, 3), fill)
+        with pytest.raises(CriterionError, match=f"teacher posteriors: .*{what}"):
+            criteria.soft_ce_loss(rows, np.zeros((4, 3)))
+        with pytest.raises(CriterionError, match=f"teacher posteriors: .*{what}"):
+            criteria.soft_ce_loss_batch(np.zeros((2, 4, 3)), [4, 2],
+                                        [np.full((4, 3), 1 / 3), rows[:2]])
+
 
 class TestHardCe:
     def test_uniform_logits_give_ln_n(self):
@@ -332,6 +344,14 @@ class TestCtc:
         with pytest.raises(CriterionError):
             criteria.ctc_loss(np.zeros((3, 3)), [2], blank=2)
 
+    @pytest.mark.parametrize("symbol", [0.7, 1.5, np.nan, np.inf])
+    def test_non_integer_symbols_rejected(self, symbol):
+        # a symbol of 0.7 used to give the loss of [0], bit for bit
+        with pytest.raises(CriterionError, match="no CTC transcript"):
+            criteria.ctc_loss(np.zeros((3, 3)), [symbol], blank=2)
+        with pytest.raises(CriterionError, match="no CTC transcript"):
+            criteria.ctc_loss_batch(np.zeros((2, 3, 3)), [3, 2], [[0], [1, symbol]], blank=2)
+
     def test_against_path_enumeration(self):
         rng = np.random.default_rng(8)
         for _ in range(60):
@@ -439,6 +459,14 @@ class TestCtcBatch:
                 criteria.ctc_loss_batch(logits, lengths, [[0], [1]], blank=2)
         with pytest.raises(CriterionError):
             criteria.ctc_loss_batch(logits, [4, 2], [[0], [1, 1]], blank=2)
+
+    def test_whole_number_float_symbols_equal_int_symbols(self):
+        logits = np.random.default_rng(27).standard_normal((2, 5, 4))
+        want = criteria.ctc_loss_batch(logits, [5, 4], [[0, 3, 1], [1, 1]], blank=2)
+        got = criteria.ctc_loss_batch(logits, [5, 4], [np.array([0.0, 3.0, 1.0]), [1.0, 1.0]],
+                                      blank=2)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_training_batch_equals_per_utterance_loop(self):
         _check_training_batch(

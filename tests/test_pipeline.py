@@ -445,6 +445,18 @@ class TestDistillAndAdapt:
             pipeline.train(net, items, TrainConfig(), checkpoint_dir=tmp_path / "ckpt")
         assert not (tmp_path / "ckpt").exists()
 
+    def test_symbols_must_be_integers(self, tmp_path):
+        # symbols [2, 0.5, 2] used to train as [2, 0, 2]
+        items = pipeline.synth_items(_small_task(), 2)
+        spec = _tiny_model(items[0].feats.shape[1])
+        items[1] = replace(items[1], symbols=[2, 0.5, 2])
+        net = netcore.init_network(spec, np.random.default_rng(2))
+        with pytest.raises(PipelineError, match=rf"{items[1].utt_id}: symbols \[2, 0.5, 2\] "
+                                                "are no CTC transcript"):
+            pipeline.train(net, items, TrainConfig(criterion="ctc"),
+                           checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_adapt_source_width_must_match_the_model(self):
         items = pipeline.synth_pair_items(_small_task(), FarFieldConfig(seed=1), 2)
         items[1] = replace(items[1], source_feats=items[1].source_feats[:, :24])

@@ -279,6 +279,17 @@ class TestWavIO:
         # 16-bit quantization error is at most one LSB
         assert np.max(np.abs(back.samples - w.samples)) <= 1.0 / 32768.0
 
+    # a file that starts like a WAV, one cut short, an empty one: these used
+    # to raise wave.Error or EOFError
+    @pytest.mark.parametrize("data", [b"RIFFjunk", b"RIFF", b""], ids=["junk", "short", "empty"])
+    def test_unparseable_file_rejected_on_read(self, tmp_path, data):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(data)
+        with pytest.raises(SimulationError, match="unreadable WAV header"):
+            simkit.read_wav(p)
+        with pytest.raises(SimulationError, match="unreadable WAV header"):
+            simkit.check_wav(p)
+
     def test_wrong_rate_rejected_on_read(self, tmp_path):
         p = tmp_path / "bad.wav"
         with wave.open(str(p), "wb") as f:
