@@ -1,18 +1,17 @@
 """CTC keyword spotting: segment localization, confidence scoring, CA/FA.
 
-The decoder walks a left-to-right token graph over the posteriorgram:
+The decoder walks one fixed left-to-right token graph over the posteriorgram,
+for a keyword of two distinct units (HEY, CORTANA):
 
-    filler*  blank*  unit_1  blank*  unit_2 ... unit_K  blank*  filler*
+    filler*  blank*  U1  blank*  U2  blank*  filler*
 
 where filler frames score max(silence, garbage) and every state self-loops.
-A direct unit_j -> unit_{j+1} transition is allowed when the units differ
-(CTC collapse rule); identical consecutive units must pass through a blank.
-The keyword segment [m, n] spans the first unit_1 frame through the last
-unit_K frame of the best path.  Ties prefer the earliest, then shortest,
-segment.
+U1 may pass to U2 directly or through blanks.  The keyword segment [m, n]
+spans the first U1 frame through the last U2 frame of the best path.  Ties
+prefer the earliest, then shortest, segment.
 
 Confidence is the geometric mean of the per-unit peak posteriors inside the
-segment (for two units: sqrt(p_hey_peak * p_cortana_peak)).
+segment: sqrt(p_hey_peak * p_cortana_peak).
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ class KeywordModel:
         idx = list(self.keyword_units) + [self.silence, self.garbage, self.blank]
         if len(set(idx)) != len(idx):
             raise KwsError("keyword/silence/garbage/blank indices must be distinct")
-        if not self.keyword_units:
-            raise KwsError("at least one keyword unit is required")
+        if len(self.keyword_units) != 2:
+            raise KwsError(f"exactly two keyword units are required, got {self.keyword_units}")
 
 
 @dataclass
@@ -62,45 +61,13 @@ class KeywordDetection:
             raise KwsError("confidence score must be in [0, 1]")
 
 
-def _states(km: KeywordModel):
-    """(emission label per state, allowed predecessor lists, starts, ends).
-
-    State order: PRE, B0, U1, B1, U2, ..., UK, BK, POST.  Emission label -1
-    means filler (max of silence/garbage).
-    """
-    units = km.keyword_units
-    k = len(units)
-    labels = [-1, km.blank]
-    for j, u in enumerate(units):
-        labels.append(u)
-        labels.append(km.blank)
-    labels.append(-1)
-    n_states = len(labels)  # 2k + 3
-    pre, post = 0, n_states - 1
-
-    def unit_state(j):  # 0-based unit index
-        return 2 + 2 * j
-
-    def blank_state(j):  # blank after unit j; blank before unit 0 is state 1
-        return 3 + 2 * j
-
-    preds = [[] for _ in range(n_states)]
-    for s in range(n_states):
-        preds[s].append(s)
-    preds[1].append(pre)                      # PRE -> B0
-    preds[unit_state(0)].extend([pre, 1])     # PRE/B0 -> U1
-    for j in range(k):
-        preds[blank_state(j)].append(unit_state(j))
-        if j + 1 < k:
-            preds[unit_state(j + 1)].append(blank_state(j))
-            if units[j + 1] != units[j]:
-                preds[unit_state(j + 1)].append(unit_state(j))
-    preds[post].append(blank_state(k - 1))
-    preds[post].append(unit_state(k - 1))
-
-    starts = [pre, 1, unit_state(0)]
-    ends = [unit_state(k - 1), blank_state(k - 1), post]
-    return labels, preds, starts, ends, unit_state(0), unit_state(k - 1)
+# The decoding graph: states PRE, B0, U1, B1, U2, B2, POST, where B is a blank
+# and PRE/POST are filler.  Each state's predecessors list the state itself
+# first; their order breaks score ties.
+_PREDS = ((0,), (1, 0), (2, 0, 1), (3, 2), (4, 3, 2), (5, 4), (6, 5, 4))
+_STARTS = (0, 1, 2)
+_ENDS = (4, 5, 6)
+_U_FIRST, _U_LAST = 2, 4
 
 
 def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
@@ -113,7 +80,8 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
     if n_lab <= needed:
         raise KwsError(f"posteriorgram has {n_lab} labels, model needs index {needed}")
 
-    labels, preds, starts, ends, u_first, u_last = _states(km)
+    u1, u2 = km.keyword_units
+    labels = (-1, km.blank, u1, km.blank, u2, km.blank, -1)  # -1: filler
     n_states = len(labels)
 
     logp = np.log(np.maximum(rows, 1e-300))
@@ -133,10 +101,10 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
     score = [neg] * n_states
     seg_m = [unset] * n_states
     seg_n = [unset] * n_states
-    for s in starts:
+    for s in _STARTS:
         score[s] = emit[0][s]
-        seg_m[s] = 0 if s == u_first else unset
-        seg_n[s] = 0 if s == u_last else unset
+        seg_m[s] = 0 if s == _U_FIRST else unset
+        seg_n[s] = 0 if s == _U_LAST else unset
 
     for ti in range(1, t):
         new_score = [neg] * n_states
@@ -144,7 +112,7 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
         new_n = [unset] * n_states
         for s in range(n_states):
             best = None
-            for p in preds[s]:
+            for p in _PREDS[s]:
                 if score[p] == neg:
                     continue
                 cand = (score[p], -seg_m[p], -seg_n[p])
@@ -155,15 +123,15 @@ def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
                 continue
             new_score[s] = score[best_p] + emit[ti][s]
             m_val, n_val = seg_m[best_p], seg_n[best_p]
-            if s == u_first and m_val == unset:
+            if s == _U_FIRST and m_val == unset:
                 m_val = ti
-            if s == u_last:
+            if s == _U_LAST:
                 n_val = ti
             new_m[s], new_n[s] = m_val, n_val
         score, seg_m, seg_n = new_score, new_m, new_n
 
     best = None
-    for s in ends:
+    for s in _ENDS:
         if score[s] == neg:
             continue
         cand = (score[s], -seg_m[s], -seg_n[s])

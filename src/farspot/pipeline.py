@@ -303,16 +303,14 @@ def synth_utterance(spec: SynthTaskSpec, index: int):
     sample_classes = np.concatenate(classes)
 
     snr = rng.uniform(*spec.noise_snr_range)
-    rms = np.sqrt(np.mean(x**2))
     noise = rng.standard_normal(len(x))
-    noise *= rms / np.sqrt(np.mean(noise**2)) * 10.0 ** (-snr / 20.0)
-    x = x + noise
+    mixed = simkit.mix_at_snr(Waveform(x), Waveform(noise), snr)
 
     symbols = []
     for cls, _ in plan:
         if not symbols or symbols[-1] != cls:
             symbols.append(cls)
-    return Waveform(x), _frame_labels(sample_classes, spec), symbols, is_positive
+    return mixed, _frame_labels(sample_classes, spec), symbols, is_positive
 
 
 def _frame_labels(sample_classes: np.ndarray, spec: SynthTaskSpec) -> np.ndarray:

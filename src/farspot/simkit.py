@@ -304,7 +304,10 @@ def check_wav(path: str | Path) -> None:
 
 def read_wav(path: str | Path) -> Waveform:
     with _open_wav(path) as f:
-        raw = f.readframes(f.getnframes())
+        n = f.getnframes()
+        raw = f.readframes(n)
+    if len(raw) != 2 * n:
+        raise SimulationError(f"{path}: data chunk holds {len(raw)} bytes, header says {n} frames")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples)
 

@@ -582,6 +582,21 @@ class TestRuntimeErrors:
         assert f"u1: input WAV {junk}: unreadable WAV header" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # a WAV whose data chunk is cut short by 900 bytes, after one that is fine:
+    # its header passes the pre-flight, and the read names it (featurize used
+    # to write the 550 samples left and exit 0)
+    def test_truncated_input_wav_is_runtime_error(self, workspace, tmp_path, capsys):
+        _, corpus, _, trained = workspace
+        first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
+        cut = tmp_path / "u1.wav"
+        simkit.write_wav(cut, simkit.Waveform(np.zeros(1000)))
+        cut.write_bytes(cut.read_bytes()[:-900])
+        manifest = tmp_path / "m.tsv"
+        pipeline.write_manifest(manifest, pipeline.Manifest(
+            [first, dataclasses.replace(first, utt_id="u1", path=str(cut))]))
+        assert self._run("featurize", trained, tmp_path, manifest) == EXIT_RUNTIME
+        assert f"{cut}: data chunk holds 1100 bytes" in capsys.readouterr().err
+
     # an archive of (0, 48) frames, paired with itself: named before any write
     @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
     def test_utterance_without_frames_is_config_error(self, workspace, tmp_path, capsys,

@@ -29,9 +29,11 @@ class TestKeywordModel:
         with pytest.raises(KwsError):
             KeywordModel(keyword_units=(0, 1), silence=1, garbage=3, blank=4)
 
-    def test_empty_units_rejected(self):
+    # the decoder's graph holds exactly two keyword units
+    @pytest.mark.parametrize("units", [(), (0,), (0, 1, 5)], ids=["empty", "one", "three"])
+    def test_empty_units_rejected(self, units):
         with pytest.raises(KwsError):
-            KeywordModel(keyword_units=(), silence=2, garbage=3, blank=4)
+            KeywordModel(keyword_units=units, silence=2, garbage=3, blank=4)
 
 
 class TestViterbiLocate:

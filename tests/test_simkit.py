@@ -1,3 +1,4 @@
+import re
 import wave
 
 import numpy as np
@@ -289,6 +290,18 @@ class TestWavIO:
             simkit.read_wav(p)
         with pytest.raises(SimulationError, match="unreadable WAV header"):
             simkit.check_wav(p)
+
+    # a data chunk shorter than the header's frame count, cut by an even and an
+    # odd number of bytes: the first used to load as 550 samples, the second
+    # raised numpy's ValueError; the header alone passes check_wav
+    @pytest.mark.parametrize("cut", [900, 901])
+    def test_truncated_data_rejected_on_read(self, tmp_path, cut):
+        p = tmp_path / "cut.wav"
+        simkit.write_wav(p, Waveform(np.zeros(1000)))
+        p.write_bytes(p.read_bytes()[:-cut])
+        simkit.check_wav(p)
+        with pytest.raises(SimulationError, match=re.escape(f"{p}: data chunk holds")):
+            simkit.read_wav(p)
 
     def test_wrong_rate_rejected_on_read(self, tmp_path):
         p = tmp_path / "bad.wav"
