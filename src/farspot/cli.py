@@ -228,15 +228,15 @@ def cmd_eval(args, _cfg):
         raise ConfigError(f"bad operating point: {e}")
     records = kws.read_scores(args.scores)
     scores = [(s, p) for _, s, p, _ in records]
-    durations = [(-1.0 if d is None else d / 3600.0) for _, _, _, d in records]
-    has_dur = all(d >= 0 for d in durations)
+    durations = [d for _, _, _, d in records]
+    hours = None if None in durations else [d / 3600.0 for d in durations]
     if args.threshold is not None:
         th = args.threshold
     else:
         th = kws.threshold_at_ca(scores, args.target_ca)
     report = kws.evaluate(
         scores, th,
-        durations_hours=durations if has_dur else None,
+        durations_hours=hours,
         with_roc=args.roc is not None,
     )
     print(report.format_text())

@@ -301,5 +301,7 @@ def read_scores(path: str | Path) -> list[tuple[str, float, bool, float | None]]
                 raise KwsError(f"{path}:{ln}: bad number ({e})") from e
             if not (np.isfinite(score) and (dur is None or np.isfinite(dur))):
                 raise KwsError(f"{path}:{ln}: non-finite score or duration")
+            if dur is not None and dur < 0:
+                raise KwsError(f"{path}:{ln}: negative duration {dur_s}")
             out.append((utt_id, score, pos_s == "1", dur))
     return out

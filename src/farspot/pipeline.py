@@ -441,17 +441,20 @@ def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
     return m
 
 
-def _check_input_wavs(m: Manifest) -> None:
-    """Raise PipelineError naming the first record whose input WAV is not a
-    file, or has a header simkit.read_wav rejects, before _corpus makes the
-    output directory."""
+def _check_input_wavs(m: Manifest) -> list[int]:
+    """Each record's input WAV's frame count, from its header.  Raises
+    PipelineError naming the first record whose input WAV is not a file, or
+    has a header simkit.read_wav rejects, before _corpus makes the output
+    directory."""
+    frames = []
     for r in m.records:
         if not Path(r.path).is_file():
             raise PipelineError(f"{r.utt_id}: input WAV {r.path} not found")
         try:
-            simkit.check_wav(r.path)
+            frames.append(simkit.check_wav(r.path))
         except simkit.SimulationError as e:
             raise PipelineError(f"{r.utt_id}: input WAV {e}") from e
+    return frames
 
 
 def _synth_corpus_one(job) -> ManifestRecord:
@@ -478,11 +481,18 @@ def synth_corpus(
     return _corpus(_synth_corpus_one, [(spec, i) for i in range(count)], out_dir, workers)
 
 
+def _short_wav(path: str, n: int) -> str:
+    return f"input WAV {path} has {n} samples, fewer than one window ({featkit.WINDOW})"
+
+
 def _load_features(path: str, spec: SynthTaskSpec) -> tuple[np.ndarray, float | None]:
-    """Features of a feature-archive or WAV path, and the WAV's duration."""
+    """Features of a feature-archive or WAV path, and the WAV's duration.
+    PipelineError for a WAV shorter than one analysis window."""
     if path.endswith(".fsfa"):
         return featkit.read_features(path).frames, None
     w = simkit.read_wav(path)
+    if len(w) < featkit.WINDOW:
+        raise PipelineError(_short_wav(path, len(w)))
     return featurize_waveform(w, spec).frames, len(w) / REQUIRED_RATE
 
 
@@ -490,7 +500,11 @@ def items_from_manifest(m: Manifest, spec: SynthTaskSpec) -> list[TrainItem]:
     """Load WAV or feature-archive paths from a manifest into train items."""
     items = []
     for r in m.records:
-        feats, dur = _load_features(r.path, spec)
+        try:
+            feats, dur = _load_features(r.path, spec)
+            source = None if r.pair_path is None else _load_features(r.pair_path, spec)[0]
+        except PipelineError as e:
+            raise PipelineError(f"{r.utt_id}: {e}") from e
         items.append(
             TrainItem(
                 utt_id=r.utt_id,
@@ -498,7 +512,7 @@ def items_from_manifest(m: Manifest, spec: SynthTaskSpec) -> list[TrainItem]:
                 frame_labels=None if r.frame_labels is None else np.asarray(r.frame_labels),
                 symbols=r.symbols,
                 is_positive=r.is_positive,
-                source_feats=None if r.pair_path is None else _load_features(r.pair_path, spec)[0],
+                source_feats=source,
                 duration_sec=dur,
             )
         )
@@ -516,7 +530,9 @@ def featurize_corpus(
     m: Manifest, spec: SynthTaskSpec, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Convert a WAV manifest into a feature-archive manifest."""
-    _check_input_wavs(m)
+    for r, n in zip(m.records, _check_input_wavs(m)):
+        if n < featkit.WINDOW:
+            raise PipelineError(f"{r.utt_id}: {_short_wav(r.path, n)}")
     return _corpus(_featurize_corpus_one, [(r, spec) for r in m.records], out_dir, workers)
 
 
@@ -565,7 +581,7 @@ def farfield_waveform(w: Waveform, cfg: FarFieldConfig, index: int) -> Waveform:
     room = cfg.sample_room(rng)
     noise = Waveform(rng.standard_normal(len(w)) * 0.05)
     snr = rng.uniform(*cfg.snr_range)
-    return simkit.simulate_single_channel(w, room, noise, snr, rng=rng)
+    return simkit.simulate_single_channel(w, room, noise, snr)
 
 
 def synth_pair_items(

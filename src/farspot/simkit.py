@@ -5,7 +5,9 @@ impulse response (RIR) and adding noise at a requested SNR.
 
 Conventions:
     * audio is mono float64 in nominal range [-1, 1] at REQUIRED_RATE (16 kHz)
-    * wall reflection coefficients are pressure coefficients in [0, 1]
+    * a room has one wall reflection coefficient, a pressure coefficient in
+      [0, 1] shared by all six walls
+    * noise is as long as the speech it is mixed into
     * SNR is the RMS power ratio of the (reverberant) speech component to the
       total scaled noise component, measured over the full utterance
 """
@@ -73,14 +75,13 @@ class ImpulseResponse:
 class RoomSpec:
     """Shoebox room geometry for the image method.
 
-    `wall_reflection` holds six pressure reflection coefficients ordered
-    (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz).  A scalar is broadcast to all walls.
+    `wall_reflection` is the pressure reflection coefficient of all six walls.
     """
 
     dimensions: np.ndarray
     source_position: np.ndarray
     mic_position: np.ndarray
-    wall_reflection: np.ndarray = 0.0
+    wall_reflection: float = 0.0
     max_order: int = 0
     ir_length: int = 4096
 
@@ -88,10 +89,7 @@ class RoomSpec:
         self.dimensions = np.asarray(self.dimensions, dtype=np.float64)
         self.source_position = np.asarray(self.source_position, dtype=np.float64)
         self.mic_position = np.asarray(self.mic_position, dtype=np.float64)
-        refl = np.asarray(self.wall_reflection, dtype=np.float64)
-        if refl.ndim == 0:
-            refl = np.full(6, float(refl))
-        self.wall_reflection = refl
+        self.wall_reflection = float(self.wall_reflection)
         if self.dimensions.shape != (3,) or np.any(self.dimensions <= 0):
             raise SimulationError("room dimensions must be a positive 3-vector")
         for name, pos in (("source", self.source_position), ("mic", self.mic_position)):
@@ -99,10 +97,8 @@ class RoomSpec:
                 raise SimulationError(f"{name} position must be a 3-vector")
             if np.any(pos <= 0) or np.any(pos >= self.dimensions):
                 raise SimulationError(f"{name} position lies outside the room")
-        if self.wall_reflection.shape != (6,):
-            raise SimulationError("wall_reflection needs 6 coefficients")
-        if np.any(self.wall_reflection < 0) or np.any(self.wall_reflection > 1):
-            raise SimulationError("wall reflection coefficients must be in [0, 1]")
+        if not 0 <= self.wall_reflection <= 1:  # NaN fails too
+            raise SimulationError("wall reflection coefficient must be in [0, 1]")
         if np.allclose(self.source_position, self.mic_position):
             raise SimulationError("source and microphone coincide (zero distance)")
         if self.max_order < 0:
@@ -120,8 +116,9 @@ class RoomSpec:
 def _image_sources(room: RoomSpec):
     """All image-source positions, amplitudes and delays up to max_order.
 
-    Returns (distances, amplitudes) as flat arrays.  Amplitude is the product
-    of wall reflection coefficients divided by 4*pi*distance.
+    Returns (distances, amplitudes) as flat arrays.  Amplitude is the wall
+    reflection coefficient to the power of the image's order, divided by
+    4*pi*distance.
     """
     k = (room.max_order + 1) // 2 + 1
     rng_m = np.arange(-k, k + 1)
@@ -138,11 +135,11 @@ def _image_sources(room: RoomSpec):
     pos = (1 - 2 * p) * room.source_position + 2 * m * room.dimensions
     dist = np.linalg.norm(pos - room.mic_position, axis=1)
 
-    refl = room.wall_reflection
+    beta = room.wall_reflection
     amp = np.ones(len(m))
-    for d in range(3):
-        amp *= refl[2 * d] ** np.abs(m[:, d] - p[:, d])
-        amp *= refl[2 * d + 1] ** np.abs(m[:, d])
+    for d in range(3):  # one power per wall of the axis, not beta ** order: fixes the bits
+        amp *= beta ** np.abs(m[:, d] - p[:, d])
+        amp *= beta ** np.abs(m[:, d])
     amp /= 4.0 * np.pi * dist
     return dist, amp
 
@@ -206,70 +203,40 @@ def convolve(x: Waveform, h: ImpulseResponse) -> Waveform:
     return Waveform(y)
 
 
-def _loop_to_length(noise: np.ndarray, n: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Tile `noise` to n samples, starting from a random circular offset."""
-    if len(noise) >= n:
-        return noise[:n]
-    offset = int(rng.integers(len(noise))) if rng is not None else 0
-    rolled = np.roll(noise, -offset)
-    reps = int(np.ceil(n / len(rolled)))
-    return np.tile(rolled, reps)[:n]
-
-
-def mix_at_snr(
-    speech: Waveform,
-    noise: Waveform,
-    snr_db: float,
-    rng: np.random.Generator | None = None,
-) -> Waveform:
+def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """speech + g * noise with g chosen so the component power ratio is snr_db.
 
-    Noise shorter than the speech is looped with a circular offset drawn from
-    `rng` (offset 0 when rng is None).  snr_db = +inf returns the speech
-    unchanged.
+    The noise must be as long as the speech.
     """
-    if np.isinf(snr_db) and snr_db > 0:
-        return Waveform(speech.samples.copy())
+    if len(noise) != len(speech):
+        raise SimulationError(f"noise has {len(noise)} samples, speech {len(speech)}")
     s_rms = speech.rms()
     if s_rms == 0.0:
         raise SimulationError("speech has zero energy; SNR undefined")
-    n = _loop_to_length(noise.samples, len(speech), rng)
-    n_rms = np.sqrt(np.mean(n**2))
+    n_rms = noise.rms()
     if n_rms == 0.0:
-        raise SimulationError("noise has zero energy at finite SNR")
+        raise SimulationError("noise has zero energy")
     gain = s_rms / n_rms * 10.0 ** (-snr_db / 20.0)
-    return Waveform(speech.samples + gain * n)
+    return Waveform(speech.samples + gain * noise.samples)
 
 
-def _reverberate(s: Waveform, room: RoomSpec) -> Waveform:
-    """s through the room's image-method IR, trimmed back to len(s) with the
-    direct-path delay discarded, so close-talk / far-field pairs stay
-    frame-synchronous."""
-    delay = room.direct_delay_samples()
-    rev = convolve(s, generate_rir(room)).samples[delay : delay + len(s)]
-    return Waveform(np.pad(rev, (0, len(s) - len(rev))))
-
-
-def simulate_single_channel(
-    s: Waveform,
-    room: RoomSpec,
-    noise: Waveform | None,
-    snr_db: float,
-    rng: np.random.Generator | None = None,
-) -> Waveform:
-    """Reverberate speech through the room and add looped noise at snr_db.
+def simulate_single_channel(s: Waveform, room: RoomSpec, noise: Waveform,
+                            snr_db: float) -> Waveform:
+    """Reverberate speech through the room and add noise, as long as s, at snr_db.
 
     The output is trimmed back to len(s) with the direct-path delay discarded,
     so close-talk / far-field pairs stay frame-synchronous.
     """
-    rev = _reverberate(s, room)
-    if noise is None or (np.isinf(snr_db) and snr_db > 0):
-        return rev
+    if len(noise) != len(s):
+        raise SimulationError(f"noise has {len(noise)} samples, speech {len(s)}")
+    delay = room.direct_delay_samples()
+    rev = convolve(s, generate_rir(room)).samples[delay : delay + len(s)]
+    rev = Waveform(np.pad(rev, (0, len(s) - len(rev))))
     if rev.rms() == 0.0:
         # All-zero speech: SNR scaling is undefined, pass the noise through
         # at unit gain so the caller still gets the noise floor.
-        return Waveform(_loop_to_length(noise.samples, len(s), rng))
-    return mix_at_snr(rev, noise, snr_db, rng=rng)
+        return Waveform(noise.samples.copy())
+    return mix_at_snr(rev, noise, snr_db)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +263,11 @@ def _open_wav(path: str | Path):
         yield f
 
 
-def check_wav(path: str | Path) -> None:
-    """Raise SimulationError unless read_wav accepts path's header; reads no samples."""
-    with _open_wav(path):
-        pass
+def check_wav(path: str | Path) -> int:
+    """The frame count in path's header; SimulationError unless read_wav accepts
+    the header.  Reads no samples."""
+    with _open_wav(path) as f:
+        return f.getnframes()
 
 
 def read_wav(path: str | Path) -> Waveform:

@@ -379,6 +379,13 @@ class TestEndToEnd:
         assert roc.exists() and len(roc.read_text().splitlines()) > 2
         assert "ROC" not in capsys.readouterr().out  # the table goes to --roc only
 
+    # a negative duration used to drop the FA-per-hour line and exit 0
+    def test_eval_negative_duration_is_runtime_error(self, tmp_path, capsys):
+        scores = tmp_path / "dev.scores"
+        scores.write_text("a\t0.9\t1\t1.000\nb\t0.2\t0\t-2.000\n")
+        assert cli.run(["eval", "--scores", str(scores)]) == EXIT_RUNTIME
+        assert "dev.scores:2: negative duration -2.000" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("flag, value", [("--target-ca", "1.5"), ("--target-ca", "0"),
                                              ("--target-ca", "nan"), ("--threshold", "nan"),
@@ -596,6 +603,47 @@ class TestRuntimeErrors:
             [first, dataclasses.replace(first, utt_id="u1", path=str(cut))]))
         assert self._run("featurize", trained, tmp_path, manifest) == EXIT_RUNTIME
         assert f"{cut}: data chunk holds 1100 bytes" in capsys.readouterr().err
+
+    # a 300-sample WAV, shorter than one analysis window, after a WAV that is
+    # fine: featurize names it before any write (it used to exit 4 and leave
+    # an empty --out behind); simulate still renders it
+    def test_input_wav_shorter_than_a_window(self, workspace, tmp_path, capsys):
+        _, corpus, _, trained = workspace
+        first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
+        short = tmp_path / "u1.wav"
+        simkit.write_wav(short, simkit.Waveform(np.full(300, 0.1)))
+        manifest = tmp_path / "m.tsv"
+        pipeline.write_manifest(manifest, pipeline.Manifest(
+            [first, dataclasses.replace(first, utt_id="u1", path=str(short))]))
+        assert self._run("featurize", trained, tmp_path, manifest) == EXIT_CONFIG
+        assert (f"u1: input WAV {short} has 300 samples, fewer than one window (400)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+        assert self._run("simulate", trained, tmp_path, manifest) == EXIT_OK
+
+    # the same WAV as a training item is named before any write (it used to
+    # exit 4 without naming it); a corrupt feature archive still exits 4
+    @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
+    def test_item_wav_shorter_than_a_window_is_config_error(self, workspace, tmp_path,
+                                                            capsys, command):
+        _, corpus, _, trained = workspace
+        first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
+        short = tmp_path / "u1.wav"
+        simkit.write_wav(short, simkit.Waveform(np.full(300, 0.1)))
+        manifest = tmp_path / "m.tsv"
+        pipeline.write_manifest(manifest, pipeline.Manifest(
+            [first, dataclasses.replace(first, utt_id="u1", path=str(short))]))
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert (f"u1: input WAV {short} has 300 samples, fewer than one window (400)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+        junk = tmp_path / "u1.fsfa"
+        junk.write_bytes(b"junk")
+        pipeline.write_manifest(manifest, pipeline.Manifest(
+            [first, dataclasses.replace(first, utt_id="u1", path=str(junk))]))
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_RUNTIME
+        assert f"{junk}: not a feature archive" in capsys.readouterr().err
 
     # an archive of (0, 48) frames, paired with itself: named before any write
     @pytest.mark.parametrize("command", ["train", "distill", "adapt"])

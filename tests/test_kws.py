@@ -312,3 +312,10 @@ class TestScoreFiles:
         p.write_text("u0\t0.5\t1\t-\nu1\t" + "\t".join(fields) + "\n")
         with pytest.raises(KwsError, match="bad.scores:2"):
             kws.read_scores(p)
+
+    # eval used to drop its FA-per-hour line on such a file and exit 0
+    def test_negative_duration_rejected_with_line_number(self, tmp_path):
+        p = tmp_path / "bad.scores"
+        p.write_text("u0\t0.5\t1\t0.000\nu1\t0.5\t0\t-2.000\n")
+        with pytest.raises(KwsError, match="bad.scores:2: negative duration -2.000"):
+            kws.read_scores(p)

@@ -34,9 +34,10 @@ class TestRoomSpec:
         assert room.direct_distance() == pytest.approx(np.sqrt(4 + 1 + 0.25))
 
     def test_scalar_reflection_broadcasts(self):
+        # one coefficient for all six walls, kept as a float
         room = _basic_room(wall_reflection=0.8)
-        assert room.wall_reflection.shape == (6,)
-        assert np.all(room.wall_reflection == 0.8)
+        assert room.wall_reflection == 0.8
+        assert isinstance(room.wall_reflection, float)
 
     def test_source_outside_room_rejected(self):
         with pytest.raises(SimulationError):
@@ -46,9 +47,11 @@ class TestRoomSpec:
         with pytest.raises(SimulationError):
             _basic_room(mic_position=[1.0, 1.0, 1.0])
 
-    def test_reflection_out_of_range_rejected(self):
-        with pytest.raises(SimulationError):
-            _basic_room(wall_reflection=1.2)
+    # a NaN room used to construct; only generate_rir failed, on its taps
+    @pytest.mark.parametrize("beta", [1.2, -0.1, float("nan")])
+    def test_reflection_out_of_range_rejected(self, beta):
+        with pytest.raises(SimulationError, match="wall reflection"):
+            _basic_room(wall_reflection=beta)
 
 
 class TestGenerateRir:
@@ -216,8 +219,8 @@ class TestMixAtSnr:
     def test_remeasured_snr(self, snr, seed):
         rng = np.random.default_rng(seed)
         speech = Waveform(rng.standard_normal(2000))
-        noise = Waveform(rng.standard_normal(700))  # forces looping
-        mixed = simkit.mix_at_snr(speech, noise, snr, rng=rng)
+        noise = Waveform(rng.standard_normal(2000))
+        mixed = simkit.mix_at_snr(speech, noise, snr)
         scaled_noise = Waveform(mixed.samples - speech.samples)
         assert measure_snr(speech, scaled_noise) == pytest.approx(snr, abs=0.01)
 
@@ -237,17 +240,15 @@ class TestSimulateSingleChannel:
         room = _basic_room(wall_reflection=0.7, max_order=2, ir_length=1024)
         rng_s = np.random.default_rng(11)
         s = Waveform(rng_s.standard_normal(3000) * 0.1)
-        noise = Waveform(rng_s.standard_normal(1000) * 0.1)
+        noise = Waveform(rng_s.standard_normal(3000) * 0.1)
 
-        y = simkit.simulate_single_channel(
-            s, room, noise, 12.0, rng=np.random.default_rng(5)
-        )
+        y = simkit.simulate_single_channel(s, room, noise, 12.0)
 
         rir = simkit.generate_rir(room)
         rev_full = naive_convolve(s.samples, rir.taps)
         delay = room.direct_delay_samples()
         rev = Waveform(rev_full[delay : delay + len(s)])
-        expected = simkit.mix_at_snr(rev, noise, 12.0, rng=np.random.default_rng(5))
+        expected = simkit.mix_at_snr(rev, noise, 12.0)
         assert np.allclose(y.samples, expected.samples, atol=1e-9)
 
     def test_output_length_and_sync(self):
@@ -256,15 +257,26 @@ class TestSimulateSingleChannel:
         room = _basic_room(ir_length=1024)
         s = np.zeros(2000)
         s[900] = 1.0
-        y = simkit.simulate_single_channel(Waveform(s), room, None, np.inf)
+        noise = Waveform(np.ones(2000))
+        y = simkit.simulate_single_channel(Waveform(s), room, noise, np.inf)
         assert len(y) == 2000
         assert abs(int(np.argmax(np.abs(y.samples))) - 900) <= 1
 
     def test_zero_speech_passes_noise_at_unit_gain(self):
         room = _basic_room(ir_length=1024)
-        noise = Waveform(np.ones(100))
+        noise = Waveform(np.ones(300))
         y = simkit.simulate_single_channel(Waveform(np.zeros(300)), room, noise, 10.0)
         assert np.allclose(y.samples, 1.0)
+
+
+# noise longer or shorter than the speech, which used to be cut or looped
+@pytest.mark.parametrize("n_noise", [299, 301])
+@pytest.mark.parametrize("mix", ["mix_at_snr", "simulate_single_channel"])
+def test_noise_of_another_length_rejected(mix, n_noise):
+    speech, noise = Waveform(np.ones(300)), Waveform(np.ones(n_noise))
+    args = (speech, noise) if mix == "mix_at_snr" else (speech, _basic_room(), noise)
+    with pytest.raises(SimulationError, match=f"noise has {n_noise} samples, speech 300"):
+        getattr(simkit, mix)(*args, 10.0)
 
 
 class TestWavIO:
