@@ -604,17 +604,24 @@ class TestRuntimeErrors:
         assert self._run("featurize", trained, tmp_path, manifest) == EXIT_RUNTIME
         assert f"{cut}: data chunk holds 1100 bytes" in capsys.readouterr().err
 
-    # a 300-sample WAV, shorter than one analysis window, after a WAV that is
-    # fine: featurize names it before any write (it used to exit 4 and leave
-    # an empty --out behind); simulate still renders it
-    def test_input_wav_shorter_than_a_window(self, workspace, tmp_path, capsys):
-        _, corpus, _, trained = workspace
+    @staticmethod
+    def _with_short_wav(corpus, tmp_path):
+        """The corpus's first record, a 300-sample WAV u1 (shorter than one
+        analysis window) and a manifest of the two."""
         first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
         short = tmp_path / "u1.wav"
         simkit.write_wav(short, simkit.Waveform(np.full(300, 0.1)))
         manifest = tmp_path / "m.tsv"
         pipeline.write_manifest(manifest, pipeline.Manifest(
             [first, dataclasses.replace(first, utt_id="u1", path=str(short))]))
+        return first, short, manifest
+
+    # a 300-sample WAV, shorter than one analysis window, after a WAV that is
+    # fine: featurize names it before any write (it used to exit 4 and leave
+    # an empty --out behind); simulate still renders it
+    def test_input_wav_shorter_than_a_window(self, workspace, tmp_path, capsys):
+        _, corpus, _, trained = workspace
+        _, short, manifest = self._with_short_wav(corpus, tmp_path)
         assert self._run("featurize", trained, tmp_path, manifest) == EXIT_CONFIG
         assert (f"u1: input WAV {short} has 300 samples, fewer than one window (400)"
                 in capsys.readouterr().err)
@@ -627,12 +634,7 @@ class TestRuntimeErrors:
     def test_item_wav_shorter_than_a_window_is_config_error(self, workspace, tmp_path,
                                                             capsys, command):
         _, corpus, _, trained = workspace
-        first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
-        short = tmp_path / "u1.wav"
-        simkit.write_wav(short, simkit.Waveform(np.full(300, 0.1)))
-        manifest = tmp_path / "m.tsv"
-        pipeline.write_manifest(manifest, pipeline.Manifest(
-            [first, dataclasses.replace(first, utt_id="u1", path=str(short))]))
+        first, short, manifest = self._with_short_wav(corpus, tmp_path)
         assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
         assert (f"u1: input WAV {short} has 300 samples, fewer than one window (400)"
                 in capsys.readouterr().err)
