@@ -203,6 +203,7 @@ def cmd_spot(args, cfg):
     except kws.KwsError as e:
         raise ConfigError(f"bad threshold: {e}")
     spec = _build(SynthTaskSpec, cfg, "task")
+    pipeline.check_input_wav(args.input)
     net = netcore.load_checkpoint(args.model)
     w = simkit.read_wav(args.input)
     feats = pipeline.featurize_waveform(w, spec)

@@ -53,6 +53,8 @@ is byte for byte the forward of that utterance alone; the tests check this
 with BLAS at one thread and at one thread per CPU.  Only training uses the
 plain batched products, since its checkpoints were made with them; scoring,
 FER and the teacher rows of distillation and adaptation pass `lengths`.
+`forward`, spot's one-utterance path, runs the plain products at B = 1,
+where they equal the `lengths` path byte for byte.
 """
 
 from __future__ import annotations

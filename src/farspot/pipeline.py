@@ -129,6 +129,9 @@ class Manifest:
         ids = [r.utt_id for r in self.records]
         if len(set(ids)) != len(ids):
             raise PipelineError("duplicate utterance ids in manifest")
+        for utt_id in ids:  # each names an output file of simulate and featurize
+            if utt_id in ("", ".", "..") or "/" in utt_id:
+                raise PipelineError(f"utterance id {utt_id!r} is not one file-name component")
 
     def __len__(self):
         return len(self.records)
@@ -441,20 +444,21 @@ def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
     return m
 
 
-def _check_input_wavs(m: Manifest) -> list[int]:
-    """Each record's input WAV's frame count, from its header.  Raises
-    PipelineError naming the first record whose input WAV is not a file, or
-    has a header simkit.read_wav rejects, before _corpus makes the output
-    directory."""
-    frames = []
-    for r in m.records:
-        if not Path(r.path).is_file():
-            raise PipelineError(f"{r.utt_id}: input WAV {r.path} not found")
-        try:
-            frames.append(simkit.check_wav(r.path))
-        except simkit.SimulationError as e:
-            raise PipelineError(f"{r.utt_id}: input WAV {e}") from e
-    return frames
+def check_input_wav(path: str, utt_id: str | None = None,
+                    min_samples: int = featkit.WINDOW) -> None:
+    """Raise PipelineError, prefixed with utt_id if given, unless path is a WAV
+    whose header simkit.read_wav accepts and counts min_samples samples or
+    more (simulate, which renders any length, passes 0).  Reads no samples."""
+    who = "" if utt_id is None else f"{utt_id}: "
+    if not Path(path).is_file():
+        raise PipelineError(f"{who}input WAV {path} not found")
+    try:
+        n = simkit.check_wav(path)
+    except simkit.SimulationError as e:
+        raise PipelineError(f"{who}input WAV {e}") from e
+    if n < min_samples:
+        raise PipelineError(f"{who}input WAV {path} has {n} samples, "
+                            f"fewer than one window ({min_samples})")
 
 
 def _synth_corpus_one(job) -> ManifestRecord:
@@ -481,18 +485,12 @@ def synth_corpus(
     return _corpus(_synth_corpus_one, [(spec, i) for i in range(count)], out_dir, workers)
 
 
-def _short_wav(path: str, n: int) -> str:
-    return f"input WAV {path} has {n} samples, fewer than one window ({featkit.WINDOW})"
-
-
-def _load_features(path: str, spec: SynthTaskSpec) -> tuple[np.ndarray, float | None]:
-    """Features of a feature-archive or WAV path, and the WAV's duration.
-    PipelineError for a WAV shorter than one analysis window."""
+def _load_features(path: str, spec: SynthTaskSpec, utt_id: str) -> tuple[np.ndarray, float | None]:
+    """Features of a feature-archive or WAV path, and the WAV's duration."""
     if path.endswith(".fsfa"):
         return featkit.read_features(path).frames, None
+    check_input_wav(path, utt_id)
     w = simkit.read_wav(path)
-    if len(w) < featkit.WINDOW:
-        raise PipelineError(_short_wav(path, len(w)))
     return featurize_waveform(w, spec).frames, len(w) / REQUIRED_RATE
 
 
@@ -500,11 +498,8 @@ def items_from_manifest(m: Manifest, spec: SynthTaskSpec) -> list[TrainItem]:
     """Load WAV or feature-archive paths from a manifest into train items."""
     items = []
     for r in m.records:
-        try:
-            feats, dur = _load_features(r.path, spec)
-            source = None if r.pair_path is None else _load_features(r.pair_path, spec)[0]
-        except PipelineError as e:
-            raise PipelineError(f"{r.utt_id}: {e}") from e
+        feats, dur = _load_features(r.path, spec, r.utt_id)
+        source = None if r.pair_path is None else _load_features(r.pair_path, spec, r.utt_id)[0]
         items.append(
             TrainItem(
                 utt_id=r.utt_id,
@@ -530,9 +525,8 @@ def featurize_corpus(
     m: Manifest, spec: SynthTaskSpec, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Convert a WAV manifest into a feature-archive manifest."""
-    for r, n in zip(m.records, _check_input_wavs(m)):
-        if n < featkit.WINDOW:
-            raise PipelineError(f"{r.utt_id}: {_short_wav(r.path, n)}")
+    for r in m.records:
+        check_input_wav(r.path, r.utt_id)
     return _corpus(_featurize_corpus_one, [(r, spec) for r in m.records], out_dir, workers)
 
 
@@ -605,7 +599,8 @@ def simulate_corpus(
     m: Manifest, far_cfg: FarFieldConfig, out_dir: str | Path, workers: int = 1
 ) -> Manifest:
     """Far-field WAVs for every record; pair_path points at the clean input."""
-    _check_input_wavs(m)
+    for r in m.records:
+        check_input_wav(r.path, r.utt_id, min_samples=0)
     return _corpus(_simulate_corpus_one, [(r, i, far_cfg) for i, r in enumerate(m.records)],
                    out_dir, workers)
 

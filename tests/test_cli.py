@@ -275,6 +275,26 @@ class TestEndToEnd:
         assert re.search(rf"{re.escape(str(wav))}: feats have shape \(\d+, 40\), "
                          r"the model takes 48-dim", capsys.readouterr().err)
 
+    # a missing, an unparseable and a 300-sample input WAV: named before the
+    # model is loaded, as every command names its input WAVs
+    @pytest.mark.parametrize("content, message", [
+        (None, "input WAV {} not found"),
+        (b"RIFFjunk", "input WAV {}: unreadable WAV header"),
+        (300, "input WAV {} has 300 samples, fewer than one window (400)"),
+    ], ids=["missing", "junk", "short"])
+    def test_spot_bad_input_wav_is_config_error_before_loading(
+            self, workspace, tmp_path, capsys, monkeypatch, content, message):
+        _, _, _, trained = workspace
+        wav = tmp_path / "in.wav"
+        if isinstance(content, bytes):
+            wav.write_bytes(content)
+        elif content is not None:
+            simkit.write_wav(wav, simkit.Waveform(np.full(content, 0.1)))
+        monkeypatch.setattr(netcore, "load_checkpoint", lambda *a: pytest.fail("model loaded"))
+        rc = cli.run(["spot", "--model", str(trained / "final.ckpt"), "--input", str(wav)])
+        assert rc == EXIT_CONFIG
+        assert message.format(wav) in capsys.readouterr().err
+
     def test_adapt_on_simulated_pairs(self, workspace, tmp_path):
         root, _, far, trained = workspace
         cfg = dict(TASK)
@@ -466,6 +486,9 @@ class TestExperiments:
         assert not out.exists()
 
 
+WAV_COMMANDS = ["simulate", "featurize", "train", "distill", "adapt"]
+
+
 class TestRuntimeErrors:
     def test_missing_manifest_is_runtime_error(self, tmp_path):
         rc = cli.run(["train", "--config", _write_cfg(tmp_path, {
@@ -563,7 +586,7 @@ class TestRuntimeErrors:
         assert not (tmp_path / "o").exists()
 
     # a WAV that is not there, after one that is: named before any write
-    @pytest.mark.parametrize("command", ["simulate", "featurize"])
+    @pytest.mark.parametrize("command", WAV_COMMANDS)
     def test_missing_input_wav_is_config_error(self, workspace, tmp_path, capsys, command):
         _, corpus, _, trained = workspace
         first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
@@ -574,9 +597,20 @@ class TestRuntimeErrors:
         assert f"u1: input WAV {tmp_path / 'u1.wav'} not found" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # a far-field pair whose close-talk WAV is not there, after one that is
+    def test_missing_pair_wav_is_config_error(self, workspace, tmp_path, capsys):
+        _, _, far, trained = workspace
+        first = pipeline.read_manifest(far / "manifest.tsv").records[0]
+        missing = dataclasses.replace(first, utt_id="u1", pair_path=str(tmp_path / "u1.wav"))
+        manifest = tmp_path / "m.tsv"
+        pipeline.write_manifest(manifest, pipeline.Manifest([first, missing]))
+        assert self._run("adapt", trained, tmp_path, manifest) == EXIT_CONFIG
+        assert f"u1: input WAV {tmp_path / 'u1.wav'} not found" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     # an 8-byte file that only starts like a WAV, after a WAV that is fine:
-    # named before any write (it used to exit 4 and leave --out behind)
-    @pytest.mark.parametrize("command", ["simulate", "featurize"])
+    # named before any write
+    @pytest.mark.parametrize("command", WAV_COMMANDS)
     def test_unparseable_input_wav_is_config_error(self, workspace, tmp_path, capsys, command):
         _, corpus, _, trained = workspace
         first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
@@ -604,6 +638,22 @@ class TestRuntimeErrors:
         assert self._run("featurize", trained, tmp_path, manifest) == EXIT_RUNTIME
         assert f"{cut}: data chunk holds 1100 bytes" in capsys.readouterr().err
 
+    # an id that would name a file outside --out (or in a subdirectory of it):
+    # rejected on reading, so nothing is written anywhere
+    @pytest.mark.parametrize("utt_id", ["../escaped", "a/b"])
+    @pytest.mark.parametrize("command", WAV_COMMANDS)
+    def test_id_that_is_not_a_file_name_is_config_error(self, workspace, tmp_path, capsys,
+                                                        command, utt_id):
+        _, corpus, _, trained = workspace
+        line = (corpus / "manifest.tsv").read_text().splitlines()[1].split("\t")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("\t".join([utt_id, str(corpus / line[1]), *line[2:]]) + "\n")
+        before = set(tmp_path.rglob("*")) | {tmp_path / "cfg.json"}  # _run writes cfg.json
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert (f"utterance id {utt_id!r} is not one file-name component"
+                in capsys.readouterr().err)
+        assert set(tmp_path.rglob("*")) == before
+
     @staticmethod
     def _with_short_wav(corpus, tmp_path):
         """The corpus's first record, a 300-sample WAV u1 (shorter than one
@@ -617,8 +667,7 @@ class TestRuntimeErrors:
         return first, short, manifest
 
     # a 300-sample WAV, shorter than one analysis window, after a WAV that is
-    # fine: featurize names it before any write (it used to exit 4 and leave
-    # an empty --out behind); simulate still renders it
+    # fine: featurize names it before any write; simulate still renders it
     def test_input_wav_shorter_than_a_window(self, workspace, tmp_path, capsys):
         _, corpus, _, trained = workspace
         _, short, manifest = self._with_short_wav(corpus, tmp_path)
@@ -628,8 +677,8 @@ class TestRuntimeErrors:
         assert not (tmp_path / "o").exists()
         assert self._run("simulate", trained, tmp_path, manifest) == EXIT_OK
 
-    # the same WAV as a training item is named before any write (it used to
-    # exit 4 without naming it); a corrupt feature archive still exits 4
+    # the same WAV as a training item is named before any write; a corrupt
+    # feature archive still exits 4
     @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
     def test_item_wav_shorter_than_a_window_is_config_error(self, workspace, tmp_path,
                                                             capsys, command):

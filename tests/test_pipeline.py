@@ -91,6 +91,12 @@ class TestManifests:
         with pytest.raises(PipelineError):
             Manifest([ManifestRecord("a", "x"), ManifestRecord("a", "y")])
 
+    # simulate and featurize name each output file after its id
+    @pytest.mark.parametrize("utt_id", ["", ".", "..", "../a", "a/b", "/a"])
+    def test_id_that_is_not_a_file_name_rejected(self, utt_id):
+        with pytest.raises(PipelineError, match="is not one file-name component"):
+            Manifest([ManifestRecord("a", "x"), ManifestRecord(utt_id, "y")])
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("a\tb\tc\n")
