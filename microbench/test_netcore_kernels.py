@@ -43,6 +43,11 @@ def test_forward_batch(benchmark, name):
 
 @pytest.mark.parametrize("name", SHAPES)
 def test_backward_batch(benchmark, name):
+    # a backward consumes its forward's cache, so every round gets a fresh
+    # forward, run untimed in setup
     net, x, dlogits = _layer(name)
-    _, cache = netcore.forward_batch(net, x)
-    benchmark(netcore.backward_batch, net, cache, dlogits)
+
+    def setup():
+        return (net, netcore.forward_batch(net, x)[1], dlogits), {}
+
+    benchmark.pedantic(netcore.backward_batch, setup=setup, rounds=200, warmup_rounds=5)

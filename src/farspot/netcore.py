@@ -55,6 +55,14 @@ plain batched products, since its checkpoints were made with them; scoring,
 FER and the teacher rows of distillation and adaptation pass `lengths`.
 `forward`, spot's one-utterance path, runs the plain products at B = 1,
 where they equal the `lengths` path byte for byte.
+
+Memory.  `backward_batch` consumes the forward's cache: it writes each
+frame's gate gradient over that frame's gate activations, once BPTT has read
+them, and sums the weight gradients from there, so a second `backward_batch`
+on the same cache raises NetworkError.  The gates' derivative factors
+(tanh c, 1 - tanh^2 c, 1 - i, 1 - f, 1 - o, 1 - g^2) are computed
+_FACTOR_CHUNK frames at a time into one reused buffer.  Besides the cache, a
+backward holds one (B, T, r) upstream gradient and that buffer.
 """
 
 from __future__ import annotations
@@ -70,6 +78,9 @@ import numpy as np
 
 class NetworkError(ValueError):
     pass
+
+
+_FACTOR_CHUNK = 32  # frames per block of BPTT's derivative factors (see "Memory")
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -330,18 +341,20 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
     def transposed(name):  # C-contiguous (k, z) copy of a (z, k) weight
         return np.ascontiguousarray(net.weight(name).T)
 
-    def seq_product(seq, w_t):  # (B, T, k) @ (k, z)
+    def seq_affine(seq, w_t, bias):  # (B, T, k) @ (k, z) + bias
         if lengths is None:
-            return seq @ w_t
-        out = np.zeros((b, t, w_t.shape[1]))
-        for j, n in enumerate(lengths):
-            out[j, :n] = seq[j : j + 1, :n] @ w_t
+            out = seq @ w_t
+        else:
+            out = np.zeros((b, t, w_t.shape[1]))
+            for j, n in enumerate(lengths):
+                out[j, :n] = seq[j : j + 1, :n] @ w_t
+        out += bias
         return out
 
     def frame_product(v, w_t):  # (B, k) @ (k, z)
         return v @ w_t if lengths is None else (v[:, None] @ w_t)[:, 0]
 
-    cache = {"layers": []} if want_cache else None
+    cache = {"layers": [], "consumed": False} if want_cache else None
     seq = x
     for li in range(spec.layers):
         wx_t = transposed(f"l{li}.wx")
@@ -354,7 +367,7 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
         # pre-activations, then activations in place; g's block is scratch
         # and tanh(z_g) goes to gg
         act = np.ascontiguousarray(
-            (seq_product(seq, wx_t) + bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
+            seq_affine(seq, wx_t, bias).reshape(b, t, 4, h).transpose(1, 2, 0, 3))
         gg = np.empty((t, b, h))
         cc = np.empty((t, b, h))
         mm = np.empty((t, b, h))
@@ -385,13 +398,11 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
             c_prev, r_prev = c_t, rr[ti]
 
         if want_cache:
-            cache["layers"].append({
-                "in": seq, "i": act[:, 0], "f": act[:, 1], "g": gg, "o": act[:, 3],
-                "c": cc, "m": mm, "r": rr,
-            })
+            cache["layers"].append({"in": seq, "gates": act, "g": gg, "c": cc, "m": mm,
+                                    "r": rr})
         seq = np.transpose(rr, (1, 0, 2))  # (B, T, r)
 
-    logits = seq_product(seq, transposed("out.w")) + net.block("out.b")
+    logits = seq_affine(seq, transposed("out.w"), net.block("out.b"))
     if lengths is not None:
         for j, n in enumerate(lengths):
             logits[j, n:] = 0.0
@@ -406,11 +417,15 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
 
     dlogits: (B, T, N) upstream gradient w.r.t. the output-layer logits; must
     be zero on padded frames.  Returns a flat vector in parameter layout.
+    Consumes the cache (see "Memory").
     """
     spec = net.spec
     dlogits = np.asarray(dlogits, dtype=np.float64)
+    if cache["consumed"]:
+        raise NetworkError("forward cache already consumed by a backward pass")
     if dlogits.shape != cache["logits"].shape:
         raise NetworkError("upstream gradient shape does not match cached forward")
+    cache["consumed"] = True
     b, t, _ = dlogits.shape
     h = spec.hidden
     sink = GradientSink(net)
@@ -427,15 +442,14 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
         peep = net.block(f"l{li}.peep") if spec.peepholes else None
         proj = net.weight(f"l{li}.proj") if spec.projection > 0 else None
 
-        gi, gf, gg, go = lc["i"], lc["f"], lc["g"], lc["o"]
-        cc, mm, rr = lc["c"], lc["m"], lc["r"]
-        tanh_c = np.tanh(cc)
-        # the gates' derivative factors
-        d_tanh_c = 1.0 - tanh_c**2
-        d_gi, d_gf, d_go = 1.0 - gi, 1.0 - gf, 1.0 - go
-        d_gg = 1.0 - gg**2
+        gates = lc["gates"]  # (T, 4, B, h); frame t's block becomes its dz below
+        gi, gf, go = gates[:, 0], gates[:, 1], gates[:, 3]
+        gg, cc, mm, rr = lc["g"], lc["c"], lc["m"], lc["r"]
+        dz_all = gates.reshape(t, b, 4 * h)
+        # the gates' derivative factors of one chunk of frames
+        factors = np.empty((6, min(t, _FACTOR_CHUNK), b, h))
+        tanh_c, d_tanh_c, d_gi, d_gf, d_go, d_gg = factors
 
-        dz_all = np.empty((t, b, 4 * h))
         dz_gates = np.empty((4, b, h))
         dzi, dzf, dzg, dzo = dz_gates
         dproj = np.zeros_like(proj) if proj is not None else None
@@ -445,6 +459,16 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
         c_zero = np.zeros((b, h))
         dc = np.empty((b, h))
         for ti in reversed(range(t)):
+            k = ti % _FACTOR_CHUNK  # frame ti's row of the factors
+            if k == _FACTOR_CHUNK - 1 or ti == t - 1:  # entering a chunk: fill it
+                span = slice(ti - k, ti + 1)
+                np.tanh(cc[span], out=tanh_c[: k + 1])
+                np.subtract(1.0, np.square(tanh_c[: k + 1], out=d_tanh_c[: k + 1]),
+                            out=d_tanh_c[: k + 1])
+                np.subtract(1.0, gi[span], out=d_gi[: k + 1])
+                np.subtract(1.0, gf[span], out=d_gf[: k + 1])
+                np.subtract(1.0, go[span], out=d_go[: k + 1])
+                np.subtract(1.0, np.square(gg[span], out=d_gg[: k + 1]), out=d_gg[: k + 1])
             c_prev = cc[ti - 1] if ti > 0 else c_zero
             dr = dseq[:, ti] + dr_rec
             if proj is not None:
@@ -454,23 +478,23 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
                 dm = dr
             # each product keeps the association ((a * b) * c) of the plain
             # per-frame expressions, so the bits do not change
-            np.multiply(dm, tanh_c[ti], out=dzo)
+            np.multiply(dm, tanh_c[k], out=dzo)
             dzo *= go[ti]
-            dzo *= d_go[ti]
+            dzo *= d_go[k]
             np.multiply(dm, go[ti], out=dc)
-            dc *= d_tanh_c[ti]
+            dc *= d_tanh_c[k]
             dc += dc_next
             if peep is not None:
                 dc += dzo * peep[2 * h :]
                 dpeep[2 * h :] += np.sum(dzo * cc[ti], axis=0)
             np.multiply(dc, gg[ti], out=dzi)
             dzi *= gi[ti]
-            dzi *= d_gi[ti]
+            dzi *= d_gi[k]
             np.multiply(dc, c_prev, out=dzf)
             dzf *= gf[ti]
-            dzf *= d_gf[ti]
+            dzf *= d_gf[k]
             np.multiply(dc, gi[ti], out=dzg)
-            dzg *= d_gg[ti]
+            dzg *= d_gg[k]
             dc_next = dc * gf[ti]
             if peep is not None:
                 dc_next += dzi * peep[:h]
@@ -480,8 +504,6 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
             dz = dz_all[ti]
             np.copyto(dz.reshape(b, 4, h), dz_gates.transpose(1, 0, 2))
             dr_rec = dz @ wr
-        # free the whole-sequence factors before the next layer's
-        del tanh_c, d_tanh_c, d_gi, d_gf, d_go, d_gg
 
         # frame 0's recurrent input is zero, so wr's sum starts at frame 1
         sink.add_weight_grad(f"l{li}.wx", _frame_sum(dz_all, lc["in"].transpose(1, 0, 2)))

@@ -488,7 +488,12 @@ def synth_corpus(
 def _load_features(path: str, spec: SynthTaskSpec, utt_id: str) -> tuple[np.ndarray, float | None]:
     """Features of a feature-archive or WAV path, and the WAV's duration."""
     if path.endswith(".fsfa"):
-        return featkit.read_features(path).frames, None
+        if not Path(path).is_file():
+            raise PipelineError(f"{utt_id}: feature archive {path} not found")
+        try:
+            return featkit.read_features(path).frames, None
+        except featkit.FeatureError as e:
+            raise PipelineError(f"{utt_id}: feature archive {e}") from e
     check_input_wav(path, utt_id)
     w = simkit.read_wav(path)
     return featurize_waveform(w, spec).frames, len(w) / REQUIRED_RATE

@@ -677,24 +677,59 @@ class TestRuntimeErrors:
         assert not (tmp_path / "o").exists()
         assert self._run("simulate", trained, tmp_path, manifest) == EXIT_OK
 
-    # the same WAV as a training item is named before any write; a corrupt
-    # feature archive still exits 4
+    # the same WAV as a training item is named before any write
     @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
     def test_item_wav_shorter_than_a_window_is_config_error(self, workspace, tmp_path,
                                                             capsys, command):
         _, corpus, _, trained = workspace
-        first, short, manifest = self._with_short_wav(corpus, tmp_path)
+        _, short, manifest = self._with_short_wav(corpus, tmp_path)
         assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
         assert (f"u1: input WAV {short} has 300 samples, fewer than one window (400)"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
-        junk = tmp_path / "u1.fsfa"
-        junk.write_bytes(b"junk")
+    @staticmethod
+    def _with_archive_item(corpus, tmp_path, archive):
+        """A manifest of the corpus's first record and a feature-archive item
+        u1 at archive."""
+        first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
+        manifest = tmp_path / "m.tsv"
         pipeline.write_manifest(manifest, pipeline.Manifest(
-            [first, dataclasses.replace(first, utt_id="u1", path=str(junk))]))
-        assert self._run(command, trained, tmp_path, manifest) == EXIT_RUNTIME
-        assert f"{junk}: not a feature archive" in capsys.readouterr().err
+            [first, dataclasses.replace(first, utt_id="u1", path=str(archive))]))
+        return manifest
+
+    # a feature-archive item that is not there, after a WAV item that is fine:
+    # named before any write, as a missing WAV item is
+    @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
+    def test_missing_feature_archive_is_config_error(self, workspace, tmp_path, capsys,
+                                                     command):
+        _, corpus, _, trained = workspace
+        missing = tmp_path / "u1.fsfa"
+        manifest = self._with_archive_item(corpus, tmp_path, missing)
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert f"u1: feature archive {missing} not found" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # an archive cut short by 5 bytes, and 4 bytes of junk: featkit's reason,
+    # named before any write
+    @pytest.mark.parametrize("command", ["train", "distill", "adapt"])
+    def test_unreadable_feature_archive_is_config_error(self, workspace, tmp_path, capsys,
+                                                        command):
+        _, corpus, _, trained = workspace
+        cut = tmp_path / "u1.fsfa"
+        featkit.write_features(cut, featkit.FeatureSequence(np.zeros((3, 48)), 30.0))
+        cut.write_bytes(cut.read_bytes()[:-5])
+        manifest = self._with_archive_item(corpus, tmp_path, cut)
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert (f"u1: feature archive {cut}: payload has 571 bytes, expected 576"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+        cut.write_bytes(b"junk")
+        assert self._run(command, trained, tmp_path, manifest) == EXIT_CONFIG
+        assert (f"u1: feature archive {cut}: not a feature archive"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     # an archive of (0, 48) frames, paired with itself: named before any write
     @pytest.mark.parametrize("command", ["train", "distill", "adapt"])

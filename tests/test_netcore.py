@@ -1,6 +1,7 @@
 import itertools
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,43 @@ class TestBackward:
             separate += netcore.backward_batch(net, c, lg - tgt[None])
         assert np.allclose(batched, separate, atol=1e-10)
 
+    def test_second_backward_on_one_cache_rejected(self):
+        # the first backward writes the gate gradients over the cached gates
+        rng = np.random.default_rng(10)
+        net = init_network(_tiny_spec(layers=2, peepholes=True), rng)
+        logits, cache = netcore.forward_batch(net, rng.standard_normal((2, 5, 3)))
+        dlogits = rng.standard_normal(logits.shape)
+        netcore.backward_batch(net, cache, dlogits)
+        with pytest.raises(NetworkError, match="already consumed"):
+            netcore.backward_batch(net, cache, dlogits)
+
+    def test_peak_memory_at_am_shape(self):
+        # One forward and backward of a padded AM batch (1 x 32 cells, 20-dim
+        # input, B = 16, T = 125) may hold, at its peak, the arrays its cache
+        # keeps plus a fixed 2 MiB: BPTT's upstream gradient (0.5 MB) and
+        # derivative-factor chunk (0.8 MB) fit in it, whole-sequence factors
+        # and a separate gate-gradient array (5.7 MB together) do not.
+        spec = ModelSpec(input_dim=20, layers=1, hidden=32, output_dim=4, peepholes=False)
+        rng = np.random.default_rng(11)
+        net = init_network(spec, rng)
+        x = rng.standard_normal((16, 125, 20))
+        dlogits = rng.standard_normal((16, 125, 4))
+        tracemalloc.start()
+        try:
+            logits, cache = netcore.forward_batch(net, x)
+            netcore.backward_batch(net, cache, dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        owners = {}  # the arrays that own the cache's memory, the caller's x aside
+        for a in [logits, *(v for lc in cache["layers"] for v in lc.values())]:
+            while a.base is not None:
+                a = a.base
+            owners[id(a)] = a
+        owners.pop(id(x), None)
+        cache_bytes = sum(a.nbytes for a in owners.values())
+        assert peak <= cache_bytes + 2 * 2**20, (peak, cache_bytes)
+
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -320,6 +358,20 @@ class TestKernelsMatchReference:
     def test_bit_identical_at_kws_teacher_shape(self):
         spec = ModelSpec(input_dim=160, layers=2, hidden=48, output_dim=5, peepholes=False)
         self._check(spec, [38] * 12 + [30, 25, 20, 14], seed=3)
+
+    # BPTT computes the gates' derivative factors 32 frames at a time: lengths
+    # across several chunks, and on either side of a chunk's edge
+    def test_bit_identical_across_factor_chunks_at_am_shape(self):
+        spec = ModelSpec(input_dim=20, layers=1, hidden=32, output_dim=4, peepholes=False)
+        self._check(spec, [133, 97, 64, 33, 32, 31, 1], seed=12)
+        self._check(spec, [64], seed=13)
+
+    def test_bit_identical_across_factor_chunks_with_peepholes_projection_svd(self):
+        factored = {f"l{i}.{w}": 3 for i in range(2) for w in ("wx", "wr")}
+        spec = ModelSpec(input_dim=11, layers=2, hidden=9, projection=4, output_dim=5,
+                         peepholes=True, svd_rank=tuple(sorted(factored.items())))
+        self._check(spec, [70, 65, 33, 2], seed=14)
+        self._check(spec, [70, 70, 70], seed=15, time_major_input=True)
 
     def test_same_bytes_at_one_blas_thread_per_cpu(self):
         # No bit of the logits or the gradient may follow the BLAS thread
