@@ -61,8 +61,9 @@ frame's gate gradient over that frame's gate activations, once BPTT has read
 them, and sums the weight gradients from there, so a second `backward_batch`
 on the same cache raises NetworkError.  The gates' derivative factors
 (tanh c, 1 - tanh^2 c, 1 - i, 1 - f, 1 - o, 1 - g^2) are computed
-_FACTOR_CHUNK frames at a time into one reused buffer.  Besides the cache, a
-backward holds one (B, T, r) upstream gradient and that buffer.
+_FACTOR_CHUNK frames at a time into one reused buffer.  Besides the cache and
+per-frame rows, a backward holds one (B, T, r) upstream gradient, that buffer
+and the gradient vector.
 """
 
 from __future__ import annotations
@@ -461,14 +462,13 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
         for ti in reversed(range(t)):
             k = ti % _FACTOR_CHUNK  # frame ti's row of the factors
             if k == _FACTOR_CHUNK - 1 or ti == t - 1:  # entering a chunk: fill it
-                span = slice(ti - k, ti + 1)
-                np.tanh(cc[span], out=tanh_c[: k + 1])
-                np.subtract(1.0, np.square(tanh_c[: k + 1], out=d_tanh_c[: k + 1]),
-                            out=d_tanh_c[: k + 1])
-                np.subtract(1.0, gi[span], out=d_gi[: k + 1])
-                np.subtract(1.0, gf[span], out=d_gf[: k + 1])
-                np.subtract(1.0, go[span], out=d_go[: k + 1])
-                np.subtract(1.0, np.square(gg[span], out=d_gg[: k + 1]), out=d_gg[: k + 1])
+                rows, span = slice(k + 1), slice(ti - k, ti + 1)
+                np.tanh(cc[span], out=tanh_c[rows])
+                np.subtract(1.0, np.square(tanh_c[rows], out=d_tanh_c[rows]), out=d_tanh_c[rows])
+                np.subtract(1.0, gi[span], out=d_gi[rows])
+                np.subtract(1.0, gf[span], out=d_gf[rows])
+                np.subtract(1.0, go[span], out=d_go[rows])
+                np.subtract(1.0, np.square(gg[span], out=d_gg[rows]), out=d_gg[rows])
             c_prev = cc[ti - 1] if ti > 0 else c_zero
             dr = dseq[:, ti] + dr_rec
             if proj is not None:

@@ -284,7 +284,7 @@ class TestBackward:
         # input, B = 16, T = 125) may hold, at its peak, the arrays its cache
         # keeps plus a fixed 2 MiB: BPTT's upstream gradient (0.5 MB) and
         # derivative-factor chunk (0.8 MB) fit in it, whole-sequence factors
-        # and a separate gate-gradient array (5.7 MB together) do not.
+        # and a separate gate-gradient array (5.1 MB together) do not.
         spec = ModelSpec(input_dim=20, layers=1, hidden=32, output_dim=4, peepholes=False)
         rng = np.random.default_rng(11)
         net = init_network(spec, rng)
