@@ -41,8 +41,11 @@ def test_inference_buckets_of_16(benchmark, items, name):
     benchmark(pipeline._infer, net, items)
 
 
-def test_ctc_loss_batch_16(benchmark, items):
-    batch = pipeline._batches(items, 16)[2]
+# the recursion's cost scales with T: the shortest, middle and longest of the
+# five length buckets
+@pytest.mark.parametrize("bucket", [0, 2, 4], ids=["shortest", "middle", "longest"])
+def test_ctc_loss_batch_16(benchmark, items, bucket):
+    batch = pipeline._batches(items, 16)[bucket]
     lengths = [it.num_frames for it in batch]
     logits = np.random.default_rng(1).standard_normal(
         (len(batch), max(lengths), pipeline.KWS_OUTPUT_DIM))

@@ -5,7 +5,7 @@ one-utterance form returns (scalar loss, gradient (T, N)).
 Covered losses:
     * soft-label cross entropy against teacher posteriors (distillation);
       hard-label frame cross entropy is the same arithmetic on one-hot rows
-    * CTC over blank-augmented alignments, computed in log space
+    * CTC over blank-augmented alignments, in log space, by one recursion
 """
 
 from __future__ import annotations
@@ -151,11 +151,12 @@ def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
 
     Utterance j is logits[j, :lengths[j]] with label string label_lists[j].
     Returns the per-utterance losses (B,) and the gradient w.r.t. logits
-    (B, T, N), which is 0 on padded frames.  The recursions run once per
-    frame over a padded (B, S) lattice of blank-augmented label strings.
-    Padded states keep log probability -inf and nothing flows back from
-    frames past an utterance's end, so every row equals its utterance run
-    alone, bit for bit.
+    (B, T, N), which is 0 on padded frames.  One recursion runs once per
+    frame over 2B rows of padded (T, S) lattices of blank-augmented label
+    strings: the B lattices, then each flipped in frames and states, whose
+    alpha read back flipped is beta.  A row starts in its first two real
+    states at its first real frame; padded states and frames keep log
+    probability -inf, so every row equals its utterance run alone, bit for bit.
     """
     logits, lengths = _check_batch(logits, lengths, label_lists)
     b, t, n = logits.shape
@@ -171,43 +172,37 @@ def ctc_loss_batch(logits: np.ndarray, lengths, label_lists, blank: int):
     logp = log_softmax(logits)
     emit = np.take_along_axis(logp, ext[:, None, :], axis=2)  # (B, T, S)
 
+    ext2 = np.concatenate([ext, ext[:, ::-1]])
+    emit2 = np.concatenate([emit, emit[:, ::-1, ::-1]])
+    real = np.concatenate([valid, valid[:, ::-1]])
+    first = np.concatenate([np.zeros_like(lengths), t - lengths])
+    neg = -np.inf
+    start = np.where(real & (np.cumsum(real, axis=1) <= 2), emit2[np.arange(2 * b), first], neg)
+
     # skip transition s-2 -> s allowed where ext[s] is a label differing
     # from ext[s-2]; never into a padded state
-    can_skip = np.zeros((b, s), dtype=bool)
-    can_skip[:, 2:] = (ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])
+    can_skip = np.zeros((2 * b, s), dtype=bool)
+    can_skip[:, 2:] = (ext2[:, 2:] != blank) & (ext2[:, 2:] != ext2[:, :-2])
 
-    neg = -np.inf
     # log(0) of state pairs that are both -inf, in _logsumexp2
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.full((b, t, s), neg)
-        alpha[:, 0, :2] = np.where(valid[:, :2], emit[:, 0, :2], neg)
-        step = np.full((b, s), neg)
-        skip = np.full((b, s), neg)
+        alpha = np.full((2 * b, t, s), neg)
+        alpha[:, 0] = np.where((first == 0)[:, None], start, neg)
+        step = np.full((2 * b, s), neg)
+        skip = np.full((2 * b, s), neg)
         for ti in range(1, t):
             prev = alpha[:, ti - 1]
             step[:, 1:] = prev[:, :-1]
             skip[:, 2:] = np.where(can_skip[:, 2:], prev[:, :-2], neg)
-            alpha[:, ti] = _logsumexp2(_logsumexp2(prev, step), skip) + emit[:, ti]
+            cur = _logsumexp2(_logsumexp2(prev, step), skip) + emit2[:, ti]
+            alpha[:, ti] = np.where((first == ti)[:, None], start, cur)
 
         utt = np.arange(b)
-        last = lengths - 1
-        final = alpha[utt, last]  # (B, S)
+        final = alpha[utt, lengths - 1]  # (B, S)
         total = final[utt, s_len - 1]
         pair = _logsumexp2(total, final[utt, np.maximum(s_len - 2, 0)])
         total = np.where(s_len > 1, pair, total)
-
-        # beta starts at each utterance's last frame; later frames stay -inf
-        start = np.where(valid & (np.arange(s) >= s_len[:, None] - 2), emit[utt, last], neg)
-        beta = np.full((b, t, s), neg)
-        beta[:, t - 1] = np.where((last == t - 1)[:, None], start, neg)
-        step = np.full((b, s), neg)
-        skip = np.full((b, s), neg)
-        for ti in range(t - 2, -1, -1):
-            nxt = beta[:, ti + 1]
-            step[:, :-1] = nxt[:, 1:]
-            skip[:, :-2] = np.where(can_skip[:, 2:], nxt[:, 2:], neg)
-            cur = _logsumexp2(_logsumexp2(nxt, step), skip) + emit[:, ti]
-            beta[:, ti] = np.where((last == ti)[:, None], start, cur)
+    alpha, beta = alpha[:b], alpha[b:, ::-1, ::-1]
 
     # paths through (t, s): alpha * beta / emit; normalize by total probability
     with np.errstate(invalid="ignore"):

@@ -126,7 +126,7 @@ class ModelSpec:
     hidden: int
     projection: int = 0
     output_dim: int = 1
-    peepholes: bool = True
+    peepholes: bool = False
     svd_rank: tuple[tuple[str, int], ...] | None = None
 
     def __post_init__(self):

@@ -446,9 +446,9 @@ def _corpus(job_fn, jobs, out_dir: str | Path, workers: int) -> Manifest:
 
 def check_input_wav(path: str, utt_id: str | None = None,
                     min_samples: int = featkit.WINDOW) -> None:
-    """Raise PipelineError, prefixed with utt_id if given, unless path is a WAV
-    whose header simkit.read_wav accepts and counts min_samples samples or
-    more (simulate, which renders any length, passes 0).  Reads no samples."""
+    """Raise PipelineError, prefixed with utt_id if given, unless simkit.check_wav
+    accepts path and counts min_samples samples or more in it (simulate, which
+    renders any length, passes 0).  Reads no samples."""
     who = "" if utt_id is None else f"{utt_id}: "
     if not Path(path).is_file():
         raise PipelineError(f"{who}input WAV {path} not found")

@@ -14,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+import os
 import wave
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -246,12 +247,13 @@ def simulate_single_channel(s: Waveform, room: RoomSpec, noise: Waveform,
 @contextmanager
 def _open_wav(path: str | Path):
     """path opened for reading, once its header shows a mono 16-bit PCM WAV at
-    REQUIRED_RATE; SimulationError for any other file, unparseable ones too."""
-    try:
-        f = wave.open(str(path), "rb")  # parses the header
-    except (wave.Error, EOFError) as e:
-        raise SimulationError(f"{path}: unreadable WAV header ({e or 'cut short'})") from e
-    with f:
+    REQUIRED_RATE and its data chunk holds every frame the header counts;
+    SimulationError for any other file, unparseable ones too."""
+    with open(path, "rb") as raw:  # a wave reader leaves the file it was given open
+        try:
+            f = wave.open(raw, "rb")  # parses the header, up to the first sample
+        except (wave.Error, EOFError) as e:
+            raise SimulationError(f"{path}: unreadable WAV header ({e or 'cut short'})") from e
         if f.getnchannels() != 1:
             raise SimulationError(f"{path}: expected mono WAV, got {f.getnchannels()} channels")
         if f.getsampwidth() != 2:
@@ -260,12 +262,16 @@ def _open_wav(path: str | Path):
             raise SimulationError(
                 f"{path}: expected {REQUIRED_RATE} Hz, got {f.getframerate()} Hz"
             )
+        held = os.fstat(raw.fileno()).st_size - raw.tell()
+        if held < 2 * f.getnframes():
+            raise SimulationError(f"{path}: data chunk holds {held} bytes, "
+                                  f"header says {f.getnframes()} frames")
         yield f
 
 
 def check_wav(path: str | Path) -> int:
-    """The frame count in path's header; SimulationError unless read_wav accepts
-    the header.  Reads no samples."""
+    """The frame count in path's header; SimulationError unless _open_wav
+    accepts the file.  Reads no samples."""
     with _open_wav(path) as f:
         return f.getnframes()
 

@@ -624,19 +624,28 @@ class TestRuntimeErrors:
         assert not (tmp_path / "o").exists()
 
     # a WAV whose data chunk is cut short by 900 bytes, after one that is fine:
-    # its header passes the pre-flight, and the read names it (featurize used
-    # to write the 550 samples left and exit 0)
-    def test_truncated_input_wav_is_runtime_error(self, workspace, tmp_path, capsys):
+    # the pre-flight compares the data chunk with the header, so every command
+    # names it before --out is made (featurize used to write the 550 samples
+    # left and exit 0; then it and the others exited 4 on the read)
+    @pytest.mark.parametrize("command", [*WAV_COMMANDS, "spot"])
+    def test_truncated_input_wav_is_config_error(self, workspace, tmp_path, capsys, command):
         _, corpus, _, trained = workspace
         first = pipeline.read_manifest(corpus / "manifest.tsv").records[0]
         cut = tmp_path / "u1.wav"
         simkit.write_wav(cut, simkit.Waveform(np.zeros(1000)))
         cut.write_bytes(cut.read_bytes()[:-900])
-        manifest = tmp_path / "m.tsv"
-        pipeline.write_manifest(manifest, pipeline.Manifest(
-            [first, dataclasses.replace(first, utt_id="u1", path=str(cut))]))
-        assert self._run("featurize", trained, tmp_path, manifest) == EXIT_RUNTIME
-        assert f"{cut}: data chunk holds 1100 bytes" in capsys.readouterr().err
+        if command == "spot":
+            rc, who = cli.run(["spot", "--model", str(trained / "final.ckpt"),
+                               "--input", str(cut)]), ""
+        else:
+            manifest = tmp_path / "m.tsv"
+            pipeline.write_manifest(manifest, pipeline.Manifest(
+                [first, dataclasses.replace(first, utt_id="u1", path=str(cut))]))
+            rc, who = self._run(command, trained, tmp_path, manifest), "u1: "
+        assert rc == EXIT_CONFIG
+        assert (f"{who}input WAV {cut}: data chunk holds 1100 bytes, header says 1000 frames"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     # an id that would name a file outside --out (or in a subdirectory of it):
     # rejected on reading, so nothing is written anywhere

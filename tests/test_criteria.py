@@ -412,21 +412,47 @@ class TestCtc:
 class TestCtcBatch:
     # the batched kernel must give each utterance exactly (==) what it gets
     # alone, since training checkpoints depend on the last bits
-    def test_rows_equal_single_utterance_calls(self):
-        rng = np.random.default_rng(20)
-        label_lists = [[0, 1, 2], [], [0, 0], [3, 1, 3, 3], [2]]
-        # includes utterances of exactly ctc_min_frames frames
-        lengths = [9, 4, criteria.ctc_min_frames([0, 0]),
-                   criteria.ctc_min_frames([3, 1, 3, 3]), 1]
-        t = max(lengths) + 2  # every utterance is padded
-        logits = 3.0 * rng.standard_normal((len(lengths), t, 5))
-        losses, grad = criteria.ctc_loss_batch(logits, lengths, label_lists, blank=4)
+    # random padded batches: any blank index, empty, repeated and distinct
+    # label strings, and lengths from ctc_min_frames up to T, so the flipped
+    # rows start at every frame and state their padding allows
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_equal_single_utterance_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        b, n = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        blank = int(rng.integers(0, n))
+        symbols = [x for x in range(n) if x != blank]
+        label_lists = []
+        for _ in range(b):
+            kind = rng.integers(0, 3)
+            count = int(rng.integers(1, 5))
+            label_lists.append([] if kind == 0 else
+                               [int(rng.choice(symbols))] * count if kind == 1 else
+                               [int(x) for x in rng.choice(symbols, count)])
+        shortest = [max(1, criteria.ctc_min_frames(labels)) for labels in label_lists]
+        t = max(shortest) + int(rng.integers(0, 4))
+        lengths = [int(rng.choice([lo, t, rng.integers(lo, t + 1)])) for lo in shortest]
+        logits = np.exp(rng.uniform(-1.0, 3.5)) * rng.standard_normal((b, t, n))
+        losses, grad = criteria.ctc_loss_batch(logits, lengths, label_lists, blank)
         assert grad.shape == logits.shape
         for j, (tj, labels) in enumerate(zip(lengths, label_lists)):
-            loss_j, grad_j = criteria.ctc_loss(logits[j, :tj], labels, blank=4)
+            loss_j, grad_j = criteria.ctc_loss(logits[j, :tj], labels, blank)
             assert losses[j] == loss_j
             assert np.array_equal(grad[j, :tj], grad_j)
             assert np.all(grad[j, tj:] == 0.0)
+
+    # the backward variable of padded rows against an oracle, not only
+    # against the one-utterance call: three lengths, three label counts
+    def test_padded_batch_gradient_matches_finite_differences(self):
+        logits = np.random.default_rng(22).standard_normal((3, 6, 4))
+        lengths, label_lists = [6, 4, 2], [[0, 1, 1], [2, 0], []]
+        _, grad = criteria.ctc_loss_batch(logits, lengths, label_lists, blank=3)
+        numeric = central_diff_grad(
+            lambda v: criteria.ctc_loss_batch(v.reshape(logits.shape), lengths, label_lists,
+                                              blank=3)[0].sum(),
+            logits.ravel()).reshape(logits.shape)
+        for j in range(3):
+            assert grad_rel_err(grad[j], numeric[j]) < 1e-5
 
     def test_one_errstate_around_the_recursions_changes_no_byte(self, monkeypatch):
         # a (16, 9) lattice whose padded states hold -inf: no warning escapes

@@ -305,15 +305,26 @@ class TestWavIO:
 
     # a data chunk shorter than the header's frame count, cut by an even and an
     # odd number of bytes: the first used to load as 550 samples, the second
-    # raised numpy's ValueError; the header alone passes check_wav
+    # raised numpy's ValueError; check_wav used to pass both on their headers
     @pytest.mark.parametrize("cut", [900, 901])
     def test_truncated_data_rejected_on_read(self, tmp_path, cut):
         p = tmp_path / "cut.wav"
         simkit.write_wav(p, Waveform(np.zeros(1000)))
         p.write_bytes(p.read_bytes()[:-cut])
-        simkit.check_wav(p)
-        with pytest.raises(SimulationError, match=re.escape(f"{p}: data chunk holds")):
+        message = re.escape(f"{p}: data chunk holds {2000 - cut} bytes, header says 1000 frames")
+        with pytest.raises(SimulationError, match=message):
+            simkit.check_wav(p)
+        with pytest.raises(SimulationError, match=message):
             simkit.read_wav(p)
+
+    # bytes after the data chunk (a trailing chunk) are no truncation
+    def test_trailing_chunk_accepted(self, tmp_path):
+        p = tmp_path / "tail.wav"
+        w = Waveform(np.full(1000, 0.25))  # exact in 16 bits
+        simkit.write_wav(p, w)
+        p.write_bytes(p.read_bytes() + b"LIST\x04\x00\x00\x00abcd")
+        assert simkit.check_wav(p) == 1000
+        assert np.array_equal(simkit.read_wav(p).samples, w.samples)
 
     def test_wrong_rate_rejected_on_read(self, tmp_path):
         p = tmp_path / "bad.wav"
