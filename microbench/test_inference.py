@@ -53,6 +53,10 @@ def test_ctc_loss_batch_16(benchmark, items, bucket):
               pipeline.BLANK)
 
 
-def test_viterbi_locate(benchmark, items):
-    post = netcore.forward(_net(items, MODELS["kws_teacher"]), items[0].feats)
-    benchmark(kws.viterbi_locate, post, pipeline.KEYWORD_MODEL)
+# the decoder's cost scales with T too: the same three buckets' 16 teacher
+# posteriorgrams
+@pytest.mark.parametrize("bucket", [0, 2, 4], ids=["shortest", "middle", "longest"])
+def test_viterbi_locate(benchmark, items, bucket):
+    net = _net(items, MODELS["kws_teacher"])
+    posts = [netcore.forward(net, it.feats) for it in pipeline._batches(items, 16)[bucket]]
+    benchmark(lambda: [kws.viterbi_locate(p, pipeline.KEYWORD_MODEL) for p in posts])

@@ -208,6 +208,10 @@ def cmd_spot(args, cfg):
     w = simkit.read_wav(args.input)
     feats = pipeline.featurize_waveform(w, spec)
     pipeline.check_feature_dim([pipeline.TrainItem(args.input, feats.frames)], net.spec.input_dim)
+    try:
+        kws.check_decodable(len(feats.frames), net.spec.output_dim, pipeline.KEYWORD_MODEL)
+    except kws.KwsError as e:
+        raise ConfigError(f"{args.input}: {e}")
     post = netcore.forward(net, feats.frames)
     det = kws.spot(post, pipeline.KEYWORD_MODEL)
     accept = kws.decide(det, args.threshold)

@@ -6,9 +6,11 @@ for a keyword of two distinct units (HEY, CORTANA):
     filler*  blank*  U1  blank*  U2  blank*  filler*
 
 where filler frames score max(silence, garbage) and every state self-loops.
-U1 may pass to U2 directly or through blanks.  The keyword segment [m, n]
-spans the first U1 frame through the last U2 frame of the best path.  Ties
-prefer the earliest, then shortest, segment.
+U1 may pass to U2 directly or through blanks, so every input of two or more
+frames has a path.  The keyword segment [m, n] spans the first U1 frame
+through the last U2 frame of the best path.  The Viterbi DP holds one
+(score, -m, -n) cell per state, so of equal scores it prefers the earliest,
+then shortest, segment.
 
 Confidence is the geometric mean of the per-unit peak posteriors inside the
 segment: sqrt(p_hey_peak * p_cortana_peak).
@@ -61,86 +63,59 @@ class KeywordDetection:
             raise KwsError("confidence score must be in [0, 1]")
 
 
-# The decoding graph: states PRE, B0, U1, B1, U2, B2, POST, where B is a blank
-# and PRE/POST are filler.  Each state's predecessors list the state itself
-# first; their order breaks score ties.
-_PREDS = ((0,), (1, 0), (2, 0, 1), (3, 2), (4, 3, 2), (5, 4), (6, 5, 4))
-_STARTS = (0, 1, 2)
-_ENDS = (4, 5, 6)
-_U_FIRST, _U_LAST = 2, 4
+def check_decodable(frames: int, labels: int, km: KeywordModel) -> None:
+    """Raise KwsError unless a posteriorgram of this many frames and labels
+    has a keyword path: every input of 2 or more frames has one (U1 U2)."""
+    if frames < 2:
+        raise KwsError(f"{frames} frames, fewer than the 2 a keyword path needs")
+    needed = max(*km.keyword_units, km.silence, km.garbage, km.blank)
+    if labels <= needed:
+        raise KwsError(f"posteriorgram has {labels} labels, model needs index {needed}")
 
 
 def viterbi_locate(post: Posteriorgram, km: KeywordModel) -> tuple[int, int]:
     """Best keyword segment [m, n] under the decoding topology."""
     rows = post.rows
-    t, n_lab = rows.shape
-    if t == 0:
-        raise KwsError("empty posteriorgram")
-    needed = max(max(km.keyword_units), km.silence, km.garbage, km.blank)
-    if n_lab <= needed:
-        raise KwsError(f"posteriorgram has {n_lab} labels, model needs index {needed}")
-
-    u1, u2 = km.keyword_units
-    labels = (-1, km.blank, u1, km.blank, u2, km.blank, -1)  # -1: filler
-    n_states = len(labels)
-
+    check_decodable(*rows.shape, km)
     logp = np.log(np.maximum(rows, 1e-300))
     filler = np.maximum(logp[:, km.silence], logp[:, km.garbage])
-    # emit[ti][s]: log emission of state s at frame ti, as Python floats, so
-    # the DP below runs on floats and ints instead of numpy scalars
-    emit = np.column_stack([filler if lab == -1 else logp[:, lab] for lab in labels]).tolist()
+    # emit[ti]: log emissions of filler, blank, U1 and U2 at frame ti, as
+    # Python floats, so the DP below runs on floats and ints, not numpy scalars
+    emit = np.column_stack([filler, logp[:, [km.blank, *km.keyword_units]]]).tolist()
 
+    # One cell (score, -m, -n) per state pre, b0, u1, b1, u2, b2, fin (b is
+    # a blank, pre and fin filler): the best path ending there, with m its
+    # first U1 frame and n its last U2 frame; -inf marks an unreachable state
+    # or an unset m or n.  max() picks the highest score, then the earliest
+    # m, then the earliest n; of equal cells it keeps the first, the state
+    # itself.
+    # Scores are float sums along each path, so paths whose real-valued scores
+    # tie (or nearly tie) are ordered by rounding, not by (m, n): this is not
+    # the exact (score, -m, -n) order of the exhaustive search with exact sums
+    # in tests/helpers.py:viterbi_oracle(..., exact=True).
     neg = -math.inf
-    unset = int(np.iinfo(np.int64).max)
-    # DP cell: (score, m, last_kw); the best cell maximizes score, then
-    # minimizes m, then minimizes last_kw.  Scores are float sums along each
-    # path, so paths whose real-valued scores tie (or nearly tie) are ordered
-    # by rounding, not by (m, last_kw): this is not the exact (score, -m, -n)
-    # order of the exhaustive search with exact sums in
-    # tests/helpers.py:viterbi_oracle(..., exact=True).
-    score = [neg] * n_states
-    seg_m = [unset] * n_states
-    seg_n = [unset] * n_states
-    for s in _STARTS:
-        score[s] = emit[0][s]
-        seg_m[s] = 0 if s == _U_FIRST else unset
-        seg_n[s] = 0 if s == _U_LAST else unset
-
-    for ti in range(1, t):
-        new_score = [neg] * n_states
-        new_m = [unset] * n_states
-        new_n = [unset] * n_states
-        for s in range(n_states):
-            best = None
-            for p in _PREDS[s]:
-                if score[p] == neg:
-                    continue
-                cand = (score[p], -seg_m[p], -seg_n[p])
-                if best is None or cand > best:
-                    best = cand
-                    best_p = p
-            if best is None:
-                continue
-            new_score[s] = score[best_p] + emit[ti][s]
-            m_val, n_val = seg_m[best_p], seg_n[best_p]
-            if s == _U_FIRST and m_val == unset:
-                m_val = ti
-            if s == _U_LAST:
-                n_val = ti
-            new_m[s], new_n[s] = m_val, n_val
-        score, seg_m, seg_n = new_score, new_m, new_n
-
-    best = None
-    for s in _ENDS:
-        if score[s] == neg:
-            continue
-        cand = (score[s], -seg_m[s], -seg_n[s])
-        if best is None or cand > best:
-            best = cand
-            best_s = s
-    if best is None:
-        raise KwsError(f"no feasible keyword path in {t} frames")
-    return seg_m[best_s], seg_n[best_s]
+    f, b, e1, _ = emit[0]
+    pre, b0, u1 = (f, neg, neg), (b, neg, neg), (e1, 0, neg)
+    b1 = u2 = b2 = fin = (neg, neg, neg)
+    # each frame updates the states last to first, so each reads the cells of
+    # the frame before
+    for ti in range(1, len(emit)):
+        f, b, e1, e2 = emit[ti]
+        s, nm, nn = max(fin, b2, u2)
+        fin = (s + f, nm, nn)
+        s, nm, nn = max(b2, u2)
+        b2 = (s + b, nm, nn)
+        s, nm, _ = max(u2, b1, u1)
+        u2 = (s + e2, nm, -ti)
+        s, nm, nn = max(b1, u1)
+        b1 = (s + b, nm, nn)
+        s, nm, nn = max(u1, pre, b0)
+        u1 = (s + e1, -ti if nm == neg else nm, nn)
+        s, nm, nn = max(b0, pre)
+        b0 = (s + b, nm, nn)
+        pre = (pre[0] + f, neg, neg)
+    _, nm, nn = max(u2, b2, fin)
+    return -nm, -nn
 
 
 def confidence_score(

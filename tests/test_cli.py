@@ -275,6 +275,36 @@ class TestEndToEnd:
         assert re.search(rf"{re.escape(str(wav))}: feats have shape \(\d+, 40\), "
                          r"the model takes 48-dim", capsys.readouterr().err)
 
+    def test_spot_model_without_keyword_outputs_is_config_error_before_the_forward(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # a 4-output model (an acoustic model's labels) has no blank at index 4
+        _, corpus, _, _ = workspace
+        am = tmp_path / "am.ckpt"
+        netcore.save_checkpoint(netcore.init_network(netcore.ModelSpec(
+            input_dim=48, layers=1, hidden=8, output_dim=4, peepholes=False),
+            np.random.default_rng(0)), am)
+        monkeypatch.setattr(netcore, "forward", lambda *a: pytest.fail("forward ran"))
+        wav = corpus / "utt000001.wav"
+        rc = cli.run(["spot", "--config", _write_cfg(tmp_path, TASK), "--model", str(am),
+                      "--input", str(wav)])
+        assert rc == EXIT_CONFIG
+        assert (f"config error: {wav}: posteriorgram has 4 labels, model needs index 4"
+                in capsys.readouterr().err)
+
+    def test_spot_one_frame_input_is_config_error_before_the_forward(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # 700 samples pass the one-window input rule (2 frames of 400 at a
+        # 160 hop) but stack to 1 frame at step 2: no keyword path fits
+        _, _, _, trained = workspace
+        wav = tmp_path / "in.wav"
+        simkit.write_wav(wav, simkit.Waveform(np.full(700, 0.1)))
+        monkeypatch.setattr(netcore, "forward", lambda *a: pytest.fail("forward ran"))
+        rc = cli.run(["spot", "--config", _write_cfg(tmp_path, TASK),
+                      "--model", str(trained / "final.ckpt"), "--input", str(wav)])
+        assert rc == EXIT_CONFIG
+        assert (f"config error: {wav}: 1 frames, fewer than the 2 a keyword path needs"
+                in capsys.readouterr().err)
+
     # a missing, an unparseable and a 300-sample input WAV: named before the
     # model is loaded, as every command names its input WAVs
     @pytest.mark.parametrize("content, message", [
