@@ -1,5 +1,6 @@
 """Micro-timings of one LSTM layer's forward and backward pass at the shapes
-the experiments train on (batch of 16, float64, no peepholes or projection).
+the experiments train on (batch of 16, float64, no peepholes or projection),
+and at a factored student layer with projection that no experiment trains yet.
 
     PYTHONPATH=src python -m pytest microbench
 
@@ -12,21 +13,24 @@ import pytest
 
 from farspot import netcore
 
-# name: (T, B, hidden, input_dim, time_major_input).  A deeper layer reads the
-# previous layer's (T, B, r) output through a (B, T, r) view; the weight
-# gradient is summed the same way for either layout, but its per-frame
-# products read strided rows from a batch-major input.
+# name: (T, B, hidden, input_dim, time_major_input, other spec fields).  A
+# deeper layer reads the previous layer's (T, B, r) output through a (B, T, r)
+# view; the weight gradient is summed the same way for either layout, but its
+# per-frame products read strided rows from a batch-major input.
 SHAPES = {
-    "kws_teacher_l0": (38, 16, 48, 160, False),
-    "kws_teacher_l1": (38, 16, 48, 48, True),
-    "kws_student_l0": (38, 16, 16, 160, False),
-    "adapt_am_l0": (110, 16, 32, 20, False),
+    "kws_teacher_l0": (38, 16, 48, 160, False, {}),
+    "kws_teacher_l1": (38, 16, 48, 48, True, {}),
+    "kws_student_l0": (38, 16, 16, 160, False, {}),
+    "adapt_am_l0": (110, 16, 32, 20, False, {}),
+    # the candidate compressed student's first layer: an LSTMP with wx factored
+    "kws_lstmp_student_l0": (38, 16, 16, 160, False,
+                             {"projection": 8, "svd_rank": {"l0.wx": 3}}),
 }
 
 
 def _layer(name):
-    t, b, h, d, time_major = SHAPES[name]
-    spec = netcore.ModelSpec(input_dim=d, layers=1, hidden=h, output_dim=5, peepholes=False)
+    t, b, h, d, time_major, extra = SHAPES[name]
+    spec = netcore.ModelSpec(input_dim=d, layers=1, hidden=h, output_dim=5, **extra)
     rng = np.random.default_rng(0)
     net = netcore.init_network(spec, rng)
     x = rng.standard_normal((t, b, d) if time_major else (b, t, d))

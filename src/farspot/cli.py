@@ -6,10 +6,11 @@ overrides; every run writes a provenance record (config snapshot, seed,
 version) into its output directory so it can be re-run bit-identically.
 
 Exit codes: 0 success; 2 usage error; 3 the config, manifest or items were
-rejected and nothing was written; 4 the run failed.  The pipeline's own
-checks decide exit 3 (a `pipeline.PipelineError`): each writer checks its
-inputs before its first write, which creates the output directory.  A
-`pipeline.RunError` (training diverged, a worker died) exits 4.
+rejected and nothing was written; 4 the run failed.  Exit 3 is a
+`pipeline.PipelineError`, raised by the CLI's config checks and by the
+pipeline's own: each writer checks its inputs before its first write, which
+creates the output directory.  A `pipeline.RunError` (training diverged, a
+worker died) exits 4.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__, kws, netcore, pipeline, simkit
 from .pipeline import (
     FarFieldConfig,
+    PipelineError,
     SynthTaskSpec,
     TrainConfig,
 )
@@ -36,10 +38,6 @@ EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -47,11 +45,11 @@ def _load_config(path: str | None) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise PipelineError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})")
+        raise PipelineError(f"{path}: invalid JSON ({e})")
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+        raise PipelineError(f"{path}: top level must be an object")
     return cfg
 
 
@@ -59,7 +57,7 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     cfg = json.loads(json.dumps(cfg))  # deep copy
     for ov in overrides:
         if "=" not in ov:
-            raise ConfigError(f"override {ov!r} is not key=value")
+            raise PipelineError(f"override {ov!r} is not key=value")
         key, _, raw = ov.partition("=")
         try:
             value = json.loads(raw)
@@ -70,7 +68,7 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         for p in parts[:-1]:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"override {key!r} descends into a non-object")
+                raise PipelineError(f"override {key!r} descends into a non-object")
         node[parts[-1]] = value
     return cfg
 
@@ -80,11 +78,11 @@ def _build(cls, cfg: dict, section: str | None = None, seed: int | None = None):
     on the command line overrides the config's."""
     data = cfg.get(section, {}) if section else cfg
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
+        raise PipelineError(f"config section {section!r} must be an object")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
+        raise PipelineError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
     coerced = {}
     for f in dataclasses.fields(cls):
         if f.name in data:
@@ -95,14 +93,14 @@ def _build(cls, cfg: dict, section: str | None = None, seed: int | None = None):
     try:
         return cls(**coerced)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad {cls.__name__} config: {e}")
+        raise PipelineError(f"bad {cls.__name__} config: {e}")
 
 
 def _prepare_out_dir(path: str, force: bool) -> Path:
     """Refuse a non-empty output directory; the pipeline's first write makes it."""
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
-        raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
+        raise PipelineError(f"output directory {out} is not empty (use --force to overwrite)")
     return out
 
 
@@ -121,7 +119,7 @@ def _write_provenance(out_dir: Path, args, cfg: dict, **extra) -> None:
 
 def _model_spec(cfg: dict, section: str = "model") -> netcore.ModelSpec:
     if cfg.get(section) is None:
-        raise ConfigError(f"config needs a {section!r} section with the model spec")
+        raise PipelineError(f"config needs a {section!r} section with the model spec")
     return _build(netcore.ModelSpec, cfg, section)
 
 
@@ -201,7 +199,7 @@ def cmd_spot(args, cfg):
     try:
         kws.check_decision_threshold(args.threshold)
     except kws.KwsError as e:
-        raise ConfigError(f"bad threshold: {e}")
+        raise PipelineError(f"bad threshold: {e}")
     spec = _build(SynthTaskSpec, cfg, "task")
     pipeline.check_input_wav(args.input)
     net = netcore.load_checkpoint(args.model)
@@ -211,7 +209,7 @@ def cmd_spot(args, cfg):
     try:
         kws.check_decodable(len(feats.frames), net.spec.output_dim, pipeline.KEYWORD_MODEL)
     except kws.KwsError as e:
-        raise ConfigError(f"{args.input}: {e}")
+        raise PipelineError(f"{args.input}: {e}")
     post = netcore.forward(net, feats.frames)
     det = kws.spot(post, pipeline.KEYWORD_MODEL)
     accept = kws.decide(det, args.threshold)
@@ -230,7 +228,7 @@ def cmd_eval(args, _cfg):
         else:
             kws.check_threshold(args.threshold)
     except kws.KwsError as e:
-        raise ConfigError(f"bad operating point: {e}")
+        raise PipelineError(f"bad operating point: {e}")
     records = kws.read_scores(args.scores)
     scores = [(s, p) for _, s, p, _ in records]
     durations = [d for _, _, _, d in records]
@@ -256,7 +254,7 @@ def cmd_eval(args, _cfg):
 def cmd_experiment(args, cfg):
     config = _build(args.experiment, cfg, args.command)
     if "out_dir" in cfg.get(args.command, {}):  # run_seeds would replace it
-        raise ConfigError(f"{args.command}.out_dir: --out names the output directory")
+        raise PipelineError(f"{args.command}.out_dir: --out names the output directory")
     out = _prepare_out_dir(args.out, args.force)
     table = pipeline.run_seeds(config, args.seeds or [config.seed], out)
     _write_provenance(out, args, cfg, seeds=table.seeds, workers=table.workers, threads={
@@ -359,8 +357,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args, _apply_overrides(_load_config(args.config), args.set))
     except Exception as e:  # noqa: BLE001 - map any failure to a diagnostic
-        rejected = (isinstance(e, (ConfigError, pipeline.PipelineError))
-                    and not isinstance(e, pipeline.RunError))
+        rejected = isinstance(e, PipelineError)
         print(f"{'config error' if rejected else 'error'}: {e}", file=sys.stderr)
         return EXIT_CONFIG if rejected else EXIT_RUNTIME
 

@@ -16,6 +16,9 @@ ordered list of named blocks:
 
 A block listed in `svd_rank` with rank k is stored factored as
 {name}.u (m, k) and {name}.v (k, n); the effective weight is u @ v.
+`Network.block(name, vec)` slices a block out of the parameters or of any
+vector in their layout, such as the gradient: `backward_batch` accumulates a
+factored weight's gradient dw as dw @ v.T into u and u.T @ dw into v.
 
 Recurrence (c = cell, m = hidden, r = recurrent output):
     z             = wx @ x_t + wr @ r_{t-1} + bias
@@ -71,7 +74,7 @@ from __future__ import annotations
 import json
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -167,19 +170,7 @@ class ModelSpec:
         return dict(self.svd_rank).get(name)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "layers": self.layers,
-            "hidden": self.hidden,
-            "projection": self.projection,
-            "output_dim": self.output_dim,
-            "peepholes": self.peepholes,
-            "svd_rank": dict(self.svd_rank) if self.svd_rank else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
+        return {**asdict(self), "svd_rank": dict(self.svd_rank or ()) or None}
 
 
 def _dense_blocks(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
@@ -227,7 +218,7 @@ class Network:
 
     spec: ModelSpec
     parameters: np.ndarray
-    _offsets: dict = field(default_factory=dict, repr=False)
+    _offsets: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.parameters = np.asarray(self.parameters, dtype=np.float64)
@@ -238,15 +229,17 @@ class Network:
             )
         if not np.all(np.isfinite(self.parameters)):
             raise NetworkError("non-finite parameters")
+        self._offsets = {}  # name -> (slice of the flat vector, shape)
         off = 0
         for name, shape in layout(self.spec):
             n = int(np.prod(shape))
-            self._offsets[name] = (off, shape)
+            self._offsets[name] = (slice(off, off + n), shape)
             off += n
 
-    def block(self, name: str) -> np.ndarray:
-        off, shape = self._offsets[name]
-        return self.parameters[off : off + int(np.prod(shape))].reshape(shape)
+    def block(self, name: str, vec: np.ndarray | None = None) -> np.ndarray:
+        """Block `name` of the parameters, or of `vec`, a vector in their layout."""
+        span, shape = self._offsets[name]
+        return (self.parameters if vec is None else vec)[span].reshape(shape)
 
     def weight(self, name: str) -> np.ndarray:
         """Effective (dense) weight of a possibly factored block."""
@@ -256,28 +249,6 @@ class Network:
 
     def copy(self) -> "Network":
         return Network(self.spec, self.parameters.copy())
-
-
-class GradientSink:
-    """Flat gradient vector addressable by block name."""
-
-    def __init__(self, net: Network):
-        self.net = net
-        self.grad = np.zeros_like(net.parameters)
-
-    def view(self, name: str) -> np.ndarray:
-        off, shape = self.net._offsets[name]
-        return self.grad[off : off + int(np.prod(shape))].reshape(shape)
-
-    def add_weight_grad(self, name: str, dw: np.ndarray) -> None:
-        """Accumulate a dense-weight gradient, projecting onto factors if needed."""
-        if name in self.net._offsets:
-            self.view(name)[...] += dw
-        else:
-            u = self.net.block(f"{name}.u")
-            v = self.net.block(f"{name}.v")
-            self.view(f"{name}.u")[...] += dw @ v.T
-            self.view(f"{name}.v")[...] += u.T @ dw
 
 
 def init_network(spec: ModelSpec, rng: np.random.Generator) -> Network:
@@ -413,6 +384,16 @@ def forward_batch(net: Network, x: np.ndarray, want_cache: bool = True, lengths=
     return logits, cache
 
 
+def _add_weight_grad(net: Network, grad: np.ndarray, name: str, dw: np.ndarray) -> None:
+    """Accumulate dense-weight gradient dw into grad, onto u and v if factored."""
+    if net.spec.rank_of(name) is None:
+        net.block(name, grad)[...] += dw
+    else:
+        u, v = net.block(f"{name}.u"), net.block(f"{name}.v")
+        net.block(f"{name}.u", grad)[...] += dw @ v.T
+        net.block(f"{name}.v", grad)[...] += u.T @ dw
+
+
 def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray:
     """Gradient of a scalar loss w.r.t. all parameters.
 
@@ -429,11 +410,11 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
     cache["consumed"] = True
     b, t, _ = dlogits.shape
     h = spec.hidden
-    sink = GradientSink(net)
+    grad = np.zeros_like(net.parameters)
 
-    sink.add_weight_grad("out.w", _frame_sum(dlogits.transpose(1, 0, 2),
-                                             cache["top"].transpose(1, 0, 2)))
-    sink.view("out.b")[...] += dlogits.sum(axis=(0, 1))
+    _add_weight_grad(net, grad, "out.w", _frame_sum(dlogits.transpose(1, 0, 2),
+                                                    cache["top"].transpose(1, 0, 2)))
+    net.block("out.b", grad)[...] += dlogits.sum(axis=(0, 1))
     dseq = dlogits @ net.weight("out.w")  # (B, T, r_top)
 
     for li in reversed(range(spec.layers)):
@@ -506,18 +487,18 @@ def backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> np.ndarray
             dr_rec = dz @ wr
 
         # frame 0's recurrent input is zero, so wr's sum starts at frame 1
-        sink.add_weight_grad(f"l{li}.wx", _frame_sum(dz_all, lc["in"].transpose(1, 0, 2)))
-        sink.add_weight_grad(f"l{li}.wr", _frame_sum(dz_all[1:], rr[:-1]))
-        sink.view(f"l{li}.bias")[...] += dz_all.sum(axis=(0, 1))
+        _add_weight_grad(net, grad, f"l{li}.wx", _frame_sum(dz_all, lc["in"].transpose(1, 0, 2)))
+        _add_weight_grad(net, grad, f"l{li}.wr", _frame_sum(dz_all[1:], rr[:-1]))
+        net.block(f"l{li}.bias", grad)[...] += dz_all.sum(axis=(0, 1))
         if peep is not None:
-            sink.view(f"l{li}.peep")[...] += dpeep
+            net.block(f"l{li}.peep", grad)[...] += dpeep
         if proj is not None:
-            sink.add_weight_grad(f"l{li}.proj", dproj)
+            _add_weight_grad(net, grad, f"l{li}.proj", dproj)
 
         if li > 0:
             dseq = np.transpose(dz_all @ wx, (1, 0, 2))  # grad w.r.t. layer input
 
-    return sink.grad
+    return grad
 
 
 def posteriors(logits: np.ndarray) -> Posteriorgram:
@@ -592,7 +573,7 @@ def load_checkpoint(path: str | Path) -> Network:
         version, spec_len = struct.unpack_from("<II", data, 4)
         if version != _CKPT_VERSION:
             raise NetworkError(f"{path}: unsupported checkpoint version {version}")
-        spec = ModelSpec.from_dict(json.loads(data[12 : 12 + spec_len].decode()))
+        spec = ModelSpec(**json.loads(data[12 : 12 + spec_len].decode()))
         code, count = struct.unpack_from("<BQ", data, 12 + spec_len)
         if code != 0:
             raise NetworkError(f"{path}: unknown dtype code {code} (0 = float64 is the only one)")

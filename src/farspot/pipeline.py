@@ -35,7 +35,7 @@ class PipelineError(ValueError):
     """Input rejected before anything is written."""
 
 
-class RunError(PipelineError):
+class RunError(RuntimeError):
     """A run that failed after writing began: training diverged or a worker died."""
 
 
@@ -890,7 +890,10 @@ class KwsCompressionConfig:
 
     def __post_init__(self):
         _check_ints(self, 0, "seed")
-        _check_ints(self, 1, "train_count", "test_count")
+        _check_ints(self, 1, "train_count")
+        # hard_kws_task makes utterance 0 negative and 1 positive: FA at a CA
+        # target needs both classes in the test set
+        _check_ints(self, 2, "test_count")
         kws.check_target_ca(self.target_ca)
 
 
@@ -906,14 +909,9 @@ def kws_compression_experiment(cfg: KwsCompressionConfig) -> dict:
     train_items = synth_items(hard_kws_task(1000 + cfg.seed), cfg.train_count)
     input_dim = train_items[0].feats.shape[1]
 
-    teacher_spec = ModelSpec(
-        input_dim=input_dim, layers=KWS_LAYERS, hidden=KWS_TEACHER_HIDDEN,
-        projection=0, output_dim=KWS_OUTPUT_DIM, peepholes=False,
-    )
-    student_spec = ModelSpec(
-        input_dim=input_dim, layers=KWS_LAYERS, hidden=KWS_STUDENT_HIDDEN,
-        projection=0, output_dim=KWS_OUTPUT_DIM, peepholes=False,
-    )
+    teacher_spec = ModelSpec(input_dim=input_dim, layers=KWS_LAYERS,
+                             hidden=KWS_TEACHER_HIDDEN, output_dim=KWS_OUTPUT_DIM)
+    student_spec = replace(teacher_spec, hidden=KWS_STUDENT_HIDDEN)
 
     ctc_cfg = TrainConfig(
         criterion="ctc", learning_rate=KWS_LEARNING_RATE, lr_decay=KWS_LR_DECAY,
@@ -993,7 +991,7 @@ class LadderConfig:
 
 def _am_task_spec(seed: int) -> SynthTaskSpec:
     # AM mode: per-frame classification without blank; unstacked features.
-    return SynthTaskSpec(seed=seed, stack_context=1, stack_step=1, positive_ratio=0.5)
+    return SynthTaskSpec(seed=seed, stack_context=1, stack_step=1)
 
 
 def ablation_ladder(cfg: LadderConfig) -> dict:
@@ -1023,9 +1021,7 @@ def ablation_ladder(cfg: LadderConfig) -> dict:
         input_dim=train_pairs[0].feats.shape[1],
         layers=1,
         hidden=LADDER_HIDDEN,
-        projection=0,
         output_dim=BLANK,  # the task classes, which precede blank
-        peepholes=False,
     )
     base_cfg = TrainConfig(
         criterion="hard_ce", learning_rate=LADDER_LEARNING_RATE,

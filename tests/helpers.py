@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from farspot import criteria, kws, netcore, pipeline
 from farspot.criteria import CriterionError
-from farspot.netcore import GradientSink, Network, NetworkError
+from farspot.netcore import Network, NetworkError
 from farspot.simkit import REQUIRED_RATE, ImpulseResponse, Waveform
 
 
@@ -372,14 +372,21 @@ def reference_backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> 
         raise NetworkError("upstream gradient shape does not match cached forward")
     b, t, _ = dlogits.shape
     h = spec.hidden
-    sink = GradientSink(net)
+    grad = np.zeros_like(net.parameters)
+
+    def add_weight_grad(name, dw):  # a factored weight u @ v takes dw @ v.T and u.T @ dw
+        if spec.rank_of(name) is None:
+            net.block(name, grad)[...] += dw
+        else:
+            net.block(f"{name}.u", grad)[...] += dw @ net.block(f"{name}.v").T
+            net.block(f"{name}.v", grad)[...] += net.block(f"{name}.u").T @ dw
 
     top = cache["top"]
     dw = np.zeros((dlogits.shape[2], top.shape[2]))
     for ti in range(t):
         dw += dlogits[:, ti].T @ top[:, ti]
-    sink.add_weight_grad("out.w", dw)
-    sink.view("out.b")[...] += dlogits.sum(axis=(0, 1))
+    add_weight_grad("out.w", dw)
+    net.block("out.b", grad)[...] += dlogits.sum(axis=(0, 1))
     dseq = dlogits @ net.weight("out.w")  # (B, T, r_top)
 
     for li in reversed(range(spec.layers)):
@@ -434,17 +441,17 @@ def reference_backward_batch(net: Network, cache: dict, dlogits: np.ndarray) -> 
             dwx += dz_all[ti].T @ x_in[:, ti]
             if ti > 0:  # frame 0's recurrent input is zero
                 dwr += dz_all[ti].T @ rr[ti - 1]
-        sink.add_weight_grad(f"l{li}.wx", dwx)
-        sink.add_weight_grad(f"l{li}.wr", dwr)
-        sink.view(f"l{li}.bias")[...] += dz_all.sum(axis=(0, 1))
+        add_weight_grad(f"l{li}.wx", dwx)
+        add_weight_grad(f"l{li}.wr", dwr)
+        net.block(f"l{li}.bias", grad)[...] += dz_all.sum(axis=(0, 1))
         if peep is not None:
-            sink.view(f"l{li}.peep")[...] += dpeep
+            net.block(f"l{li}.peep", grad)[...] += dpeep
         if proj is not None:
-            sink.add_weight_grad(f"l{li}.proj", dproj)
+            add_weight_grad(f"l{li}.proj", dproj)
 
         dseq = np.transpose(dz_all @ wx, (1, 0, 2))  # grad w.r.t. layer input
 
-    return sink.grad
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,8 @@ class TestExperiments:
         ["compress", "--set", "compress.teacher_layers=2"],
         ["compress", "--set", "compress.student_layers=2"],
         ["ladder", "--set", "ladder.layers=1"],
+        # one test utterance holds no positive: refused before any arm trains
+        ["compress", "--set", "compress.train_count=4", "--set", "compress.test_count=1"],
     ])
     def test_bad_experiment_config_is_config_error(self, tmp_path, argv):
         out = tmp_path / "o"
@@ -957,5 +959,5 @@ class TestSetOverrides:
         cls = _EXPERIMENT_CONFIGS[section]
         try:
             assert isinstance(cli._build(cls, cfg, section), cls)
-        except cli.ConfigError:
+        except pipeline.PipelineError:
             pass

@@ -91,7 +91,7 @@ class TestSpecAndLayout:
     def test_every_svd_rank_form_is_normalized(self, svd_rank):
         spec = _tiny_spec(svd_rank=svd_rank)
         assert spec.svd_rank == ((("l0.wr", 3), ("l0.wx", 2)) if svd_rank else None)
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec(**spec.to_dict()) == spec
 
     @pytest.mark.parametrize("svd_rank, message", [
         ([["l0.wx", 2], ["l0.wx", 3]], "names a block twice"),
@@ -103,7 +103,7 @@ class TestSpecAndLayout:
 
     def test_spec_round_trips_through_dict(self):
         spec = _tiny_spec(projection=2, peepholes=True, svd_rank=(("l0.wx", 2),))
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec(**spec.to_dict()) == spec
 
     def test_wrong_parameter_length_rejected(self):
         with pytest.raises(NetworkError):
@@ -476,6 +476,26 @@ class TestCheckpoints:
         assert back.spec == spec
         assert back.parameters.dtype == net.parameters.dtype
         assert np.array_equal(back.parameters, net.parameters)
+
+    # the header's bytes (magic, version, spec length, spec JSON) as earlier
+    # versions wrote them, so their checkpoints load and new ones match theirs
+    @pytest.mark.parametrize("spec, header", [
+        (_tiny_spec(layers=2, projection=2, peepholes=True,
+                    svd_rank=(("l0.wx", 2), ("out.w", 1))),
+         b'FSCK\x01\x00\x00\x00\x85\x00\x00\x00{"hidden": 4, "input_dim": 3, "layers": 2, '
+         b'"output_dim": 2, "peepholes": true, "projection": 2, '
+         b'"svd_rank": {"l0.wx": 2, "out.w": 1}}'),
+        (ModelSpec(input_dim=3, layers=1, hidden=4),
+         b'FSCK\x01\x00\x00\x00r\x00\x00\x00{"hidden": 4, "input_dim": 3, "layers": 1, '
+         b'"output_dim": 1, "peepholes": false, "projection": 0, "svd_rank": null}'),
+    ])
+    def test_spec_header_bytes_are_pinned(self, tmp_path, spec, header):
+        p = tmp_path / "m.ckpt"
+        netcore.save_checkpoint(init_network(spec, np.random.default_rng(14)), p)
+        data = p.read_bytes()
+        assert data[: len(header)] == header
+        assert data[len(header)] == 0  # the dtype code follows the spec
+        assert netcore.load_checkpoint(p).spec == spec
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"

@@ -738,9 +738,9 @@ class TestPmap:
                 pipeline.train(net, items, TrainConfig(epochs=1, batch_size=1))
             return i
 
-        with pytest.raises(PipelineError) as inline:
+        with pytest.raises(RunError) as inline:
             job(1)
-        with pytest.raises(PipelineError) as forked:
+        with pytest.raises(RunError) as forked:
             pipeline._pmap(job, range(4), 2)
         assert type(forked.value) is type(inline.value)
         assert str(forked.value) == str(inline.value)
@@ -875,6 +875,7 @@ class TestRunSeeds:
     @pytest.mark.parametrize("cfg, field, value", [
         (TINY_COMPRESSION, "train_count", 0), (TINY_COMPRESSION, "seed", -1),
         (TINY_LADDER, "test_count", 0), (TINY_LADDER, "extra_count", -1),
+        (TINY_COMPRESSION, "test_count", 1),
     ])
     def test_bad_experiment_config_rejected(self, cfg, field, value):
         with pytest.raises(PipelineError, match=field):
