@@ -5,7 +5,9 @@ through a 2048-tap image-method RIR and turned into log-Mel frames.
     PYTHONPATH=src python -m pytest microbench
 
 The room is drawn from the `FarFieldConfig` defaults (order-4 image method)
-and has `pipeline.IR_LENGTH` (2048) taps.  BLAS is pinned to one thread (see conftest.py).
+and has `pipeline.IR_LENGTH` (2048) taps; `test_generate_rir` also times the
+ladder's rich-simulation room (order 5, reflection up to 0.9).  BLAS is pinned
+to one thread (see conftest.py).
 """
 
 import numpy as np
@@ -14,6 +16,9 @@ import pytest
 from farspot import featkit, pipeline, simkit
 
 FAR = pipeline.FarFieldConfig()
+# the rooms of the ladder's "ts-rich-sim" pairs (pipeline.ablation_ladder)
+FAR_RICH = pipeline.FarFieldConfig(reflection_range=(0.4, 0.9), snr_range=(0.0, 18.0),
+                                   max_order=5)
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +31,9 @@ def room():
     return FAR.sample_room(np.random.default_rng(0))
 
 
-def test_generate_rir(benchmark, room):
-    benchmark(simkit.generate_rir, room)
+@pytest.mark.parametrize("far", [FAR, FAR_RICH], ids=["default_order4", "rich_order5"])
+def test_generate_rir(benchmark, far):
+    benchmark(simkit.generate_rir, far.sample_room(np.random.default_rng(0)))
 
 
 def test_convolve(benchmark, utterance, room):

@@ -37,6 +37,9 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
 
+# Top-level config keys: the sections the subcommands read.
+CONFIG_SECTIONS = ("task", "farfield", "model", "student", "train", "compress", "ladder")
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -97,8 +100,11 @@ def _build(cls, cfg: dict, section: str | None = None, seed: int | None = None):
 
 
 def _prepare_out_dir(path: str, force: bool) -> Path:
-    """Refuse a non-empty output directory; the pipeline's first write makes it."""
+    """Refuse a file, or a non-empty directory unless forced; the pipeline's
+    first write makes the directory."""
     out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise PipelineError(f"output path {out} is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise PipelineError(f"output directory {out} is not empty (use --force to overwrite)")
     return out
@@ -355,7 +361,12 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, _apply_overrides(_load_config(args.config), args.set))
+        cfg = _apply_overrides(_load_config(args.config), args.set)
+        unknown = sorted(set(cfg) - set(CONFIG_SECTIONS))
+        if unknown:
+            raise PipelineError(f"unknown config sections {unknown} "
+                                f"(known: {', '.join(CONFIG_SECTIONS)})")
+        return args.fn(args, cfg)
     except Exception as e:  # noqa: BLE001 - map any failure to a diagnostic
         rejected = isinstance(e, PipelineError)
         print(f"{'config error' if rejected else 'error'}: {e}", file=sys.stderr)

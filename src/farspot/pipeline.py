@@ -283,7 +283,7 @@ def synth_utterance(spec: SynthTaskSpec, index: int):
     """Deterministic single utterance: waveform, frame labels, symbols and
     whether it holds the keyword."""
     rng = np.random.default_rng([spec.seed, index])
-    # positives assigned by fractional accumulation so a count-C corpus has
+    # positives assigned where floor((index + 1) * ratio) steps, so a count-C corpus has
     # exactly round(C * ratio) positives
     r = spec.positive_ratio
     is_positive = int(np.floor((index + 1) * r)) > int(np.floor(index * r))

@@ -25,7 +25,7 @@ import numpy as np
 SPEED_OF_SOUND = 343.0  # m/s
 REQUIRED_RATE = 16000  # Hz: every waveform, impulse response and WAV file
 
-# Length of the windowed-sinc fractional-delay kernel (odd; +/-40 samples).
+# Taps of the windowed-sinc kernel placing an image at its delay (odd; +/-40).
 FRAC_DELAY_TAPS = 81
 
 
@@ -145,32 +145,19 @@ def _image_sources(room: RoomSpec):
     return dist, amp
 
 
-def generate_rir(room: RoomSpec, fractional: bool = True) -> ImpulseResponse:
-    """Image-method room impulse response.
-
-    With `fractional=True` each image contributes an 81-tap Hann-windowed
-    sinc centered on its (non-integer) delay; otherwise the nearest sample
-    receives the full amplitude.
-    """
+def generate_rir(room: RoomSpec) -> ImpulseResponse:
+    """Image-method room impulse response: each image adds an 81-tap
+    Hann-windowed sinc centered on its (non-integer) delay."""
     dist, amp = _image_sources(room)
     delays = dist / SPEED_OF_SOUND * REQUIRED_RATE
+    half = FRAC_DELAY_TAPS // 2
+    idx = np.floor(delays).astype(int)[:, None] + np.arange(-half, half + 1)
+    t = idx - delays[:, None]  # in (-half - 1, half]: the window never reaches zero
+    win = 0.5 * (1.0 + np.cos(np.pi * t / (half + 1)))
+    taps = amp[:, None] * np.sinc(t) * win
+    valid = (idx >= 0) & (idx < room.ir_length)
     h = np.zeros(room.ir_length)
-
-    if fractional:
-        half = FRAC_DELAY_TAPS // 2
-        offsets = np.arange(-half, half + 1)
-        centers = np.floor(delays).astype(int)
-        idx = centers[:, None] + offsets[None, :]
-        t = idx - delays[:, None]
-        win = 0.5 * (1.0 + np.cos(np.pi * t / (half + 1)))
-        win[np.abs(t) > half + 1] = 0.0
-        taps = amp[:, None] * np.sinc(t) * win
-        valid = (idx >= 0) & (idx < room.ir_length)
-        np.add.at(h, idx[valid], taps[valid])
-    else:
-        centers = np.round(delays).astype(int)
-        valid = centers < room.ir_length
-        np.add.at(h, centers[valid], amp[valid])
+    np.add.at(h, idx[valid], taps[valid])
     return ImpulseResponse(h)
 
 

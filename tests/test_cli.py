@@ -113,6 +113,30 @@ class TestConfigHandling:
                       "--force"])
         assert rc == EXIT_OK
 
+    # a misspelt section used to be ignored, and the run went on with defaults
+    @pytest.mark.parametrize("source", ["file", "set"])
+    def test_unknown_section_rejected(self, tmp_path, capsys, source):
+        out = tmp_path / "o"
+        if source == "file":
+            argv = ["--config", _write_cfg(tmp_path, {**TASK, "tsak": {"seed": 3},
+                                                      "trian": {"epochs": 2}})]
+        else:
+            argv = ["--set", "tsak.seed=3", "--set", "trian.epochs=2"]
+        assert cli.run(["synth", *argv, "--count", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown config sections ['trian', 'tsak']" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a file used to exit 4 with "[Errno 20] Not a directory"
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["no-force", "force"])
+    def test_out_that_is_a_file_rejected(self, tmp_path, capsys, force):
+        out = tmp_path / "o"
+        out.write_text("keep")
+        rc = cli.run(["synth", "--config", _write_cfg(tmp_path, TASK), "--count", "2",
+                      "--out", str(out), *force])
+        assert rc == EXIT_CONFIG
+        assert f"output path {out} is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep"
+
     def test_set_overrides_config(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, TASK)
         out = tmp_path / "o"

@@ -54,40 +54,51 @@ class TestRoomSpec:
             _basic_room(wall_reflection=beta)
 
 
-class TestGenerateRir:
-    def test_anechoic_direct_path_nearest(self):
-        # distance 2.2913 m -> 106.88 samples at 16 kHz, rounds to 107;
-        # amplitude 1 / (4 pi d)
-        room = _basic_room(ir_length=256)
-        ir = simkit.generate_rir(room, fractional=False)
-        d = room.direct_distance()
-        expected_delay = int(round(d / simkit.SPEED_OF_SOUND * simkit.REQUIRED_RATE))
-        assert expected_delay == 107
-        nz = np.nonzero(ir.taps)[0]
-        assert list(nz) == [107]
-        assert ir.taps[107] == pytest.approx(1.0 / (4.0 * np.pi * d), rel=1e-12)
+def _hann_sinc(delay, amp, n):
+    """n taps of amp * sinc(k - delay) under a Hann window of half-width
+    FRAC_DELAY_TAPS // 2 + 1, on the taps floor(delay) +/- FRAC_DELAY_TAPS // 2."""
+    half = simkit.FRAC_DELAY_TAPS // 2
+    k = np.arange(n)
+    t = k - delay
+    on = np.abs(k - np.floor(delay)) <= half
+    return np.where(on, amp * np.sinc(t) * 0.5 * (1.0 + np.cos(np.pi * t / (half + 1))), 0.0)
 
-    def test_anechoic_fractional_is_localized(self):
+
+def _delay(d):
+    return d / simkit.SPEED_OF_SOUND * simkit.REQUIRED_RATE
+
+
+class TestGenerateRir:
+    def test_anechoic_taps_equal_windowed_sinc(self):
+        # distance 2.2913 m -> 106.88 samples at 16 kHz; amplitude 1 / (4 pi d)
+        room = _basic_room(ir_length=256)
+        d = room.direct_distance()
+        expected = _hann_sinc(_delay(d), 1.0 / (4.0 * np.pi * d), 256)
+        taps = simkit.generate_rir(room).taps
+        assert np.max(np.abs(taps - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_anechoic_peak_is_localized(self):
         room = _basic_room(ir_length=512)
-        ir = simkit.generate_rir(room, fractional=True)
+        ir = simkit.generate_rir(room)
         peak = int(np.argmax(np.abs(ir.taps)))
         assert abs(peak - 107) <= 1
         half = simkit.FRAC_DELAY_TAPS // 2
         outside = np.concatenate([ir.taps[: 107 - half - 2], ir.taps[107 + half + 2 :]])
         assert np.all(outside == 0.0)
 
-    def test_order_zero_with_reflections_still_single_tap(self):
-        ir = simkit.generate_rir(
-            _basic_room(wall_reflection=0.9, max_order=0, ir_length=256), fractional=False
-        )
-        assert np.count_nonzero(ir.taps) == 1
+    def test_order_zero_with_reflections_is_one_kernel(self):
+        # order 0 is the direct path alone, whatever the walls reflect
+        ir = simkit.generate_rir(_basic_room(wall_reflection=0.9, max_order=0, ir_length=256))
+        half = simkit.FRAC_DELAY_TAPS // 2
+        nz = np.nonzero(ir.taps)[0]
+        assert nz[0] >= 106 - half and nz[-1] <= 106 + half  # floor(106.88) +/- half
+        assert np.array_equal(ir.taps, simkit.generate_rir(_basic_room(ir_length=256)).taps)
 
     def test_energy_grows_with_reflection_coefficient(self):
         energies = []
         for beta in (0.0, 0.3, 0.6, 0.9):
             ir = simkit.generate_rir(
-                _basic_room(wall_reflection=beta, max_order=3, ir_length=2048),
-                fractional=False,
+                _basic_room(wall_reflection=beta, max_order=3, ir_length=2048)
             )
             energies.append(ir_energy(ir))
         assert all(b > a for a, b in zip(energies, energies[1:]))
@@ -98,10 +109,11 @@ class TestGenerateRir:
         dist, amp = simkit._image_sources(room)
         assert len(dist) == 7
 
-    def test_first_order_amplitudes_match_hand_geometry(self):
-        room = _basic_room(wall_reflection=0.5, max_order=1, ir_length=4096)
+    @staticmethod
+    def _hand_images(room):
+        """(distance, amplitude) of the direct path and of the source reflected
+        by hand in each of the six walls: 1 / (4 pi d) and beta / (4 pi d)."""
         src, mic, dims = room.source_position, room.mic_position, room.dimensions
-        # reflect the source in each of the six walls by hand
         images = []
         for axis in range(3):
             lo = src.copy()
@@ -109,11 +121,25 @@ class TestGenerateRir:
             hi = src.copy()
             hi[axis] = 2 * dims[axis] - src[axis]
             images += [lo, hi]
-        expected = sorted(
-            [room.direct_distance()] + [float(np.linalg.norm(p - mic)) for p in images]
-        )
+        d0 = room.direct_distance()
+        beta = room.wall_reflection
+        return [(d0, 1.0 / (4.0 * np.pi * d0))] + [
+            (d, beta / (4.0 * np.pi * d)) for d in (float(np.linalg.norm(p - mic)) for p in images)
+        ]
+
+    def test_first_order_amplitudes_match_hand_geometry(self):
+        room = _basic_room(wall_reflection=0.5, max_order=1, ir_length=4096)
+        expected = np.array(sorted(self._hand_images(room)))
         dist, amp = simkit._image_sources(room)
-        assert np.allclose(sorted(dist), expected)
+        got = np.array(sorted(zip(dist, amp)))
+        assert np.allclose(got[:, 0], expected[:, 0])
+        assert np.allclose(got[:, 1], expected[:, 1], rtol=1e-12, atol=0.0)
+
+    def test_first_order_rir_is_sum_of_hand_kernels(self):
+        room = _basic_room(wall_reflection=0.5, max_order=1, ir_length=512)
+        expected = sum(_hann_sinc(_delay(d), a, 512) for d, a in self._hand_images(room))
+        taps = simkit.generate_rir(room).taps
+        assert np.max(np.abs(taps - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_rt60_matches_eyring_prediction(self):
         # Schroeder backward integration, fitted on the -15..-35 dB stretch of
@@ -127,7 +153,7 @@ class TestGenerateRir:
             max_order=36,
             ir_length=20000,
         )
-        h = simkit.generate_rir(room, fractional=False).taps
+        h = simkit.generate_rir(room).taps
         edc = np.cumsum(h[::-1] ** 2)[::-1]
         edc_db = 10 * np.log10(np.maximum(edc / edc[0], 1e-30))
         t = np.arange(len(h)) / simkit.REQUIRED_RATE
